@@ -14,16 +14,32 @@ Values are read from a cached table of the L-th roots of unity
 phase.  Characters are enumerated lexicographically by exponent tuple; the
 principal character is index 0.
 
+The character transform Psi_chi = sum_a S(a) chi(a) of a residue vector S
+is a DFT over Z/d_1 x ... x Z/d_k once the coprime residues are placed on
+the discrete-log grid: `CharacterGroup.transform` scatters S onto an array
+of shape (d_1, ..., d_k) and returns phi(q) * ifftn of it, flattened in C
+order, which is exactly the lexicographic exponent order.  That costs
+O(phi log phi) time and O(q) memory per modulus, against O(q phi) for the
+dense `value_table`, which stays available for the API, the tests and the
+demos.  `check_transform` evaluates a few transform entries independently
+from the exponent tuples and tests the discrete logs for multiplicativity,
+so a wrong scatter, order or sign is caught rather than hidden by Parseval.
+
+`CharacterGroup.characters` (the per-character `DirichletCharacter`
+objects) is built on first access, so the variance routes, which only need
+`transform` and `primitive_mask`, create none.
+
 Conductors are computed factor by factor in closed form (the smallest p-power
 modulus each local component factors through), so no brute-force divisor
-scan is needed even for large q.
+scan is needed even for large q.  The same locality gives `primitive_mask`
+as an outer product of per-factor conditions on the exponent grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -31,8 +47,10 @@ from .arith import factorize
 from .errors import ParameterError
 
 MAX_MODULUS = 10**6
-# Full phi(q) x q value tables are memoised only for small moduli; above this
-# they are rebuilt on demand (the table is O(phi(q)*q) complex numbers).
+# Full phi(q) x q value tables are off the variance and large-sieve hot path
+# (those use `transform`); they serve the API, tests and demos, and are
+# memoised only for small moduli because a table is O(phi(q)*q) complex
+# numbers.  Above this they are rebuilt on demand.
 _VALUE_TABLE_CACHE_Q = 256
 
 
@@ -92,6 +110,18 @@ class _Factor:
         self.local_dlog = local_dlog  # indexed by residue mod prime_power
 
 
+def _powers(g: int, count: int, m: int) -> np.ndarray:
+    """g^j mod m for 0 <= j < count, by doubling (m <= 10^6: no overflow)."""
+    out = np.ones(count, dtype=np.int64)
+    done, step = 1, g % m
+    while done < count:
+        take = min(done, count - done)
+        out[done:done + take] = out[:take] * step % m
+        done += take
+        step = step * step % m
+    return out
+
+
 def _local_factors(p: int, k: int) -> list[tuple[int, int, np.ndarray]]:
     """Cyclic factors of (Z/p^k Z)* as (local generator, order, dlog table)."""
     pe = p**k
@@ -106,19 +136,14 @@ def _local_factors(p: int, k: int) -> list[tuple[int, int, np.ndarray]]:
         half = pe >> 2
         minus = np.full(pe, -1, dtype=np.int32)
         five = np.full(pe, -1, dtype=np.int32)
-        v = 1
-        for s in range(half):
-            minus[v], five[v] = 0, s
-            minus[pe - v], five[pe - v] = 1, s
-            v = (v * 5) % pe
+        v = _powers(5, half, pe)
+        minus[v], five[v] = 0, np.arange(half)
+        minus[pe - v], five[pe - v] = 1, np.arange(half)
         return [(pe - 1, 2, minus), (5, half, five)]
     g = _primitive_root_mod_pk(p, k)
     order = pe - pe // p
     dlog = np.full(pe, -1, dtype=np.int32)
-    t = 1
-    for j in range(order):
-        dlog[t] = j
-        t = (t * g) % pe
+    dlog[_powers(g, order, pe)] = np.arange(order)
     return [(g, order, dlog)]
 
 
@@ -157,15 +182,17 @@ def _conductor_from_exponents(factors: list[_Factor],
 
 
 class CharacterGroup:
-    """All Dirichlet characters mod q, with dense evaluation tables.
+    """All Dirichlet characters mod q: discrete logs, transform, tables.
 
     Attributes:
         modulus: q.
         phi: group order phi(q).
         factors: cyclic factors (generator lifted mod q, order, local dlog).
-        dlog: (q, #factors) int32 exponent table, valid at coprime residues.
+        orders: the factor orders d_j, the shape of the exponent grid.
+        dlog: (q, #factors) int64 exponent table, valid at coprime residues.
         coprime: boolean mask of residues coprime to q.
-        characters: the phi(q) characters, lexicographic by exponent tuple.
+        characters: the phi(q) characters, lexicographic by exponent tuple
+            (built on first access).
     """
 
     def __init__(self, q: int):
@@ -174,7 +201,9 @@ class CharacterGroup:
                 f"modulus must be in [1, {MAX_MODULUS}], got {q}")
         self.modulus = q
         factors: list[_Factor] = []
+        self.coprime = np.ones(q, dtype=bool)
         for p, k in factorize(q):
+            self.coprime[::p] = False
             for g_local, order, local_dlog in _local_factors(p, k):
                 factors.append(_Factor(p, p**k, _crt_lift(g_local, p**k, q),
                                        order, local_dlog))
@@ -184,7 +213,6 @@ class CharacterGroup:
         self.exponent = math.lcm(*[f.order for f in factors]) if factors else 1
 
         residues = np.arange(q, dtype=np.int64)
-        self.coprime = np.gcd(residues, q) == 1 if q > 1 else np.ones(1, bool)
         if factors:
             cols = [f.local_dlog[residues % f.prime_power] for f in factors]
             self.dlog = np.stack(cols, axis=1).astype(np.int64)
@@ -195,20 +223,22 @@ class CharacterGroup:
         L = self.exponent
         self.roots = np.exp(2j * np.pi * np.arange(L) / L)
         self._phase_mult = (L // self.orders) if factors else np.zeros(0, np.int64)
-
-        self.characters: list[DirichletCharacter] = []
-        for idx, exps in enumerate(_lex_tuples([f.order for f in factors])):
-            self.characters.append(DirichletCharacter(
-                modulus=q,
-                index=idx,
-                component_exponents=exps,
-                conductor=_conductor_from_exponents(factors, exps),
-                is_principal=all(e == 0 for e in exps),
-            ))
         self._value_table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.phi
+
+    @cached_property
+    def characters(self) -> list[DirichletCharacter]:
+        """The phi(q) characters, lexicographic by exponent tuple."""
+        return [DirichletCharacter(
+                    modulus=self.modulus,
+                    index=idx,
+                    component_exponents=exps,
+                    conductor=_conductor_from_exponents(self.factors, exps),
+                    is_principal=all(e == 0 for e in exps))
+                for idx, exps in enumerate(
+                    _lex_tuples([f.order for f in self.factors]))]
 
     def phase_index(self, chi: DirichletCharacter, residue: int) -> int:
         """Index k such that chi(residue) = exp(2*pi*i*k/L)."""
@@ -226,17 +256,89 @@ class CharacterGroup:
         """(phi(q), q) table of all character values; cached for small q."""
         if self._value_table is not None:
             return self._value_table
-        exps = np.array([c.component_exponents for c in self.characters],
-                        dtype=np.int64).reshape(self.phi, len(self.factors))
-        table = self._rows(exps)
+        table = self._rows(self._exponents(np.arange(self.phi)))
         if self.modulus <= _VALUE_TABLE_CACHE_Q:
             self._value_table = table
         return table
 
+    def transform(self, sums: np.ndarray) -> np.ndarray:
+        """Psi_chi = sum_a sums[a] chi(a) for every chi, in `characters` order.
+
+        `sums` is indexed by residue 0..q-1; non-coprime entries are
+        ignored.  Equals `value_table() @ sums` up to rounding: the coprime
+        entries are scattered onto the exponent grid by discrete log and
+        phi(q) * ifftn of the grid is read in C order.
+        """
+        residues, cells = self._scatter
+        grid = np.zeros(self.phi, dtype=np.complex128)
+        grid[cells] = sums[residues]
+        if not self.factors:
+            return grid
+        return self.phi * np.fft.ifftn(grid.reshape(tuple(self.orders))).ravel()
+
+    def check_transform(self, sums: np.ndarray, psi: np.ndarray) -> float:
+        """Worst gap of `psi`, a claimed `transform(sums)`, at sampled entries.
+
+        Entries 0, phi//3 and phi-1 are evaluated directly from their
+        exponent tuples at O(q) each; the gap is relative to the l1 norm of
+        the coprime sums, which bounds every |Psi_chi|.  Parseval holds for
+        any orthogonal transform, so this is what catches a wrong scatter,
+        a wrong character order or a conjugated transform.  Sampled
+        products also test dlog(mn) = dlog(m) + dlog(n) mod d_j; a failure
+        there returns inf.
+        """
+        picks = np.unique([0, self.phi // 3, self.phi - 1])
+        want = self._rows(self._exponents(picks)) @ sums
+        scale = float(np.abs(sums[self.coprime]).sum()) or 1.0
+        gap = float(np.abs(psi[picks] - want).max()) / scale
+        units, _ = self._scatter
+        k = len(units)
+        m = units[[k // 3, k // 2, k - 1]]
+        n = units[[k - 1, k // 3, k // 2]]
+        drift = self.dlog[m * n % self.modulus] - self.dlog[m] - self.dlog[n]
+        if np.any(drift % self.orders):
+            return math.inf
+        return gap
+
     def primitive_mask(self) -> np.ndarray:
-        """Boolean mask over `characters`: conductor equal to the modulus."""
-        return np.array([c.conductor == self.modulus for c in self.characters],
-                        dtype=bool)
+        """Boolean mask over `characters`: conductor equal to the modulus.
+
+        Read-only and cached.  Primitivity is local (see
+        `_conductor_from_exponents`): on each cyclic factor of p-power
+        modulus the exponent must be prime to p, except on the <-1> factor
+        of 2^k, k >= 3, which is free.  The mask is the outer product of
+        these per-factor conditions in C order; no character mod q is
+        primitive when q == 2 (mod 4).
+        """
+        return self._primitive
+
+    @cached_property
+    def _primitive(self) -> np.ndarray:
+        conds = []
+        for j, f in enumerate(self.factors):
+            minus_one = f.prime == 2 and j + 1 < len(self.factors) \
+                and self.factors[j + 1].prime == 2
+            conds.append(np.ones(f.order, bool) if minus_one
+                         else np.arange(f.order) % f.prime != 0)
+        mask = reduce(np.logical_and.outer, conds, np.array(True)).ravel()
+        if self.modulus % 4 == 2:
+            mask[:] = False
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def _scatter(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coprime residues and their flat C-order cells on the exponent grid."""
+        residues = np.flatnonzero(self.coprime)
+        strides = np.array([math.prod(self.orders[j + 1:].tolist())
+                            for j in range(len(self.factors))], dtype=np.int64)
+        return residues, self.dlog[residues] @ strides
+
+    def _exponents(self, idx: np.ndarray) -> np.ndarray:
+        """Exponent tuples of the characters at flat indices `idx`, as rows."""
+        cols = np.unravel_index(idx, tuple(self.orders)) if self.factors else ()
+        return np.array(cols, dtype=np.int64).reshape(
+            len(self.factors), len(idx)).T
 
     def _rows(self, exps: np.ndarray) -> np.ndarray:
         L = self.exponent

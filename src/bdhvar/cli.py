@@ -335,7 +335,8 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
         rep = variance_report(w, Q, threads=cfg.threads, seed=cfg.seed)
         if not rep.cross_check_ok:
             failures += 1
-            _log(f"cross-check FAILED at X={X:g}: rel={rep.cross_check_rel:.3e}")
+            _log(f"cross-check FAILED at X={X:g}: rel={rep.cross_check_rel:.3e}"
+                 f", transform gap={rep.transform_gap:.3e}")
         rows.append({
             "X": float(X), "Q": Q, "mu": cfg.mu, "kind": cfg.kind,
             "gamma": cfg.gamma, "c": cfg.c, "t": t,

@@ -18,11 +18,24 @@ The identity is Parseval over the unit group and holds for arbitrary
 complex weights, so route agreement is a strong end-to-end check; reports
 carry the relative discrepancy and anything above 1e-8 is flagged.
 
-Accumulation discipline: per-progression sums are pairwise column sums in
-80-bit floats (error far below the 1e-12 oracle-equivalence budget), all
-per-q squared deviations and the cross-q total go through math.fsum, and
-the cross-q reduction is always in ascending q regardless of thread count,
-so results are bit-identical for 1 or many workers.
+Parseval holds for any orthogonal transform whose first row is the coprime
+indicator, so route agreement alone cannot see a wrong discrete-log
+scatter, a wrong character order or a conjugated transform.  Reports
+therefore also spot-check a few transform entries per modulus against a
+direct evaluation (`CharacterGroup.check_transform`) and fail the
+cross-check when that gap exceeds the same tolerance.
+
+Accumulation discipline: the weight's nonzero support (n, w(n)) is taken
+once per call, and per-progression sums are float64 `np.bincount` sums
+over it, added one term at a time in ascending n.  For a class with k
+support terms, each of the real and imaginary parts is within
+(k - 1) * 2^-53 * (sum of the |parts|) of the exact sum (the standard
+recursive-summation bound); tests hold it against a math.fsum oracle.
+The character side is an FFT over the discrete-log grid (relative error
+about 1e-15 against the dense table).  All per-q squared deviations and
+the cross-q total go through math.fsum, and the cross-q reduction is
+always in ascending q regardless of thread count, so results are
+bit-identical for 1 or many workers.
 """
 
 from __future__ import annotations
@@ -227,23 +240,36 @@ def main_term_for(X: float, mu: float, kind: WeightKind,
 # Accumulation kernels
 # ---------------------------------------------------------------------------
 
+def _support(values: np.ndarray, n0: int):
+    """Nonzero support of values[i] = w(n0 + i): (n, Re w(n), Im w(n))."""
+    idx = np.flatnonzero(values)
+    w = values[idx]
+    # int32 residues reduce about twice as fast as int64 ones
+    n = (n0 + idx).astype(np.int32 if n0 + len(values) < 2**31 else np.int64)
+    return n, np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
+
+
+def _residue_sums(support, q: int) -> np.ndarray:
+    """out[r] = sum of w(n) over the support with n == r (mod q)."""
+    n, re, im = support
+    r = n % q
+    out = np.empty(q, dtype=np.complex128)
+    out.real = np.bincount(r, weights=re, minlength=q)
+    out.imag = np.bincount(r, weights=im, minlength=q)
+    return out
+
+
 def class_sums(values: np.ndarray, n0: int, q: int) -> np.ndarray:
     """Residue-class sums: out[r] = sum of values[i] with (n0+i) == r (mod q).
 
-    One pass, cache-friendly: the range is reshaped to rows of length q
-    (every column then lies in a single residue class) and columns are
-    pairwise-summed in 80-bit precision.
+    Only nonzero entries are visited.  Each class is summed in float64 in
+    ascending n, so for a class with k nonzero terms the real and the
+    imaginary part are each within (k - 1) * 2^-53 times the sum of the
+    absolute values of that part's terms of the exact sum.
     """
     if q < 1:
         raise ParameterError(f"modulus must be >= 1, got {q}")
-    m = len(values)
-    nblocks = (m + q - 1) // q
-    buf = np.zeros(nblocks * q, dtype=np.clongdouble)
-    buf[:m] = values
-    cols = buf.reshape(nblocks, q).sum(axis=0)
-    out = np.empty(q, dtype=np.complex128)
-    out[(n0 + np.arange(q)) % q] = cols.astype(np.complex128)
-    return out
+    return _residue_sums(_support(np.asarray(values), n0), q)
 
 
 def progression_sum(w: WeightTable, q: int, a: int) -> complex:
@@ -291,9 +317,10 @@ def bdh_variance_direct(w: WeightTable, Q: int, main: MainLike, *,
     if Q < 1:
         raise ParameterError(f"Q must be >= 1, got {Q}")
     mv = _resolve_main(main)
+    support = _support(w.values, w.n0)
 
     def one(q: int) -> float:
-        sums = class_sums(w.values, w.n0, q)
+        sums = _residue_sums(support, q)
         mask = _coprime_mask(q)
         dev = sums[mask] - mv / int(mask.sum())
         return _sq_abs_sum(dev)
@@ -312,11 +339,12 @@ def bdh_variance_characters(w: WeightTable, Q: int, main: MainLike, *,
     if Q < 1:
         raise ParameterError(f"Q must be >= 1, got {Q}")
     mv = _resolve_main(main)
+    support = _support(w.values, w.n0)
 
     def one(q: int) -> float:
-        sums = class_sums(w.values, w.n0, q)
+        sums = _residue_sums(support, q)
         G = groups(q)
-        psi = G.value_table() @ sums
+        psi = G.transform(sums)
         psi[0] -= mv  # principal character sits at index 0
         return _sq_abs_sum(psi) / G.phi
 
@@ -337,7 +365,8 @@ class VarianceReport:
 
     direct_variance / character_variance use the headline main term
     (range-consistent for PS_PLAIN); direct_alt / character_alt hold the
-    paper-literal X^gamma variant when one exists.  wall_time_s is
+    paper-literal X^gamma variant when one exists.  transform_gap is the
+    worst `CharacterGroup.check_transform` gap over all q.  wall_time_s is
     measured and therefore excluded from serialised output.
     """
 
@@ -355,6 +384,7 @@ class VarianceReport:
     character_alt: Optional[float]
     per_q: Optional[list]
     seed: int
+    transform_gap: float
     wall_time_s: float
 
     @property
@@ -368,7 +398,8 @@ class VarianceReport:
 
     @property
     def cross_check_ok(self) -> bool:
-        return self.cross_check_rel <= CROSS_CHECK_TOL
+        return (self.cross_check_rel <= CROSS_CHECK_TOL
+                and self.transform_gap <= CROSS_CHECK_TOL)
 
 
 def normalizer(kind: WeightKind, X: float, Q: int,
@@ -401,7 +432,8 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
 
     Per q the residue sums are computed once and fed to both routes; the
     character transform versus the direct squared deviations remains the
-    substantive cross-check.
+    substantive cross-check, and sampled transform entries are checked
+    against a direct evaluation (see `VarianceReport.transform_gap`).
     """
     if Q < 1:
         raise ParameterError(f"Q must be >= 1, got {Q}")
@@ -412,23 +444,27 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     if main.alt_value is not None:
         mains.append(complex(main.value))  # paper-literal variant second
 
+    support = _support(w.values, w.n0)
+
     def one(q: int):
-        sums = class_sums(w.values, w.n0, q)
-        mask = _coprime_mask(q)
-        phi = int(mask.sum())
+        sums = _residue_sums(support, q)
         G = groups(q)
+        mask = G.coprime
+        phi = int(mask.sum())
         if G.phi != phi:
             raise AssertionError(f"phi mismatch at q={q}: {G.phi} != {phi}")
-        psi = G.value_table() @ sums
+        psi = G.transform(sums)
         cell = []
         for mv in mains:
             dev = sums[mask] - mv / phi
             shifted = psi.copy()
             shifted[0] -= mv
             cell.append((_sq_abs_sum(dev), _sq_abs_sum(shifted) / phi))
-        return cell
+        return cell, G.check_transform(sums, psi)
 
-    rows = _run_per_q(range(1, Q + 1), one, threads)
+    results = _run_per_q(range(1, Q + 1), one, threads)
+    rows = [cell for cell, _ in results]
+    transform_gap = max(gap for _, gap in results)
     direct = math.fsum(cell[0][0] for cell in rows)
     chars = math.fsum(cell[0][1] for cell in rows)
     if len(mains) > 1:
@@ -450,7 +486,7 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
         direct_variance=direct, character_variance=chars,
         normalized_ratio=ratio, ratio_alt=ratio_alt,
         direct_alt=direct_alt, character_alt=chars_alt,
-        per_q=break_down, seed=seed,
+        per_q=break_down, seed=seed, transform_gap=transform_gap,
         wall_time_s=time.perf_counter() - t0)
 
 
@@ -485,6 +521,7 @@ def large_sieve_check(M: int, N: int, Q: int, coeffs: np.ndarray, *,
     norm2 = _sq_abs_sum(arr)
     bound = (N + Q * Q) * norm2
 
+    support = _support(arr, M + 1)
     parts = []
     for q in range(1, Q + 1):
         G = groups(q)
@@ -492,8 +529,7 @@ def large_sieve_check(M: int, N: int, Q: int, coeffs: np.ndarray, *,
         if not prim.any():
             parts.append(0.0)
             continue
-        sums = class_sums(arr, M + 1, q)
-        psi = G.value_table()[prim] @ sums
+        psi = G.transform(_residue_sums(support, q))[prim]
         parts.append(q / G.phi * _sq_abs_sum(psi))
     lhs = math.fsum(parts)
     ratio = lhs / bound if bound > 0 else 0.0

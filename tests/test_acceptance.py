@@ -6,14 +6,17 @@ both the numeric criterion and its wall-clock budget.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bdhvar
 from bdhvar import (ExpWeightParams, MainTerm, WeightKind, WeightParams,
                     bdh_variance_characters, bdh_variance_direct,
                     build_prime_table, build_weight_table, custom_weight_table,
@@ -332,18 +335,57 @@ def test_acceptance_9_ps_weight_variance_trends(tables_1e5):
             detail)
 
 
+def test_theorem_scale_classic_row_at_x_3e5():
+    """A classic_exp row at X = 3e5, Q = 1886 with t just inside the cap.
+
+    Both routes and the transform spot checks hold at theorem scale, and the
+    normalised variance stays in acceptance 8's band: within a factor 2 of
+    the X = 1e4 value at the cap.
+    """
+    start = time.perf_counter()
+    failures = []
+    c, mu, delta = 1.5, 0.5, 0.05
+    tables = make_tables(3 * 10**5)
+    ratios = []
+    for X in (10**4, 3 * 10**5):
+        Q = math.floor(X / math.log(X) ** 2)
+        t = float(X) ** (2.0 / 3.0 - c - delta) * (1.0 - 1e-9)
+        w = build_weight_table(float(X), mu, WeightKind.CLASSIC_EXP,
+                               WeightParams(c=c, t=t), tables)
+        rep = variance_report(w, Q)
+        if rep.cross_check_rel > 1e-10:
+            failures.append(f"X={X:g}: route gap {rep.cross_check_rel:.2e}")
+        if rep.transform_gap > 1e-10:
+            failures.append(f"X={X:g}: transform gap {rep.transform_gap:.2e}")
+        ratios.append(rep.normalized_ratio)
+    if Q != 1886:
+        failures.append(f"Q rule gave {Q}, expected 1886")
+    if not 0.5 * ratios[0] <= ratios[1] <= 2.0 * ratios[0]:
+        failures.append(f"ratio {ratios[1]:.3f} outside [0.5, 2] x "
+                        f"{ratios[0]:.3f}")
+    elapsed = time.perf_counter() - start
+    if elapsed > 60.0:
+        failures.append(f"budget: {elapsed:.1f}s > 60s")
+    verdict("8, X=3e5", "classic row at theorem scale, Q=1886, t at cap",
+            failures, f"ratios {ratios[0]:.3f} -> {ratios[1]:.3f}, "
+            f"route gap {rep.cross_check_rel:.1e}, transform gap "
+            f"{rep.transform_gap:.1e}, {elapsed:.1f}s")
+
+
 def test_acceptance_10_byte_identical_reports(tmp_path):
     """Serialized reports do not depend on the thread count."""
     failures = []
     base = ["-m", "bdhvar.cli", "variance", "--x-grid", "2000,5000",
             "--kind", "classic_exp", "--t-rule", "x_pow:-0.9",
             "--seed", "7"]
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(bdhvar.__file__).resolve().parents[1]))
     blobs = []
     for k, threads in enumerate(("1", "2", "8")):
         out = tmp_path / f"t{threads}.csv"
         proc = subprocess.run([sys.executable] + base +
                               ["--threads", threads, "--out", str(out)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         if proc.returncode != 0:
             failures.append(f"threads={threads}: exit {proc.returncode}: "
                             f"{proc.stderr.strip()[:200]}")
@@ -354,7 +396,7 @@ def test_acceptance_10_byte_identical_reports(tmp_path):
     rerun = tmp_path / "rerun.csv"
     proc = subprocess.run([sys.executable] + base +
                           ["--threads", "1", "--out", str(rerun)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         failures.append(f"rerun: exit {proc.returncode}")
     elif blobs and rerun.read_bytes() != blobs[0]:

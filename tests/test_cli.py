@@ -281,12 +281,18 @@ def test_bad_subcommand_flags():
     assert run_cli(["variance", "--x-grid", "100", "--threads", "0"]) == 2
 
 
+def _child_env():
+    """Environment that lets a child process import this checkout's bdhvar."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=str(src))
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "v.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "bdhvar.cli", "vaaler", "--h-list", "1",
          "--grid-points", "200", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
@@ -310,10 +316,8 @@ def test_console_script_installed():
 
     wrapper = ("import sys; sys.argv[0] = 'bdhvar'; "
                f"from {ep.module} import {ep.attr}; sys.exit({ep.attr}())")
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     runs = [subprocess.run([sys.executable, "-c", wrapper, "--help"],
-                           capture_output=True, text=True, env=env)]
+                           capture_output=True, text=True, env=_child_env())]
     exe = shutil.which("bdhvar")
     if exe is not None:
         runs.append(subprocess.run([exe, "--help"], capture_output=True,

@@ -1,0 +1,142 @@
+"""The FFT character transform, its spot checks, and the vectorised masks.
+
+The dense `value_table` and the per-character `DirichletCharacter` objects
+are the references here: the transform must reproduce `value_table() @ S`,
+and `primitive_mask` must reproduce the conductors of `characters`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bdhvar import (WeightKind, WeightParams, bdh_variance_characters,
+                    bdh_variance_direct, build_weight_table, class_sums, cli,
+                    make_tables, variance_report)
+from bdhvar.characters import CharacterGroup
+
+TABLES = make_tables(2100)
+
+
+def test_transform_matches_value_table():
+    rng = np.random.default_rng(404)
+    worst = 0.0
+    for q in range(1, 400):
+        G = CharacterGroup(q)
+        sums = rng.normal(size=q) + 1j * rng.normal(size=q)
+        want = G.value_table() @ sums
+        got = G.transform(sums)
+        assert got.shape == (G.phi,)
+        worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+    assert worst <= 1e-13
+
+
+def test_transform_ignores_non_coprime_classes():
+    G = CharacterGroup(36)
+    sums = np.arange(36, dtype=float) + 1j
+    clean = np.where(G.coprime, sums, 0.0)
+    assert np.array_equal(G.transform(sums), G.transform(clean))
+
+
+def test_variance_routes_build_no_character_objects():
+    params = WeightParams(c=1.5, t=1e-3)
+    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, params, TABLES)
+    built = {}
+
+    def fresh(q):
+        built[q] = CharacterGroup(q)
+        return built[q]
+
+    rep = variance_report(w, 30, groups=fresh)
+    bdh_variance_characters(w, 30, rep.main, groups=fresh)
+    assert rep.cross_check_ok and len(built) == 30
+    assert not any("characters" in vars(G) for G in built.values())
+    G = built[30]
+    assert len(G.characters) == G.phi == 8   # built on first access
+
+
+def test_primitive_mask_matches_conductors():
+    for q in range(1, 1201):
+        G = CharacterGroup(q)
+        want = np.array([c.conductor == q for c in G.characters], dtype=bool)
+        assert np.array_equal(G.primitive_mask(), want), q
+
+
+def test_primitive_mask_is_cached_and_read_only():
+    G = CharacterGroup(60)
+    mask = G.primitive_mask()
+    assert G.primitive_mask() is mask
+    with pytest.raises(ValueError):
+        mask[0] = True
+
+
+def _conjugated(G, sums):
+    """What fftn in place of ifftn gives: every character conjugated."""
+    return np.conj(G.transform(np.conj(sums)))
+
+
+def test_check_transform_catches_wrong_transforms():
+    rng = np.random.default_rng(8)
+    for q in (5, 7, 13, 36, 63, 100, 257, 391):
+        G = CharacterGroup(q)
+        sums = rng.normal(size=q) + 1j * rng.normal(size=q)
+        psi = G.transform(sums)
+        assert G.check_transform(sums, psi) <= 1e-13, q
+        assert G.check_transform(sums, _conjugated(G, sums)) > 1e-3, q
+        assert G.check_transform(sums, np.roll(psi, 1)) > 1e-3, q
+
+
+def test_check_transform_catches_non_additive_dlog():
+    G = CharacterGroup(45)
+    sums = np.ones(45, dtype=complex)
+    psi = G.transform(sums)
+    units = np.flatnonzero(G.coprime)
+    G.dlog[units] = (G.dlog[units] + 1) % G.orders   # no longer a homomorphism
+    assert G.check_transform(sums, psi) == math.inf
+
+
+def test_conjugated_transform_fails_report_not_routes(monkeypatch, tmp_path,
+                                                      capsys):
+    real = CharacterGroup.transform
+    monkeypatch.setattr(CharacterGroup, "transform",
+                        lambda G, sums: np.conj(real(G, np.conj(sums))))
+    params = WeightParams(c=1.5, t=1e-3)
+    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, params, TABLES)
+    assert np.abs(w.values.imag).max() > 0.5     # genuinely complex weights
+    rep = variance_report(w, 30, groups=CharacterGroup)
+    assert rep.cross_check_rel <= 1e-10          # Parseval cannot see it
+    assert rep.transform_gap > 1e-3
+    assert not rep.cross_check_ok
+    d = bdh_variance_direct(w, 30, rep.main)
+    c = bdh_variance_characters(w, 30, rep.main, groups=CharacterGroup)
+    assert c == pytest.approx(d, rel=1e-10)
+
+    code = cli.main(["variance", "--x-grid", "2000", "--kind", "classic_exp",
+                     "--t-rule", "x_pow:-0.9", "--out", str(tmp_path / "x.csv")])
+    assert code == 4
+    assert "transform gap" in capsys.readouterr().err
+
+
+def test_class_sums_within_recursive_summation_bound():
+    # Lambda-like weights Lambda(n) e(t n^c) on (1e5, 2e5]: for a class with
+    # k nonzero terms each part is within (k - 1) * 2^-53 * sum |part| of
+    # the exactly rounded math.fsum.
+    tables = make_tables(2 * 10**5)
+    params = WeightParams(c=1.5, t=1e-5)
+    w = build_weight_table(2e5, 0.5, WeightKind.CLASSIC_EXP, params, tables)
+    assert len(w.values) == 10**5
+    rng = np.random.default_rng(2000)
+    nz = np.flatnonzero(w.values)
+    n, vals = w.n0 + nz, w.values[nz]
+    u = 2.0 ** -53
+    for q in [1, 2, 1999, 2000] + rng.integers(3, 2001, size=16).tolist():
+        got = class_sums(w.values, w.n0, q)
+        res = n % q
+        order = np.argsort(res, kind="stable")
+        starts = np.cumsum(np.bincount(res, minlength=q))[:-1]
+        for r, terms in enumerate(np.split(vals[order], starts)):
+            k = len(terms)
+            for part, value in ((terms.real, got[r].real),
+                                (terms.imag, got[r].imag)):
+                bound = max(k - 1, 0) * u * math.fsum(np.abs(part))
+                assert abs(value - math.fsum(part)) <= bound, (q, r)
