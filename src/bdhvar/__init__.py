@@ -17,9 +17,8 @@ from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
                           oscillatory_integral, phase_frac_array,
                           prime_exp_sum, reduced_phase, saw_psi, unit_exp,
                           vaaler_eval, vaaler_expansion)
-from .psprimes import (GAMMA_THRESHOLDS, PSConfig, enumerate_ps, ps_array,
-                       ps_config, ps_count_main_term, ps_indicator,
-                       ps_indicator_array)
+from .psprimes import (GAMMA_THRESHOLDS, PSConfig, ps_array, ps_config,
+                       ps_count_main_term, ps_indicator, ps_indicator_array)
 from .variance import (LargeSieveResult, MainTerm, SieveTables, VarianceReport,
                        WeightKind, WeightParams, WeightTable,
                        bdh_variance_characters, bdh_variance_direct,

@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .arith import factorize
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
 
 MAX_MODULUS = 10**6
 # Full phi(q) x q value tables are off the variance and large-sieve hot path
@@ -52,6 +52,9 @@ MAX_MODULUS = 10**6
 # memoised only for small moduli because a table is O(phi(q)*q) complex
 # numbers.  Above this they are rebuilt on demand.
 _VALUE_TABLE_CACHE_Q = 256
+# Cap on a dense table's working set: phi(q) * q entries of an int64 phase
+# index plus a complex128 value, 24 bytes each (q up to about 3300).
+_VALUE_TABLE_MAX_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -253,9 +256,19 @@ class CharacterGroup:
         return self._rows(np.array([chi.component_exponents], dtype=np.int64))[0]
 
     def value_table(self) -> np.ndarray:
-        """(phi(q), q) table of all character values; cached for small q."""
+        """(phi(q), q) table of all character values; cached for small q.
+
+        Raises ResourceError, before allocating, when the table's working
+        set would exceed _VALUE_TABLE_MAX_BYTES.
+        """
         if self._value_table is not None:
             return self._value_table
+        need = 24 * self.phi * self.modulus
+        if need > _VALUE_TABLE_MAX_BYTES:
+            raise ResourceError(
+                f"value table mod {self.modulus} needs {need / 2**20:.0f} MB, "
+                f"over the {_VALUE_TABLE_MAX_BYTES // 2**20} MB cap; use "
+                f"transform")
         table = self._rows(self._exponents(np.arange(self.phi)))
         if self.modulus <= _VALUE_TABLE_CACHE_Q:
             self._value_table = table

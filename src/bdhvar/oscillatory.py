@@ -42,6 +42,9 @@ _MPMATH_BUDGET = 1e60
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 NODES_PER_PERIOD = 12          # spec floor is 8; extra nodes buy margin
 MAX_OSCILLATIONS = 1e9
+# Panels evaluated per vectorised step of oscillatory_integral (at least 2);
+# bounds its working set and does not change its result.
+_PANEL_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,9 @@ def oscillatory_integral(a: float, b: float, t: float, c: float) -> complex:
     """integral of e(t y^c) dy over [a, b], 0 < a <= b.
 
     Equal-phase panels with 15-point Gauss-Legendre; panel sizes keep at
-    least NODES_PER_PERIOD nodes per period of the phase.
+    least NODES_PER_PERIOD nodes per period of the phase.  Panels are
+    evaluated _PANEL_CHUNK at a time, and the real and imaginary totals are
+    the correctly rounded sums of all panel values, for any chunk size.
     """
     if not 0 < a <= b:
         raise ParameterError(f"need 0 < a <= b, got [{a}, {b}]")
@@ -228,17 +233,38 @@ def oscillatory_integral(a: float, b: float, t: float, c: float) -> complex:
 
     re_parts: list[float] = []
     im_parts: list[float] = []
-    chunk = 1 << 16
-    for s in range(0, panels, chunk):
-        e = edge_slice(s, min(panels, s + chunk))
+    s = 0
+    while s < panels:
+        end = min(panels, s + _PANEL_CHUNK)
+        if end == panels - 1:
+            end = panels  # a one-row matmul is a dot, which rounds differently
+        e = edge_slice(s, end)
         mid = 0.5 * (e[1:] + e[:-1])
         half = 0.5 * (e[1:] - e[:-1])
         ys = mid[:, None] + half[:, None] * GL_NODES[None, :]
         ph = (t * ys ** c) % 1.0
         vals = (np.exp(2j * np.pi * ph) @ GL_WEIGHTS) * half
-        re_parts.append(math.fsum(vals.real))
-        im_parts.append(math.fsum(vals.imag))
+        re_parts += _exact_parts(vals.real.tolist())
+        im_parts += _exact_parts(vals.imag.tolist())
+        s = end
     return complex(math.fsum(re_parts), math.fsum(im_parts))
+
+
+def _exact_parts(xs: list[float]) -> list[float]:
+    """Floats whose exact sum is the exact sum of `xs` (appends to `xs`).
+
+    Each part is the correctly rounded remainder left by the parts before
+    it, so math.fsum over the parts of consecutive chunks equals math.fsum
+    over all their values at once: the total does not depend on the chunk
+    size.  The remainders shrink by 2^-52 per part, so there are few.
+    """
+    parts = []
+    while (s := math.fsum(xs)) != 0.0:
+        parts.append(s)
+        if not math.isfinite(s):
+            break  # a nan remainder would never reach 0
+        xs.append(-s)
+    return parts
 
 
 def main_term_integral(params: ExpWeightParams) -> complex:

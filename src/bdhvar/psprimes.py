@@ -9,6 +9,11 @@ which is 1 exactly when n = [k^(1/gamma)] for some integer k (floors are
 mathematical: [-2.5] = -3).  Enumeration over a range iterates k directly,
 which touches only O(X^gamma) values.
 
+Both array routes (`ps_array` over k, `ps_indicator_array` over n) run in
+fixed blocks of _BLOCK entries, so their working memory is O(_BLOCK) plus
+the array they return; every per-entry decision is the same as over the
+whole range at once.
+
 Float boundary decisions are guarded: whenever a power sits within
 guard_epsilon (widened by the a-priori float64 error bound) of an integer,
 the decision escalates either to exact big-integer comparisons (rational
@@ -34,6 +39,9 @@ GAMMA_THRESHOLDS = (Fraction(11, 12), Fraction(2426, 2817), Fraction(205, 243))
 _F64_EPS = float(np.finfo(np.float64).eps)
 _SNAP_DENOMINATOR = 64
 _SNAP_TOL = 1e-15
+# Both array routes walk their range in blocks of this many entries, so their
+# working memory is O(_BLOCK) plus the array they return.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -192,20 +200,10 @@ def _floor_root_scalar(k: int, cfg: PSConfig) -> int:
     return math.floor(x)
 
 
-def ps_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
-    """All PS indices in [lo, hi], ascending, as an int64 array.
-
-    Generator route: walks k and emits [k^(1/gamma)].  The bulk is done in
-    vectorised float64; only k whose root lands inside the guard band are
-    re-decided by the scalar escalation path.
-    """
-    if lo < 1 or hi < lo:
-        raise ParameterError(f"bad PS range [{lo}, {hi}]")
+def _floor_roots(a: int, b: int, cfg: PSConfig) -> np.ndarray:
+    """[k^(1/gamma)] for k = a..b: float64 bulk, guarded scalar re-decision."""
+    ks = np.arange(a, b + 1, dtype=np.int64)
     inv = 1.0 / cfg.gamma
-    # n >= lo needs k >= lo^gamma; pad both ends to absorb float slop.
-    k_lo = max(1, math.floor(float(lo) ** cfg.gamma) - 2)
-    k_hi = math.ceil(float(hi + 1) ** cfg.gamma) + 2
-    ks = np.arange(k_lo, k_hi + 1, dtype=np.int64)
     roots = ks.astype(np.float64) ** inv
     floors = np.floor(roots).astype(np.int64)
     frac = roots - floors
@@ -214,29 +212,12 @@ def ps_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
     risky = np.flatnonzero((frac <= band) | (frac >= 1.0 - band))
     for i in risky.tolist():
         floors[i] = _floor_root_scalar(int(ks[i]), cfg)
-    keep = (floors >= lo) & (floors <= hi)
-    out = floors[keep]
-    if out.size > 1 and np.any(np.diff(out) <= 0):
-        out = np.unique(out)  # k^(1/gamma) has gaps > 1, so this is a no-op
-    return out
+    return floors
 
 
-def enumerate_ps(lo: int, hi: int, cfg: PSConfig):
-    """Iterator over the PS indices in [lo, hi], ascending."""
-    for n in ps_array(lo, hi, cfg).tolist():
-        yield int(n)
-
-
-def ps_indicator_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
-    """Boolean membership mask for lo..hi (index i <-> n = lo + i).
-
-    Independent of ps_array: evaluates the ceil-difference identity
-    vectorised, with guarded scalar escalation.  Used as the cross-check
-    route against the k-generator.
-    """
-    if lo < 1 or hi < lo:
-        raise ParameterError(f"bad PS range [{lo}, {hi}]")
-    ns = np.arange(lo, hi + 2, dtype=np.int64)  # need n and n+1
+def _ceil_pows(a: int, b: int, cfg: PSConfig) -> np.ndarray:
+    """ceil(n^gamma) for n = a..b: float64 bulk, guarded scalar re-decision."""
+    ns = np.arange(a, b + 1, dtype=np.int64)
     pows = ns.astype(np.float64) ** cfg.gamma
     ceils = np.ceil(pows).astype(np.int64)
     dist = np.abs(pows - np.rint(pows))
@@ -245,7 +226,52 @@ def ps_indicator_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
     risky = np.flatnonzero(dist <= band)
     for i in risky.tolist():
         ceils[i] = _ceil_pow(int(ns[i]), cfg)
-    return (ceils[1:] - ceils[:-1]) == 1
+    return ceils
+
+
+def ps_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
+    """All PS indices in [lo, hi], ascending, as an int64 array.
+
+    Generator route: walks k in blocks of _BLOCK and emits [k^(1/gamma)].
+    The bulk is done in vectorised float64; only k whose root lands inside
+    the guard band are re-decided by the scalar escalation path.
+    """
+    if lo < 1 or hi < lo:
+        raise ParameterError(f"bad PS range [{lo}, {hi}]")
+    # n >= lo needs k >= lo^gamma; pad both ends to absorb float slop.
+    k_lo = max(1, math.floor(float(lo) ** cfg.gamma) - 2)
+    k_hi = math.ceil(float(hi + 1) ** cfg.gamma) + 2
+    out = np.empty(k_hi - k_lo + 1, dtype=np.int64)  # one n per k at most
+    m = 0
+    ordered = True
+    for k0 in range(k_lo, k_hi + 1, _BLOCK):
+        floors = _floor_roots(k0, min(k_hi, k0 + _BLOCK - 1), cfg)
+        floors = floors[(floors >= lo) & (floors <= hi)]
+        seam = max(m - 1, 0)  # the previous block's last entry
+        out[m:m + floors.size] = floors
+        m += floors.size
+        ordered = ordered and bool(np.all(np.diff(out[seam:m]) > 0))
+    out = out[:m]
+    if not ordered:
+        out = np.unique(out)  # k^(1/gamma) has gaps > 1, so this is a no-op
+    return out
+
+
+def ps_indicator_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
+    """Boolean membership mask for lo..hi (index i <-> n = lo + i).
+
+    Independent of ps_array: evaluates the ceil-difference identity
+    vectorised over blocks of _BLOCK n, with guarded scalar escalation.
+    Used as the cross-check route against the k-generator.
+    """
+    if lo < 1 or hi < lo:
+        raise ParameterError(f"bad PS range [{lo}, {hi}]")
+    out = np.empty(hi - lo + 1, dtype=bool)
+    for a in range(lo, hi + 1, _BLOCK):
+        b = min(hi, a + _BLOCK - 1)
+        ceils = _ceil_pows(a, b + 1, cfg)  # need n and n+1
+        np.equal(ceils[1:] - ceils[:-1], 1, out=out[a - lo:b - lo + 1])
+    return out
 
 
 def ps_count_main_term(X: float, cfg: PSConfig) -> float:

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -328,3 +329,29 @@ def test_console_script_installed():
         choices = re.search(r"\{([^}]*)\}", proc.stdout).group(1)
         assert set(choices.split(",")) == {
             "variance", "ps-count", "lemma3", "large-sieve", "vaaler"}
+
+
+def readme_cli_examples():
+    """The `bdhvar ...` commands in README's "Command line" code block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines()
+            if line.startswith("bdhvar ")]
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(),
+                         ids=lambda argv: argv[1])
+def test_readme_cli_example_runs(tmp_path, argv):
+    args = argv[1:]
+    out = tmp_path / "report"
+    if "--out" in args:
+        i = args.index("--out") + 1
+        out = tmp_path / Path(args[i]).name
+        args[i] = str(out)
+    else:
+        args += ["--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "bdhvar.cli", *args],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert out.stat().st_size > 0

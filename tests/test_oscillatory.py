@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bdhvar import (ExpWeightParams, ParameterError, build_prime_table,
-                    main_term_integral, oscillatory_integral,
+                    main_term_integral, oscillatory, oscillatory_integral,
                     phase_frac_array, prime_exp_sum, reduced_phase, saw_psi,
                     unit_exp, vaaler_eval, vaaler_expansion)
 from bdhvar.errors import ResourceError
@@ -237,3 +237,14 @@ def test_prime_exp_sum_empty_window():
     table = build_prime_table(100)
     p = ExpWeightParams(X=4.0, mu=0.8, c=1.5, t=0.1)
     assert prime_exp_sum(p, table.primes) == 0j
+
+
+@pytest.mark.parametrize("chunk", [2, 7, 1000])
+def test_integral_independent_of_panel_chunk(monkeypatch, chunk):
+    # (a, b, t, c) with 8, 6545 and 75 panels: a lone last panel arises at
+    # chunk 7 in the first case and at chunk 2 in the other two.
+    cases = [(10.0, 11.0, 5.0, 1.2), (3.0, 2000.0, 0.02, 1.7),
+             (100.0, 200.0, 2e-4, 2.5)]
+    whole = [oscillatory_integral(*cs) for cs in cases]
+    monkeypatch.setattr(oscillatory, "_PANEL_CHUNK", chunk)
+    assert [oscillatory_integral(*cs) for cs in cases] == whole

@@ -7,8 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from bdhvar import (ParameterError, enumerate_ps, ps_array, ps_config,
-                    ps_count_main_term, ps_indicator, ps_indicator_array)
+from bdhvar import (ParameterError, ps_array, ps_config, ps_count_main_term,
+                    ps_indicator, ps_indicator_array, psprimes)
 
 
 def int_root(m, k):
@@ -91,7 +91,7 @@ def test_square_set_frozen():
     assert ps_indicator(3, cfg) == 0
     assert ps_indicator(4, cfg) == 1
     assert ps_indicator(9, cfg) == 1
-    assert list(enumerate_ps(1, 30, cfg)) == [1, 4, 9, 16, 25]
+    assert ps_array(1, 30, cfg).tolist() == [1, 4, 9, 16, 25]
 
 
 def test_indicator_agrees_pointwise_with_array_route():
@@ -146,3 +146,30 @@ def test_count_main_term():
     for bad in (1.0, 0.5, -3.0):
         with pytest.raises(ParameterError):
             ps_count_main_term(bad, cfg)
+
+
+# Ranges away from 1 that hold escalated entries, including ones float64
+# alone gets wrong (1000^(4/3) = 9999.99..., 1024^(9/10) = 512.00...01), so
+# block edges fall next to members and escalations.
+BLOCK_RANGES = [(Fraction(1, 2), 9_990, 12_100),
+                (Fraction(3, 4), 9_000, 12_000),
+                (0.86, 2, 3_000),
+                (Fraction(2426, 2817), 100_000, 103_000),
+                (Fraction(9, 10), 1_000, 3_000)]
+
+
+@pytest.mark.parametrize("gamma,lo,hi", BLOCK_RANGES, ids=str)
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_blocked_routes_match_one_pass_and_scalar(monkeypatch, gamma, lo, hi,
+                                                  block):
+    cfg = ps_config(gamma)
+    monkeypatch.setattr(psprimes, "_BLOCK", hi + 1)  # one block
+    whole = ps_array(lo, hi, cfg)
+    whole_mask = ps_indicator_array(lo, hi, cfg)
+    monkeypatch.setattr(psprimes, "_BLOCK", block)
+    assert ps_array(lo, hi, cfg).tolist() == whole.tolist()
+    mask = ps_indicator_array(lo, hi, cfg)
+    assert mask.dtype == bool and np.array_equal(mask, whole_mask)
+    assert mask.tolist() == [ps_indicator(n, cfg) == 1
+                             for n in range(lo, hi + 1)]
+    assert (np.flatnonzero(mask) + lo).tolist() == whole.tolist()
