@@ -26,7 +26,7 @@ for X in XS:
     for t in (0.0, float(X) ** (2 / 3 - C - DELTA)):
         w = build_weight_table(float(X), MU, WeightKind.CLASSIC_EXP,
                                WeightParams(c=C, t=t), tables)
-        rep = variance_report(w, Q, threads=4)
+        rep = variance_report(w, Q)
         print(f"{X:>8} {Q:>5} {t:>10.3e} {rep.normalized_ratio:>8.3f} "
               f"{rep.cross_check_rel:>9.1e}")
 
@@ -36,7 +36,7 @@ for X in XS:
     Q = math.floor(float(X) ** gamma.gamma / math.log(X) ** 2)
     w = build_weight_table(float(X), MU, WeightKind.PS_PLAIN,
                            WeightParams(ps=gamma), tables)
-    rep = variance_report(w, Q, threads=4)
+    rep = variance_report(w, Q)
     print(f"{X:>8} {Q:>5} {rep.normalized_ratio:>8.3f} {rep.ratio_alt:>15.3f}")
 
 print("\nPS-restricted n^(1-g) Lambda(n) e(t n^c), normaliser X^(2-g) Q log X")
@@ -46,5 +46,5 @@ for X in XS:
     t = float(X) ** ((4 * gamma.gamma - 3 * C - 1) / 3 - DELTA)
     w = build_weight_table(float(X), MU, WeightKind.PS_EXP,
                            WeightParams(c=C, t=t, ps=gamma), tables)
-    rep = variance_report(w, Q, threads=4)
+    rep = variance_report(w, Q)
     print(f"{X:>8} {Q:>5} {t:>10.3e} {rep.normalized_ratio:>8.3f}")

@@ -11,7 +11,7 @@ oscillatory integrals, a large-sieve checker) is exposed directly.
 from .arith import (LambdaTable, PrimeTable, build_lambda_table,
                     build_prime_table, euler_phi, factorize, von_mangoldt)
 from .characters import (CharacterGroup, DirichletCharacter, char_eval,
-                         character_group, conductor, delta_principal, psi_chi)
+                         character_group, psi_chi)
 from .errors import ParameterError, ResourceError
 from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
                           oscillatory_integral, phase_frac_array,
@@ -21,10 +21,8 @@ from .psprimes import (GAMMA_THRESHOLDS, PSConfig, ps_array, ps_config,
                        ps_count_main_term, ps_indicator, ps_indicator_array)
 from .variance import (LargeSieveResult, MainTerm, SieveTables, VarianceReport,
                        WeightKind, WeightParams, WeightTable,
-                       bdh_variance_characters, bdh_variance_direct,
                        build_weight_table, class_sums, custom_weight_table,
                        large_sieve_check, main_term_for, make_tables,
-                       normalized_ratio, normalizer, progression_sum,
-                       variance_report)
+                       normalizer, progression_sum, variance_report)
 
 __version__ = "0.1.0"

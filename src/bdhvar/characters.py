@@ -388,21 +388,6 @@ def char_eval(chi: DirichletCharacter, group: CharacterGroup, n: int) -> complex
     return complex(group.roots[group.phase_index(chi, r)])
 
 
-def conductor(chi: DirichletCharacter, group: CharacterGroup) -> int:
-    """Smallest f | q such that chi factors through a character mod f.
-
-    chi is primitive exactly when this equals chi.modulus.  The value is
-    computed once at group construction; this accessor exists so the
-    operation has a callable name alongside the stored field.
-    """
-    return chi.conductor
-
-
-def delta_principal(chi: DirichletCharacter) -> int:
-    """1 for the principal character, else 0."""
-    return 1 if chi.is_principal else 0
-
-
 def psi_chi(weights, chi: DirichletCharacter,
             group: CharacterGroup) -> complex:
     """sum of w(n) * chi(n) over the weight table's range, ascending n.

@@ -2,9 +2,10 @@
 
 Subcommands: variance, ps-count, lemma3, large-sieve, vaaler.  Every run is
 a deterministic function of the resolved configuration plus the seed, so a
-report file regenerates byte-identical regardless of --threads.  Measured
-wall time goes to stderr only; the wall_ms column in files is fixed at 0 to
-keep reruns comparable.
+report file regenerates byte-identical.  Measured wall time goes to stderr
+only; the wall_ms column in files is fixed at 0 to keep reruns comparable.
+`threads` is accepted (and must be >= 1) so that existing command lines and
+config files keep working, but it has no effect: every run is one thread.
 
 Configuration files are UTF-8 text, one `key = value` per line, `#` starts
 a comment, and keys are exactly the ExperimentConfig field names.  Command
@@ -29,7 +30,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -64,7 +65,7 @@ class ExperimentConfig:
     a: float = 2.0
     delta: float = 0.05
     seed: int = 0
-    threads: int = 1
+    threads: int = 1               # accepted (>= 1); no effect
     trials: int = 100
     n_max: int = 100
     q_max: int = 100
@@ -300,6 +301,33 @@ def _log(msg: str) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
+def run_rows(cfg: ExperimentConfig, name: str, columns: list[str],
+             cells: Sequence, compute: Callable[..., tuple[dict, bool]]) -> int:
+    """Compute one row per cell, in order, emit them and give the exit code.
+
+    `compute(cell)` returns (row, ok).  A row that takes longer than
+    cfg.row_budget_s ends the run when rows remain: the rows so far are
+    emitted, marked partial, and the exit code is EXIT_RESOURCE.
+    Otherwise it is EXIT_CROSS_CHECK if any row was not ok.
+    """
+    rows: list[dict] = []
+    failures = 0
+    for i, cell in enumerate(cells, start=1):
+        started = time.perf_counter()
+        row, ok = compute(cell)
+        rows.append(row)
+        failures += not ok
+        elapsed = time.perf_counter() - started
+        _log(f"{name} row {i} of {len(cells)} took {elapsed:.2f}s")
+        if elapsed > cfg.row_budget_s and i < len(cells):
+            _log(f"row budget {cfg.row_budget_s:g}s exceeded; flushing "
+                 f"{i} of {len(cells)} rows")
+            emit(columns, rows, cfg, partial_at=i)
+            return EXIT_RESOURCE
+    emit(columns, rows, cfg)
+    return EXIT_CROSS_CHECK if failures else EXIT_OK
+
+
 def cmd_variance(cfg: ExperimentConfig) -> int:
     kind = WeightKind(cfg.kind)
     if kind is WeightKind.CUSTOM:
@@ -309,13 +337,7 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
     needs_t = kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP)
     tables = make_tables(int(max(cfg.x_grid)))
 
-    columns = ["X", "Q", "mu", "kind", "gamma", "c", "t", "direct",
-               "character", "ratio", "ratio_alt", "seed", "wall_ms"]
-    rows: list[dict] = []
-    failures = 0
-    partial_at = None
-    for i, X in enumerate(cfg.x_grid):
-        started = time.perf_counter()
+    def row(X):
         Q = eval_q_rule(cfg.q_rule, X, gamma_f, cfg.a)
         t = eval_t_rule(cfg.t_rule, X, cfg.delta) if needs_t else 0.0
         warns = theorem_range_warnings(kind, X, Q, t, cfg.c, gamma_f,
@@ -332,43 +354,29 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
             t=t if needs_t else None,
             ps=ps_config(cfg.gamma) if needs_ps else None)
         w = build_weight_table(X, cfg.mu, kind, params, tables)
-        rep = variance_report(w, Q, threads=cfg.threads, seed=cfg.seed)
+        rep = variance_report(w, Q)
         if not rep.cross_check_ok:
-            failures += 1
             _log(f"cross-check FAILED at X={X:g}: rel={rep.cross_check_rel:.3e}"
                  f", transform gap={rep.transform_gap:.3e}")
-        rows.append({
+        return {
             "X": float(X), "Q": Q, "mu": cfg.mu, "kind": cfg.kind,
             "gamma": cfg.gamma, "c": cfg.c, "t": t,
             "direct": rep.direct_variance,
             "character": rep.character_variance,
             "ratio": rep.normalized_ratio, "ratio_alt": rep.ratio_alt,
             "seed": cfg.seed, "wall_ms": 0,
-        })
-        elapsed = time.perf_counter() - started
-        _log(f"variance row X={X:g} Q={Q} took {elapsed:.2f}s")
-        if elapsed > cfg.row_budget_s and i + 1 < len(cfg.x_grid):
-            partial_at = i + 1
-            _log(f"row budget {cfg.row_budget_s:.0f}s exceeded; flushing "
-                 f"{len(rows)} of {len(cfg.x_grid)} rows")
-            break
-    emit(columns, rows, cfg, partial_at)
-    if partial_at is not None:
-        return EXIT_RESOURCE
-    return EXIT_CROSS_CHECK if failures else EXIT_OK
+        }, rep.cross_check_ok
+
+    columns = ["X", "Q", "mu", "kind", "gamma", "c", "t", "direct",
+               "character", "ratio", "ratio_alt", "seed", "wall_ms"]
+    return run_rows(cfg, "variance", columns, cfg.x_grid, row)
 
 
 def cmd_ps_count(cfg: ExperimentConfig) -> int:
     pscfg = ps_config(cfg.gamma)
-    limit = int(max(cfg.x_grid))
-    table = build_prime_table(limit)
-    columns = ["X", "gamma", "count", "main_term", "normalized_error",
-               "seed", "wall_ms"]
-    rows = []
-    mismatches = 0
-    partial_at = None
-    for i, X in enumerate(cfg.x_grid):
-        started = time.perf_counter()
+    table = build_prime_table(int(max(cfg.x_grid)))
+
+    def row(X):
         xi = int(X)
         if xi < 3:
             raise ParameterError(f"ps-count needs X >= 3, got {X}")
@@ -378,58 +386,42 @@ def cmd_ps_count(cfg: ExperimentConfig) -> int:
         ind = ps_indicator_array(2, xi, pscfg)
         count_ind = int((ind & table.is_prime[2:xi + 1]).sum())
         if count != count_ind:
-            mismatches += 1
             _log(f"PS count mismatch at X={X:g}: generator {count}, "
                  f"indicator {count_ind}")
         main = ps_count_main_term(X, pscfg)
         lx = math.log(X)
         err = abs(count - main) * lx * lx / float(X) ** pscfg.gamma
-        rows.append({"X": float(X), "gamma": cfg.gamma, "count": count,
-                     "main_term": main, "normalized_error": err,
-                     "seed": cfg.seed, "wall_ms": 0})
-        elapsed = time.perf_counter() - started
-        _log(f"ps-count row X={X:g} took {elapsed:.2f}s")
-        if elapsed > cfg.row_budget_s and i + 1 < len(cfg.x_grid):
-            partial_at = i + 1
-            break
-    emit(columns, rows, cfg, partial_at)
-    if partial_at is not None:
-        return EXIT_RESOURCE
-    return EXIT_CROSS_CHECK if mismatches else EXIT_OK
+        return {"X": float(X), "gamma": cfg.gamma, "count": count,
+                "main_term": main, "normalized_error": err,
+                "seed": cfg.seed, "wall_ms": 0}, count == count_ind
+
+    columns = ["X", "gamma", "count", "main_term", "normalized_error",
+               "seed", "wall_ms"]
+    return run_rows(cfg, "ps-count", columns, cfg.x_grid, row)
 
 
 def cmd_lemma3(cfg: ExperimentConfig) -> int:
     table = build_prime_table(int(max(cfg.x_grid)))
+
+    def row(cell):
+        X, j = cell
+        t_cap = X ** (1.0 - cfg.c - cfg.delta)
+        t = t_cap * 10.0 ** (-(cfg.t_count - 1 - j) / 2.0)
+        params = ExpWeightParams(X=X, mu=cfg.mu, c=cfg.c, t=t)
+        s = prime_exp_sum(params, table.primes)
+        integral = main_term_integral(params)
+        diff = abs(s - integral)
+        return {
+            "X": float(X), "c": cfg.c, "t": t, "abs_diff": diff,
+            "scaled_diff": diff / X,
+            "reference_decay": X * math.exp(-math.log(X) ** 0.2),
+            "seed": cfg.seed, "wall_ms": 0,
+        }, True
+
     columns = ["X", "c", "t", "abs_diff", "scaled_diff", "reference_decay",
                "seed", "wall_ms"]
-    rows = []
-    partial_at = None
-    done = 0
-    total_rows = len(cfg.x_grid) * cfg.t_count
-    for X in cfg.x_grid:
-        t_cap = X ** (1.0 - cfg.c - cfg.delta)
-        for j in range(cfg.t_count):
-            started = time.perf_counter()
-            t = t_cap * 10.0 ** (-(cfg.t_count - 1 - j) / 2.0)
-            params = ExpWeightParams(X=X, mu=cfg.mu, c=cfg.c, t=t)
-            s = prime_exp_sum(params, table.primes)
-            integral = main_term_integral(params)
-            diff = abs(s - integral)
-            rows.append({
-                "X": float(X), "c": cfg.c, "t": t, "abs_diff": diff,
-                "scaled_diff": diff / X,
-                "reference_decay": X * math.exp(-math.log(X) ** 0.2),
-                "seed": cfg.seed, "wall_ms": 0,
-            })
-            done += 1
-            elapsed = time.perf_counter() - started
-            if elapsed > cfg.row_budget_s and done < total_rows:
-                partial_at = done
-                break
-        if partial_at is not None:
-            break
-    emit(columns, rows, cfg, partial_at)
-    return EXIT_RESOURCE if partial_at is not None else EXIT_OK
+    cells = [(X, j) for X in cfg.x_grid for j in range(cfg.t_count)]
+    return run_rows(cfg, "lemma3", columns, cells, row)
 
 
 def cmd_large_sieve(cfg: ExperimentConfig) -> int:
@@ -489,7 +481,8 @@ def _shared_flags() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="accepted for compatibility (>= 1); has no effect")
     p.add_argument("--allow-out-of-range", action="store_const", const=True,
                    help="proceed despite theorem-range warnings")
     p.add_argument("--x-grid", help="comma-separated X values")

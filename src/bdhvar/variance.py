@@ -5,7 +5,8 @@ interest is
 
     V(Q) = sum_{q <= Q} sum_{a mod q, gcd(a,q)=1} | S_q(a) - M/phi(q) |^2,
 
-with S_q(a) the sum of w(n) over n == a (mod q).  Two routes compute it:
+with S_q(a) the sum of w(n) over n == a (mod q).  `variance_report`
+computes it by two routes from the same residue sums of each q:
 
     * direct       -- residue-bucketed progression sums per q;
     * characters   -- the exact identity
@@ -33,19 +34,15 @@ support terms, each of the real and imaginary parts is within
 recursive-summation bound); tests hold it against a math.fsum oracle.
 The character side is an FFT over the discrete-log grid (relative error
 about 1e-15 against the dense table).  All per-q squared deviations and
-the cross-q total go through math.fsum, and the cross-q reduction is
-always in ascending q regardless of thread count, so results are
-bit-identical for 1 or many workers.
+the cross-q total go through math.fsum, in ascending q.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -283,76 +280,8 @@ def progression_sum(w: WeightTable, q: int, a: int) -> complex:
     return complex(math.fsum(sl.real), math.fsum(sl.imag))
 
 
-def _coprime_mask(q: int) -> np.ndarray:
-    return np.gcd(np.arange(q, dtype=np.int64), q) == 1
-
-
-MainLike = Union[complex, float, MainTerm]
-
-
-def _resolve_main(main: MainLike) -> complex:
-    if isinstance(main, MainTerm):
-        return complex(main.headline())
-    return complex(main)
-
-
 def _sq_abs_sum(z: np.ndarray) -> float:
     return math.fsum(z.real * z.real + z.imag * z.imag)
-
-
-def _run_per_q(qs: Sequence[int], worker: Callable, threads: int) -> list:
-    """Apply worker to each q; reduction order stays ascending q."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, qs))
-    return [worker(q) for q in qs]
-
-
-def bdh_variance_direct(w: WeightTable, Q: int, main: MainLike, *,
-                        threads: int = 1, per_q: bool = False):
-    """V(Q) by residue bucketing.
-
-    Returns the total, or (total, [(q, contribution), ...]) with per_q.
-    """
-    if Q < 1:
-        raise ParameterError(f"Q must be >= 1, got {Q}")
-    mv = _resolve_main(main)
-    support = _support(w.values, w.n0)
-
-    def one(q: int) -> float:
-        sums = _residue_sums(support, q)
-        mask = _coprime_mask(q)
-        dev = sums[mask] - mv / int(mask.sum())
-        return _sq_abs_sum(dev)
-
-    contribs = _run_per_q(range(1, Q + 1), one, threads)
-    total = math.fsum(contribs)
-    if per_q:
-        return total, list(zip(range(1, Q + 1), contribs))
-    return total
-
-
-def bdh_variance_characters(w: WeightTable, Q: int, main: MainLike, *,
-                            groups: Callable[[int], CharacterGroup] = character_group,
-                            threads: int = 1, per_q: bool = False):
-    """V(Q) through the character decomposition (the Parseval route)."""
-    if Q < 1:
-        raise ParameterError(f"Q must be >= 1, got {Q}")
-    mv = _resolve_main(main)
-    support = _support(w.values, w.n0)
-
-    def one(q: int) -> float:
-        sums = _residue_sums(support, q)
-        G = groups(q)
-        psi = G.transform(sums)
-        psi[0] -= mv  # principal character sits at index 0
-        return _sq_abs_sum(psi) / G.phi
-
-    contribs = _run_per_q(range(1, Q + 1), one, threads)
-    total = math.fsum(contribs)
-    if per_q:
-        return total, list(zip(range(1, Q + 1), contribs))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +295,7 @@ class VarianceReport:
     direct_variance / character_variance use the headline main term
     (range-consistent for PS_PLAIN); direct_alt / character_alt hold the
     paper-literal X^gamma variant when one exists.  transform_gap is the
-    worst `CharacterGroup.check_transform` gap over all q.  wall_time_s is
-    measured and therefore excluded from serialised output.
+    worst `CharacterGroup.check_transform` gap over all q.
     """
 
     X: float
@@ -383,9 +311,7 @@ class VarianceReport:
     direct_alt: Optional[float]
     character_alt: Optional[float]
     per_q: Optional[list]
-    seed: int
     transform_gap: float
-    wall_time_s: float
 
     @property
     def cross_check_rel(self) -> float:
@@ -417,27 +343,20 @@ def normalizer(kind: WeightKind, X: float, Q: int,
     return X * Q * lx
 
 
-def normalized_ratio(report: VarianceReport) -> float:
-    """direct variance over the theorem-scale normaliser."""
-    g = report.params.ps.gamma if report.params.ps is not None else None
-    return report.direct_variance / normalizer(report.kind, report.X,
-                                               report.Q, g)
-
-
 def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
                     groups: Callable[[int], CharacterGroup] = character_group,
-                    threads: int = 1, per_q: bool = False,
-                    seed: int = 0) -> VarianceReport:
-    """Run both variance routes (and both PS_PLAIN main variants) at once.
+                    per_q: bool = False) -> VarianceReport:
+    """V(Q) by both routes, for each main-term reading, in one pass over q.
 
     Per q the residue sums are computed once and fed to both routes; the
     character transform versus the direct squared deviations remains the
     substantive cross-check, and sampled transform entries are checked
     against a direct evaluation (see `VarianceReport.transform_gap`).
+    `main` defaults to `main_term_for` the table's kind; CUSTOM tables
+    need one, e.g. MainTerm(kind=WeightKind.CUSTOM, value=M).
     """
     if Q < 1:
         raise ParameterError(f"Q must be >= 1, got {Q}")
-    t0 = time.perf_counter()
     if main is None:
         main = main_term_for(w.X, w.mu, w.kind, w.params)
     mains = [complex(main.headline())]
@@ -445,8 +364,10 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
         mains.append(complex(main.value))  # paper-literal variant second
 
     support = _support(w.values, w.n0)
-
-    def one(q: int):
+    # cells[k][q - 1] = (direct, character) contribution of q for mains[k]
+    cells: list[list[tuple[float, float]]] = [[] for _ in mains]
+    gaps = []
+    for q in range(1, Q + 1):
         sums = _residue_sums(support, q)
         G = groups(q)
         mask = G.coprime
@@ -454,24 +375,17 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
         if G.phi != phi:
             raise AssertionError(f"phi mismatch at q={q}: {G.phi} != {phi}")
         psi = G.transform(sums)
-        cell = []
-        for mv in mains:
+        for mv, col in zip(mains, cells):
             dev = sums[mask] - mv / phi
             shifted = psi.copy()
-            shifted[0] -= mv
-            cell.append((_sq_abs_sum(dev), _sq_abs_sum(shifted) / phi))
-        return cell, G.check_transform(sums, psi)
+            shifted[0] -= mv  # principal character sits at index 0
+            col.append((_sq_abs_sum(dev), _sq_abs_sum(shifted) / phi))
+        gaps.append(G.check_transform(sums, psi))
 
-    results = _run_per_q(range(1, Q + 1), one, threads)
-    rows = [cell for cell, _ in results]
-    transform_gap = max(gap for _, gap in results)
-    direct = math.fsum(cell[0][0] for cell in rows)
-    chars = math.fsum(cell[0][1] for cell in rows)
-    if len(mains) > 1:
-        direct_alt = math.fsum(cell[1][0] for cell in rows)
-        chars_alt = math.fsum(cell[1][1] for cell in rows)
-    else:
-        direct_alt = chars_alt = None
+    direct, chars = (math.fsum(v) for v in zip(*cells[0]))
+    direct_alt = chars_alt = None
+    if len(cells) > 1:
+        direct_alt, chars_alt = (math.fsum(v) for v in zip(*cells[1]))
 
     g = w.params.ps.gamma if w.params.ps is not None else None
     norm = normalizer(w.kind, w.X, Q, g)
@@ -479,15 +393,13 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     ratio_alt = (direct_alt / norm) if direct_alt is not None else ratio
     break_down = None
     if per_q:
-        break_down = [(q, cell[0][0], cell[0][1])
-                      for q, cell in zip(range(1, Q + 1), rows)]
+        break_down = [(q, d, c) for q, (d, c) in enumerate(cells[0], start=1)]
     return VarianceReport(
         X=w.X, Q=Q, mu=w.mu, kind=w.kind, params=w.params, main=main,
         direct_variance=direct, character_variance=chars,
         normalized_ratio=ratio, ratio_alt=ratio_alt,
         direct_alt=direct_alt, character_alt=chars_alt,
-        per_q=break_down, seed=seed, transform_gap=transform_gap,
-        wall_time_s=time.perf_counter() - t0)
+        per_q=break_down, transform_gap=max(gaps))
 
 
 # ---------------------------------------------------------------------------

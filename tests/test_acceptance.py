@@ -18,7 +18,6 @@ import pytest
 
 import bdhvar
 from bdhvar import (ExpWeightParams, MainTerm, WeightKind, WeightParams,
-                    bdh_variance_characters, bdh_variance_direct,
                     build_prime_table, build_weight_table, custom_weight_table,
                     large_sieve_check, main_term_integral, make_tables,
                     prime_exp_sum, ps_array, ps_config, ps_count_main_term,
@@ -121,13 +120,15 @@ def test_acceptance_2_bucketing_matches_naive_rescan():
     cases.append(("random", w3, 1.5 - 2.5j))
     for name, w, main in cases:
         want, want_per_q = naive_variance(w, 20, main)
-        got, got_per_q = bdh_variance_direct(w, 20, main, per_q=True)
+        rep = variance_report(w, 20, MainTerm(kind=WeightKind.CUSTOM,
+                                              value=main), per_q=True)
+        got = rep.direct_variance
         if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12):
             failures.append(f"{name}: total {got!r} vs naive {want!r}")
-        for (q, gv), wv in zip(got_per_q, want_per_q):
+        for (q, gv, _), wv in zip(rep.per_q, want_per_q):
             if not math.isclose(gv, wv, rel_tol=1e-12, abs_tol=1e-12):
                 failures.append(f"{name} q={q}: {gv!r} vs {wv!r}")
-        got_c = bdh_variance_characters(w, 20, main)
+        got_c = rep.character_variance
         if not math.isclose(got_c, want, rel_tol=1e-10, abs_tol=1e-10):
             failures.append(f"{name}: characters {got_c!r} vs naive {want!r}")
     elapsed = time.perf_counter() - start
@@ -270,7 +271,7 @@ def test_acceptance_8_classic_weight_variance_trend(tables_1e5):
             params = WeightParams(c=c, t=t)
             w = build_weight_table(float(X), mu, WeightKind.CLASSIC_EXP,
                                    params, tables_1e5)
-            rep = variance_report(w, Q, threads=4)
+            rep = variance_report(w, Q)
             if not rep.cross_check_ok:
                 failures.append(f"X={X:g} t={t:g}: cross-check "
                                 f"rel={rep.cross_check_rel:.2e}")
@@ -303,7 +304,7 @@ def test_acceptance_9_ps_weight_variance_trends(tables_1e5):
         Q = math.floor(float(X) ** g / math.log(X) ** 2)
         w = build_weight_table(float(X), mu, WeightKind.PS_PLAIN,
                                WeightParams(ps=cfg), tables_1e5)
-        rep = variance_report(w, Q, threads=4)
+        rep = variance_report(w, Q)
         if not rep.cross_check_ok:
             failures.append(f"PS_PLAIN X={X:g}: cross-check "
                             f"rel={rep.cross_check_rel:.2e}")
@@ -315,7 +316,7 @@ def test_acceptance_9_ps_weight_variance_trends(tables_1e5):
         t = float(X) ** ((4.0 * g - 3.0 * c - 1.0) / 3.0 - delta)
         w2 = build_weight_table(float(X), mu, WeightKind.PS_EXP,
                                 WeightParams(c=c, t=t, ps=cfg), tables_1e5)
-        rep2 = variance_report(w2, Q, threads=4)
+        rep2 = variance_report(w2, Q)
         if not rep2.cross_check_ok:
             failures.append(f"PS_EXP X={X:g}: cross-check "
                             f"rel={rep2.cross_check_rel:.2e}")

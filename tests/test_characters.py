@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from bdhvar import (ParameterError, char_eval, character_group, conductor,
-                    delta_principal, euler_phi, psi_chi)
+from bdhvar import (ParameterError, char_eval, character_group, euler_phi,
+                    psi_chi)
 from bdhvar.characters import CharacterGroup
 
 
@@ -48,8 +48,7 @@ def test_principal_character_first():
         G = character_group(q)
         chi0 = G.characters[0]
         assert chi0.is_principal
-        assert delta_principal(chi0) == 1
-        assert all(delta_principal(c) == 0 for c in G.characters[1:])
+        assert not any(c.is_principal for c in G.characters[1:])
         row = G.values_row(chi0)
         assert np.allclose(row[G.coprime], 1.0)
 
@@ -102,10 +101,14 @@ def test_conductor_against_divisor_scan():
 
 
 def test_conductor_function_matches_field():
+    # the conductor field divides q, is 1 exactly at the principal
+    # character and q exactly where primitive_mask is set
     for q in (1, 3, 12, 40, 96):
         G = character_group(q)
-        for chi in G.characters:
-            assert conductor(chi, G) == chi.conductor
+        for chi, prim in zip(G.characters, G.primitive_mask()):
+            assert q % chi.conductor == 0
+            assert (chi.conductor == 1) == chi.is_principal
+            assert (chi.conductor == q) == prim
 
 
 def test_conductor_induction_consistency():

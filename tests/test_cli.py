@@ -165,14 +165,29 @@ def test_variance_frequency_cap_enforced(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_variance_budget_partial(tmp_path, capsys):
-    out = tmp_path / "partial.csv"
-    code = run_cli(["variance", "--x-grid", "1000,2000,3000", "--t-rule",
-                    "fixed:0", "--row-budget-s", "1e-9", "--out", str(out)])
+BUDGETED = {
+    "variance": ["--x-grid", "1000,2000,3000", "--t-rule", "fixed:0"],
+    "ps-count": ["--x-grid", "1000,2000"],
+    "lemma3": ["--x-grid", "1e4", "--t-count", "2"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(BUDGETED))
+def test_budget_partial(tmp_path, capsys, command, fmt):
+    out = tmp_path / f"partial.{fmt}"
+    code = run_cli([command, *BUDGETED[command], "--row-budget-s", "1e-9",
+                    "--format", fmt, "--out", str(out)])
     assert code == 3
-    rows = read_csv(out)
-    assert rows[-1][0] == "#PARTIAL"
-    assert len(rows) == 3                  # header, one data row, marker
+    if fmt == "csv":
+        rows = read_csv(out)
+        assert rows[-1][0] == "#PARTIAL"
+        assert len(rows) == 3              # header, one data row, marker
+    else:
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["partial"] is True
+        assert doc["budget_exceeded_at_row"] == 1
+        assert len(doc["rows"]) == 1
 
 
 def test_variance_reports_cross_check_failures(tmp_path, monkeypatch, capsys):
@@ -286,6 +301,16 @@ def _child_env():
     """Environment that lets a child process import this checkout's bdhvar."""
     src = Path(cli.__file__).resolve().parents[1]
     return dict(os.environ, PYTHONPATH=str(src))
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point(tmp_path):

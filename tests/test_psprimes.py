@@ -17,7 +17,12 @@ def int_root(m, k):
         raise ValueError
     if m == 0:
         return 0
-    r = 1 << ((m.bit_length() + k - 1) // k)  # upper bound on the root
+    # Seed Newton just above the root: log2(m) / k from the top bits of m
+    # (m >> shift stays in float range), then 2^that with 60 bits kept.
+    shift = max(0, m.bit_length() - 1000)
+    log_root = (math.log2(float(m >> shift)) + shift) / k
+    e = max(0, math.floor(log_root) - 60)
+    r = (int(2.0 ** (log_root - e) * (1 + 1e-9)) + 1) << e
     while True:
         nr = ((k - 1) * r + m // r ** (k - 1)) // k
         if nr >= r:

@@ -10,9 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from bdhvar import (WeightKind, WeightParams, bdh_variance_characters,
-                    bdh_variance_direct, build_weight_table, class_sums, cli,
-                    make_tables, variance_report)
+from bdhvar import (WeightKind, WeightParams, build_weight_table, class_sums,
+                    cli, make_tables, variance_report)
 from bdhvar.characters import CharacterGroup
 
 TABLES = make_tables(2100)
@@ -48,7 +47,6 @@ def test_variance_routes_build_no_character_objects():
         return built[q]
 
     rep = variance_report(w, 30, groups=fresh)
-    bdh_variance_characters(w, 30, rep.main, groups=fresh)
     assert rep.cross_check_ok and len(built) == 30
     assert not any("characters" in vars(G) for G in built.values())
     G = built[30]
@@ -107,9 +105,6 @@ def test_conjugated_transform_fails_report_not_routes(monkeypatch, tmp_path,
     assert rep.cross_check_rel <= 1e-10          # Parseval cannot see it
     assert rep.transform_gap > 1e-3
     assert not rep.cross_check_ok
-    d = bdh_variance_direct(w, 30, rep.main)
-    c = bdh_variance_characters(w, 30, rep.main, groups=CharacterGroup)
-    assert c == pytest.approx(d, rel=1e-10)
 
     code = cli.main(["variance", "--x-grid", "2000", "--kind", "classic_exp",
                      "--t-rule", "x_pow:-0.9", "--out", str(tmp_path / "x.csv")])

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from bdhvar import (MainTerm, ParameterError, WeightKind, WeightParams,
-                    bdh_variance_characters, bdh_variance_direct,
                     build_weight_table, class_sums, custom_weight_table,
-                    large_sieve_check, main_term_for, make_tables,
-                    normalized_ratio, normalizer, progression_sum, ps_config,
-                    variance_report)
+                    large_sieve_check, main_term_for, make_tables, normalizer,
+                    progression_sum, ps_config, variance_report)
 
 
 def naive_variance(w, Q, main):
@@ -33,14 +31,17 @@ def naive_variance(w, Q, main):
 TABLES = make_tables(2100)
 
 
+def custom_main(value):
+    return MainTerm(kind=WeightKind.CUSTOM, value=complex(value))
+
+
 def check_against_naive(w, Q, main):
     want, want_per_q = naive_variance(w, Q, complex(main))
-    got, got_per_q = bdh_variance_direct(w, Q, main, per_q=True)
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-    for (q, gv), wv in zip(got_per_q, want_per_q):
+    rep = variance_report(w, Q, custom_main(main), per_q=True)
+    assert rep.direct_variance == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for (q, gv, _), wv in zip(rep.per_q, want_per_q):
         assert gv == pytest.approx(wv, rel=1e-12, abs=1e-12), q
-    got_c = bdh_variance_characters(w, Q, main)
-    assert got_c == pytest.approx(want, rel=1e-10, abs=1e-10)
+    assert rep.character_variance == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_raw_lambda_matches_naive_rescan():
@@ -75,10 +76,10 @@ def test_routes_agree_on_random_tables():
         w = custom_weight_table(X, mu, vals)
         main = complex(rng.normal(), rng.normal())
         Q = int(rng.integers(1, 40))
-        d, d_per = bdh_variance_direct(w, Q, main, per_q=True)
-        c, c_per = bdh_variance_characters(w, Q, main, per_q=True)
+        rep = variance_report(w, Q, custom_main(main), per_q=True)
+        d, c = rep.direct_variance, rep.character_variance
         assert c == pytest.approx(d, rel=1e-10, abs=1e-10)
-        for (q, dv), (_, cv) in zip(d_per, c_per):
+        for q, dv, cv in rep.per_q:
             assert cv == pytest.approx(dv, rel=1e-10, abs=1e-10), q
 
 
@@ -208,7 +209,7 @@ def test_main_terms():
 def test_single_modulus_closed_form():
     w = build_weight_table(300.0, 0.5, WeightKind.RAW_LAMBDA, None, TABLES)
     main = 150.0 + 0j
-    got = bdh_variance_direct(w, 1, main)
+    got = variance_report(w, 1, custom_main(main)).direct_variance
     assert got == pytest.approx(abs(w.total() - main) ** 2, rel=1e-12)
 
 
@@ -222,9 +223,10 @@ def test_zero_weights_closed_form():
         return sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
 
     want = abs(main) ** 2 * math.fsum(1.0 / phi(q) for q in range(1, Q + 1))
-    assert bdh_variance_direct(w, Q, main) == pytest.approx(want, rel=1e-12)
-    assert bdh_variance_characters(w, Q, main) == pytest.approx(want, rel=1e-10)
-    assert bdh_variance_direct(w, Q, 0.0) == 0.0
+    rep = variance_report(w, Q, custom_main(main))
+    assert rep.direct_variance == pytest.approx(want, rel=1e-12)
+    assert rep.character_variance == pytest.approx(want, rel=1e-10)
+    assert variance_report(w, Q, custom_main(0.0)).direct_variance == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,6 @@ def test_report_cross_checks_and_ratio():
     assert rep.cross_check_rel <= 1e-10
     assert rep.normalized_ratio == pytest.approx(
         rep.direct_variance / normalizer(WeightKind.CLASSIC_EXP, 2000.0, 15))
-    assert rep.normalized_ratio == pytest.approx(normalized_ratio(rep))
     assert rep.ratio_alt == rep.normalized_ratio  # no alternate main here
     assert rep.direct_alt is None
     assert len(rep.per_q) == 15
@@ -258,15 +259,6 @@ def test_report_ps_dual_mains():
     norm = normalizer(WeightKind.PS_PLAIN, 2000.0, 10, cfg.gamma)
     assert rep.normalized_ratio == pytest.approx(rep.direct_variance / norm)
     assert rep.ratio_alt == pytest.approx(rep.direct_alt / norm)
-
-
-def test_report_thread_count_invariance():
-    params = WeightParams(c=1.5, t=5e-4)
-    w = build_weight_table(1800.0, 0.5, WeightKind.CLASSIC_EXP, params, TABLES)
-    reps = [variance_report(w, 25, threads=k, per_q=True) for k in (1, 4)]
-    assert reps[0].direct_variance == reps[1].direct_variance
-    assert reps[0].character_variance == reps[1].character_variance
-    assert reps[0].per_q == reps[1].per_q
 
 
 # ---------------------------------------------------------------------------
