@@ -49,6 +49,9 @@ EXIT_RESOURCE = 3
 EXIT_CROSS_CHECK = 4
 
 LARGE_SIEVE_CAP = 500
+# ps-count walks [2, X] in blocks of this many n, so its working memory is
+# O(block) beside the prime table, whatever X is.
+_PS_COUNT_BLOCK = 1 << 20
 
 
 @dataclasses.dataclass
@@ -380,11 +383,14 @@ def cmd_ps_count(cfg: ExperimentConfig) -> int:
         xi = int(X)
         if xi < 3:
             raise ParameterError(f"ps-count needs X >= 3, got {X}")
-        members = ps_array(1, xi, pscfg)
-        count = int(table.is_prime[members].sum())
-        # Independent route: the floor-difference identity over [2, X].
-        ind = ps_indicator_array(2, xi, pscfg)
-        count_ind = int((ind & table.is_prime[2:xi + 1]).sum())
+        # Two independent routes, block by block over [2, X] (1 is not
+        # prime): the k-generator, and the floor-difference identity.
+        count = count_ind = 0
+        for lo in range(2, xi + 1, _PS_COUNT_BLOCK):
+            hi = min(xi, lo + _PS_COUNT_BLOCK - 1)
+            count += int(table.is_prime[ps_array(lo, hi, pscfg)].sum())
+            ind = ps_indicator_array(lo, hi, pscfg)
+            count_ind += int((ind & table.is_prime[lo:hi + 1]).sum())
         if count != count_ind:
             _log(f"PS count mismatch at X={X:g}: generator {count}, "
                  f"indicator {count_ind}")

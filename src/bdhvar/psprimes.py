@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import ParameterError, ResourceError
@@ -155,6 +154,7 @@ def _ceil_pow(n: int, cfg: PSConfig) -> int:
 
 
 def _ceil_pow_mp(n: int, cfg: PSConfig) -> int:
+    import mpmath  # loaded on demand: most runs never escalate this far
     with mpmath.workdps(cfg.high_precision_digits):
         x = mpmath.power(n, cfg.gamma)
         nearest = mpmath.nint(x)
@@ -190,14 +190,19 @@ def _floor_root_scalar(k: int, cfg: PSConfig) -> int:
     if abs(x - nearest) <= band:
         if cfg.gamma_exact is not None:
             return _floor_pow_exact(k, 1 / cfg.gamma_exact)
-        with mpmath.workdps(cfg.high_precision_digits):
-            y = mpmath.power(k, 1.0 / cfg.gamma)
-            if abs(y - mpmath.nint(y)) < mpmath.mpf(10) ** (
-                    -(cfg.high_precision_digits - 10)):
-                raise ResourceError(
-                    f"{k}^(1/{cfg.gamma}) indistinguishable from an integer")
-            return int(mpmath.floor(y))
+        return _floor_root_mp(k, cfg)
     return math.floor(x)
+
+
+def _floor_root_mp(k: int, cfg: PSConfig) -> int:
+    import mpmath  # loaded on demand: most runs never escalate this far
+    with mpmath.workdps(cfg.high_precision_digits):
+        y = mpmath.power(k, 1.0 / cfg.gamma)
+        if abs(y - mpmath.nint(y)) < mpmath.mpf(10) ** (
+                -(cfg.high_precision_digits - 10)):
+            raise ResourceError(
+                f"{k}^(1/{cfg.gamma}) indistinguishable from an integer")
+        return int(mpmath.floor(y))
 
 
 def _floor_roots(a: int, b: int, cfg: PSConfig) -> np.ndarray:

@@ -155,11 +155,16 @@ def _ps_mask(n0: int, n1: int, cfg: PSConfig) -> np.ndarray:
     return mask
 
 
-def _phase_factor(t: float, ns: np.ndarray, c: float) -> np.ndarray:
-    if t == 0.0:
-        return np.ones(len(ns), dtype=np.complex128)
-    fr = phase_frac_array(t, ns, c)
-    return np.exp(2j * np.pi * fr)
+def _twisted(base: np.ndarray, ns: np.ndarray, p: ExpWeightParams) -> np.ndarray:
+    """base(n) e(t n^c), with phases reduced only where base(n) != 0."""
+    vals = np.zeros(len(base), dtype=np.complex128)
+    nz = np.flatnonzero(base)
+    if p.t == 0.0:
+        vals[nz] = base[nz]
+    else:
+        fr = phase_frac_array(p.t, ns[nz], p.c)
+        vals[nz] = base[nz] * np.exp(2j * np.pi * fr)
+    return vals
 
 
 def _exp_params(X: float, mu: float, params: WeightParams) -> ExpWeightParams:
@@ -188,8 +193,7 @@ def build_weight_table(X: float, mu: float, kind: WeightKind,
         vals = np.where(mask, np.log(ns.astype(np.float64)), 0.0)
         vals = vals.astype(np.complex128)
     elif kind is WeightKind.CLASSIC_EXP:
-        p = _exp_params(X, mu, params)
-        vals = lam * _phase_factor(p.t, ns, p.c)
+        vals = _twisted(lam, ns, _exp_params(X, mu, params))
     elif kind is WeightKind.PS_PLAIN:
         if params.ps is None:
             raise ParameterError("PS_PLAIN needs params.ps (a PSConfig)")
@@ -201,7 +205,7 @@ def build_weight_table(X: float, mu: float, kind: WeightKind,
         p = _exp_params(X, mu, params)
         amp = ns.astype(np.float64) ** (1.0 - params.ps.gamma)
         base = np.where(_ps_mask(n0, n1, params.ps), lam * amp, 0.0)
-        vals = base * _phase_factor(p.t, ns, p.c)
+        vals = _twisted(base, ns, p)
     elif kind is WeightKind.CUSTOM:
         raise ParameterError("use custom_weight_table for CUSTOM kinds")
     else:

@@ -373,8 +373,12 @@ def test_theorem_scale_classic_row_at_x_3e5():
             f"{rep.transform_gap:.1e}, {elapsed:.1f}s")
 
 
-def test_acceptance_10_byte_identical_reports(tmp_path):
-    """Serialized reports do not depend on the thread count."""
+def test_acceptance_10_byte_identical_reruns(tmp_path):
+    """Serialized reports are byte-identical when a run is repeated.
+
+    `--threads` has no effect, so the runs at 1, 2 and 8 and the rerun all
+    take one path: four reruns of the same configuration.
+    """
     failures = []
     base = ["-m", "bdhvar.cli", "variance", "--x-grid", "2000,5000",
             "--kind", "classic_exp", "--t-rule", "x_pow:-0.9",
@@ -393,7 +397,7 @@ def test_acceptance_10_byte_identical_reports(tmp_path):
             continue
         blobs.append(out.read_bytes())
     if len(blobs) == 3 and not (blobs[0] == blobs[1] == blobs[2]):
-        failures.append("CSV bytes differ across --threads 1/2/8")
+        failures.append("CSV bytes differ between reruns (--threads 1/2/8)")
     rerun = tmp_path / "rerun.csv"
     proc = subprocess.run([sys.executable] + base +
                           ["--threads", "1", "--out", str(rerun)],
@@ -402,4 +406,4 @@ def test_acceptance_10_byte_identical_reports(tmp_path):
         failures.append(f"rerun: exit {proc.returncode}")
     elif blobs and rerun.read_bytes() != blobs[0]:
         failures.append("rerun bytes differ from the first run")
-    verdict(10, "byte-identical CLI reports across thread counts", failures)
+    verdict(10, "byte-identical CLI reports on rerun", failures)

@@ -205,7 +205,9 @@ def test_variance_reports_cross_check_failures(tmp_path, monkeypatch, capsys):
     assert "cross-check FAILED" in capsys.readouterr().err
 
 
-def test_variance_byte_determinism_across_threads(tmp_path):
+def test_variance_byte_determinism_across_reruns(tmp_path):
+    # --threads has no effect, so the three runs take one path: this checks
+    # that reruns of one configuration write identical bytes.
     outs = []
     for k, threads in enumerate(("1", "2", "8")):
         out = tmp_path / f"det{k}.csv"
@@ -233,6 +235,16 @@ def test_ps_count_csv(tmp_path):
     for row in rows[1:]:
         assert int(row[2]) > 0
         assert float(row[4]) >= 0
+
+
+def test_ps_count_blocks_do_not_change_counts(tmp_path, monkeypatch):
+    argv = ["ps-count", "--x-grid", "1e4,1e5,1e6", "--gamma", "9/10"]
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    assert run_cli(argv + ["--out", str(whole)]) == 0
+    monkeypatch.setattr(cli, "_PS_COUNT_BLOCK", 997)
+    assert run_cli(argv + ["--out", str(blocked)]) == 0  # routes agree
+    assert blocked.read_bytes() == whole.read_bytes()
+    assert [r[2] for r in read_csv(whole)[1:]] == ["473", "3080", "19500"]
 
 
 def test_ps_count_requires_x_at_least_3():
@@ -310,6 +322,15 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath serves only the escalation tiers, and is imported on first use
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bdhvar.cli; sys.exit('mpmath' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
 
 

@@ -1,6 +1,7 @@
 """Phase reduction, sawtooth approximation, and the oscillatory integral."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -241,10 +242,84 @@ def test_prime_exp_sum_empty_window():
 
 @pytest.mark.parametrize("chunk", [2, 7, 1000])
 def test_integral_independent_of_panel_chunk(monkeypatch, chunk):
-    # (a, b, t, c) with 8, 6545 and 75 panels: a lone last panel arises at
-    # chunk 7 in the first case and at chunk 2 in the other two.
+    # On all of (a, b) the panel route takes 8, 6545 and 75 panels: a lone
+    # last panel arises at chunk 7 in the first case and at chunk 2 in the
+    # other two.  oscillatory_integral takes 8 panels in the first case
+    # (under 10 periods), 9 below y* in the second and none in the third.
     cases = [(10.0, 11.0, 5.0, 1.2), (3.0, 2000.0, 0.02, 1.7),
              (100.0, 200.0, 2e-4, 2.5)]
     whole = [oscillatory_integral(*cs) for cs in cases]
+    panels = [oscillatory._panel_integral(*cs) for cs in cases]
     monkeypatch.setattr(oscillatory, "_PANEL_CHUNK", chunk)
     assert [oscillatory_integral(*cs) for cs in cases] == whole
+    assert [oscillatory._panel_integral(*cs) for cs in cases] == panels
+
+
+# ---------------------------------------------------------------------------
+# the integral against its closed form
+# ---------------------------------------------------------------------------
+
+def gamma_oracle(a, b, t, c):
+    """(1/c) z^(-1/c) Gamma(1/c, z a^c, z b^c), z = -2*pi*i*t, at 40 digits:
+    the integral of e(t y^c) over [a, b] after the substitution u = y^c."""
+    with mpmath.workdps(40):
+        s = 1 / mpmath.mpf(c)
+        z = -2j * mpmath.pi * mpmath.mpf(t)
+        za, zb = z * mpmath.power(a, c), z * mpmath.power(b, c)
+        return complex(s * z ** -s * mpmath.gammainc(s, za, zb))
+
+
+def lemma3_params(X, j=4, t_count=5, c=1.5, delta=0.05, mu=0.5):
+    # the t of cmd_lemma3's row j: log-spaced up to the cap X^(1 - c - delta)
+    t = X ** (1.0 - c - delta) * 10.0 ** (-(t_count - 1 - j) / 2.0)
+    return ExpWeightParams(X=X, mu=mu, c=c, t=t)
+
+
+# The main terms of the benchmark's rows: classic_exp at the t-rule exponent
+# cap -0.83333334 and ps_exp at -0.63333334 (both less delta = 0.05), and
+# every lemma3 row at X = 1e6; each also with t negated.
+ORACLE_PARAMS = (
+    [ExpWeightParams(X=X, mu=0.5, c=1.5, t=X ** (-0.83333334 - 0.05))
+     for X in (1e4, 3e4, 1e5)]
+    + [ExpWeightParams(X=3e5, mu=0.5, c=1.5, t=3e5 ** (-0.63333334 - 0.05))]
+    + [lemma3_params(1e6, j) for j in range(5)])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("p", ORACLE_PARAMS,
+                         ids=[f"X{p.X:g}-t{p.t:.3g}" for p in ORACLE_PARAMS])
+def test_main_term_matches_incomplete_gamma(p, sign):
+    p = ExpWeightParams(X=p.X, mu=p.mu, c=p.c, t=sign * p.t)
+    want = gamma_oracle(p.mu * p.X, p.X, p.t, p.c)
+    got = main_term_integral(p)
+    assert abs(got - want) <= 1e-11 * abs(want)
+    assert oscillatory_integral(p.mu * p.X, p.X, p.t, p.c) == got
+
+
+def test_integral_at_1e8_is_fast_and_exact():
+    # lemma3's cap at X = 1e8: 2.6e7 periods, where panels alone took 24 s
+    # and were off by 2.5e-4
+    p = lemma3_params(1e8)
+    start = time.perf_counter()
+    got = main_term_integral(p)
+    elapsed = time.perf_counter() - start
+    want = gamma_oracle(p.mu * p.X, p.X, p.t, p.c)
+    assert abs(got - want) <= 1e-11 * abs(want)
+    assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("t", [1e-3, -1e-3, 0.37])
+def test_integral_around_series_start(t):
+    c = 1.5
+    y_star = (oscillatory._SERIES_START / (2 * math.pi * abs(t))) ** (1 / c)
+    cases = [(0.5 * y_star, 0.9 * y_star),            # b < y*: panels only
+             (0.5 * y_star, y_star),                  # b = y*
+             (y_star * (1 - 1e-9), 40 * y_star),      # a just below y*
+             (y_star, 40 * y_star),                   # a = y*: series only
+             (y_star * (1 + 1e-9), 40 * y_star),      # a just above y*
+             (0.3 * y_star, 2 * y_star),              # both routes
+             (40 * y_star, 40 * y_star * (1 + 1e-12))]  # short, past y*
+    for a, b in cases:
+        want = gamma_oracle(a, b, t, c)
+        got = oscillatory_integral(a, b, t, c)
+        assert abs(got - want) <= 1e-11 * abs(want), (a, b, t)
