@@ -10,8 +10,7 @@ oscillatory integrals, a large-sieve checker) is exposed directly.
 
 from .arith import (LambdaTable, PrimeTable, build_lambda_table,
                     build_prime_table, euler_phi, factorize, von_mangoldt)
-from .characters import (CharacterGroup, DirichletCharacter, char_eval,
-                         character_group, psi_chi)
+from .characters import CharacterGroup, character_group
 from .errors import ParameterError, ResourceError
 from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
                           oscillatory_integral, phase_frac_array,

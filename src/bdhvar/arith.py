@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ParameterError, ResourceError
 
-DEFAULT_SEGMENT = 1 << 20
+# Window length of the segmented clearing pass.
+_SEGMENT = 1 << 20
 DEFAULT_LIMIT_CAP = 10**9
 
 
@@ -53,13 +54,12 @@ class LambdaTable:
     values: np.ndarray
 
 
-def build_prime_table(limit: int, *, segment_size: int = DEFAULT_SEGMENT,
+def build_prime_table(limit: int, *,
                       cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
     """Sieve all primes up to limit.
 
     Args:
         limit: inclusive upper bound, at least 2.
-        segment_size: working-window length for the segmented clearing pass.
         cap: refuse limits above this (memory guard).
 
     Returns:
@@ -82,8 +82,8 @@ def build_prime_table(limit: int, *, segment_size: int = DEFAULT_SEGMENT,
             base[p * p:: p] = False
     base_primes = np.flatnonzero(base)
 
-    for lo in range(2, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
+    for lo in range(2, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit + 1)
         for p in base_primes:
             p = int(p)
             start = max(p * p, ((lo + p - 1) // p) * p)

@@ -1,71 +1,44 @@
-"""Dirichlet characters mod q via the cyclic structure of (Z/qZ)*.
+"""Dirichlet characters mod q as the exponent grid of (Z/qZ)*.
 
 The unit group is decomposed through the CRT: for odd prime powers p^k the
 local group is cyclic, generated by a primitive root; for 2^k with k >= 3 it
-splits as <-1> x <5>.  Each local generator is lifted to a residue mod q, a
-dense discrete-log table of shape (q, #factors) is built once per modulus,
-and every character is a tuple of exponents, one per cyclic factor, with
+splits as <-1> x <5>.  A dense discrete-log table of shape (q, #factors) is
+built once per modulus, and every character is a tuple of exponents, one per
+cyclic factor, with
 
     chi(n) = exp(2*pi*i * sum_j e_j * x_j / d_j),        n coprime to q,
 
 where x_j is the discrete log of n on factor j and d_j the factor order.
-Values are read from a cached table of the L-th roots of unity
-(L = lcm of the d_j), so every value comes from an exact reduced rational
-phase.  Characters are enumerated lexicographically by exponent tuple; the
-principal character is index 0.
+Characters are ordered lexicographically by exponent tuple, which is C order
+on the grid Z/d_1 x ... x Z/d_k; the principal character is index 0.
 
 The character transform Psi_chi = sum_a S(a) chi(a) of a residue vector S
-is a DFT over Z/d_1 x ... x Z/d_k once the coprime residues are placed on
-the discrete-log grid: `CharacterGroup.transform` scatters S onto an array
-of shape (d_1, ..., d_k) and returns phi(q) * ifftn of it, flattened in C
-order, which is exactly the lexicographic exponent order.  That costs
-O(phi log phi) time and O(q) memory per modulus, against O(q phi) for the
-dense `value_table`, which stays available for the API, the tests and the
-demos.  `check_transform` evaluates a few transform entries independently
-from the exponent tuples and tests the discrete logs for multiplicativity,
-so a wrong scatter, order or sign is caught rather than hidden by Parseval.
+is a DFT over that grid once the coprime residues are placed on it by
+discrete log: `CharacterGroup.transform` scatters S onto an array of shape
+(d_1, ..., d_k) and returns phi(q) * ifftn of it, flattened in C order.
+That costs O(phi log phi) time and O(q) memory per modulus.
+`check_transform` evaluates a few transform entries directly from their
+exponent tuples, with values read from a table of the L-th roots of unity
+(L = lcm of the d_j, so every value comes from an exact reduced rational
+phase), and tests the discrete logs for multiplicativity, so a wrong
+scatter, order or sign is caught rather than hidden by Parseval.
 
-`CharacterGroup.characters` (the per-character `DirichletCharacter`
-objects) is built on first access, so the variance routes, which only need
-`transform` and `primitive_mask`, create none.
-
-Conductors are computed factor by factor in closed form (the smallest p-power
-modulus each local component factors through), so no brute-force divisor
-scan is needed even for large q.  The same locality gives `primitive_mask`
-as an outer product of per-factor conditions on the exponent grid.
+Primitivity is local: a character is primitive iff each of its local
+components is, which gives `primitive_mask` as an outer product of
+per-factor conditions on the exponent grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from .arith import factorize
-from .errors import ParameterError, ResourceError
+from .errors import ParameterError
 
 MAX_MODULUS = 10**6
-# Full phi(q) x q value tables are off the variance and large-sieve hot path
-# (those use `transform`); they serve the API, tests and demos, and are
-# memoised only for small moduli because a table is O(phi(q)*q) complex
-# numbers.  Above this they are rebuilt on demand.
-_VALUE_TABLE_CACHE_Q = 256
-# Cap on a dense table's working set: phi(q) * q entries of an int64 phase
-# index plus a complex128 value, 24 bytes each (q up to about 3300).
-_VALUE_TABLE_MAX_BYTES = 256 * 2**20
-
-
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """One character mod `modulus`, identified by its exponent tuple."""
-
-    modulus: int
-    index: int
-    component_exponents: tuple[int, ...]
-    conductor: int
-    is_principal: bool
 
 
 def _primitive_root_mod_p(p: int) -> int:
@@ -89,26 +62,15 @@ def _primitive_root_mod_pk(p: int, k: int) -> int:
     return g
 
 
-def _crt_lift(value: int, pe: int, q: int) -> int:
-    """Residue mod q that is `value` mod pe and 1 mod q/pe."""
-    other = q // pe
-    if other == 1:
-        return value % q
-    # x = 1 + other * s with  1 + other*s == value (mod pe)
-    s = ((value - 1) * pow(other, -1, pe)) % pe
-    return (1 + other * s) % q
-
-
 class _Factor:
-    """One cyclic factor of (Z/qZ)*: generator, order, and its local dlog."""
+    """One cyclic factor of (Z/qZ)*: its order and its local dlog."""
 
-    __slots__ = ("prime", "prime_power", "generator", "order", "local_dlog")
+    __slots__ = ("prime", "prime_power", "order", "local_dlog")
 
-    def __init__(self, prime: int, prime_power: int, generator: int,
-                 order: int, local_dlog: np.ndarray):
+    def __init__(self, prime: int, prime_power: int, order: int,
+                 local_dlog: np.ndarray):
         self.prime = prime
         self.prime_power = prime_power
-        self.generator = generator  # residue mod q
         self.order = order
         self.local_dlog = local_dlog  # indexed by residue mod prime_power
 
@@ -125,8 +87,8 @@ def _powers(g: int, count: int, m: int) -> np.ndarray:
     return out
 
 
-def _local_factors(p: int, k: int) -> list[tuple[int, int, np.ndarray]]:
-    """Cyclic factors of (Z/p^k Z)* as (local generator, order, dlog table)."""
+def _local_factors(p: int, k: int) -> list[tuple[int, np.ndarray]]:
+    """Cyclic factors of (Z/p^k Z)* as (order, dlog table)."""
     pe = p**k
     if p == 2:
         if k == 1:
@@ -134,7 +96,7 @@ def _local_factors(p: int, k: int) -> list[tuple[int, int, np.ndarray]]:
         if k == 2:
             dlog = np.full(4, -1, dtype=np.int32)
             dlog[1], dlog[3] = 0, 1
-            return [(3, 2, dlog)]
+            return [(2, dlog)]
         # k >= 3: <-1> of order 2 and <5> of order 2^(k-2)
         half = pe >> 2
         minus = np.full(pe, -1, dtype=np.int32)
@@ -142,60 +104,24 @@ def _local_factors(p: int, k: int) -> list[tuple[int, int, np.ndarray]]:
         v = _powers(5, half, pe)
         minus[v], five[v] = 0, np.arange(half)
         minus[pe - v], five[pe - v] = 1, np.arange(half)
-        return [(pe - 1, 2, minus), (5, half, five)]
+        return [(2, minus), (half, five)]
     g = _primitive_root_mod_pk(p, k)
     order = pe - pe // p
     dlog = np.full(pe, -1, dtype=np.int32)
     dlog[_powers(g, order, pe)] = np.arange(order)
-    return [(g, order, dlog)]
-
-
-def _conductor_from_exponents(factors: list[_Factor],
-                              exponents: tuple[int, ...]) -> int:
-    """Product of the smallest local moduli the components factor through."""
-    cond = 1
-    j = 0
-    while j < len(factors):
-        f = factors[j]
-        if f.prime == 2 and f.order == 2 and j + 1 < len(factors) \
-                and factors[j + 1].prime == 2:
-            # the <-1>, <5> pair for 2^k, k >= 3
-            eps, e5 = exponents[j], exponents[j + 1]
-            d5 = factors[j + 1].order
-            if e5 != 0:
-                t5 = d5 // math.gcd(d5, e5)  # a power of 2, >= 2
-                cond *= 4 * t5
-            elif eps != 0:
-                cond *= 4
-            j += 2
-            continue
-        e = exponents[j]
-        if e != 0:
-            t = f.order // math.gcd(f.order, e)
-            if f.prime == 2:  # the lone C2 factor of (Z/4Z)*
-                cond *= 4
-            else:
-                s = 0
-                while t % f.prime == 0:
-                    t //= f.prime
-                    s += 1
-                cond *= f.prime ** (s + 1)
-        j += 1
-    return cond
+    return [(order, dlog)]
 
 
 class CharacterGroup:
-    """All Dirichlet characters mod q: discrete logs, transform, tables.
+    """All Dirichlet characters mod q: discrete logs and the transform.
 
     Attributes:
         modulus: q.
         phi: group order phi(q).
-        factors: cyclic factors (generator lifted mod q, order, local dlog).
+        factors: cyclic factors (order, local dlog).
         orders: the factor orders d_j, the shape of the exponent grid.
         dlog: (q, #factors) int64 exponent table, valid at coprime residues.
         coprime: boolean mask of residues coprime to q.
-        characters: the phi(q) characters, lexicographic by exponent tuple
-            (built on first access).
     """
 
     def __init__(self, q: int):
@@ -207,9 +133,8 @@ class CharacterGroup:
         self.coprime = np.ones(q, dtype=bool)
         for p, k in factorize(q):
             self.coprime[::p] = False
-            for g_local, order, local_dlog in _local_factors(p, k):
-                factors.append(_Factor(p, p**k, _crt_lift(g_local, p**k, q),
-                                       order, local_dlog))
+            for order, local_dlog in _local_factors(p, k):
+                factors.append(_Factor(p, p**k, order, local_dlog))
         self.factors = factors
         self.orders = np.array([f.order for f in factors], dtype=np.int64)
         self.phi = int(self.orders.prod()) if factors else 1
@@ -226,61 +151,16 @@ class CharacterGroup:
         L = self.exponent
         self.roots = np.exp(2j * np.pi * np.arange(L) / L)
         self._phase_mult = (L // self.orders) if factors else np.zeros(0, np.int64)
-        self._value_table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.phi
 
-    @cached_property
-    def characters(self) -> list[DirichletCharacter]:
-        """The phi(q) characters, lexicographic by exponent tuple."""
-        return [DirichletCharacter(
-                    modulus=self.modulus,
-                    index=idx,
-                    component_exponents=exps,
-                    conductor=_conductor_from_exponents(self.factors, exps),
-                    is_principal=all(e == 0 for e in exps))
-                for idx, exps in enumerate(
-                    _lex_tuples([f.order for f in self.factors]))]
-
-    def phase_index(self, chi: DirichletCharacter, residue: int) -> int:
-        """Index k such that chi(residue) = exp(2*pi*i*k/L)."""
-        e = np.asarray(chi.component_exponents, dtype=np.int64)
-        x = self.dlog[residue]
-        return int(((e * self._phase_mult) % self.exponent) @ x % self.exponent)
-
-    def values_row(self, chi: DirichletCharacter) -> np.ndarray:
-        """chi at every residue 0..q-1 (0 off the coprime classes)."""
-        if self._value_table is not None:
-            return self._value_table[chi.index]
-        return self._rows(np.array([chi.component_exponents], dtype=np.int64))[0]
-
-    def value_table(self) -> np.ndarray:
-        """(phi(q), q) table of all character values; cached for small q.
-
-        Raises ResourceError, before allocating, when the table's working
-        set would exceed _VALUE_TABLE_MAX_BYTES.
-        """
-        if self._value_table is not None:
-            return self._value_table
-        need = 24 * self.phi * self.modulus
-        if need > _VALUE_TABLE_MAX_BYTES:
-            raise ResourceError(
-                f"value table mod {self.modulus} needs {need / 2**20:.0f} MB, "
-                f"over the {_VALUE_TABLE_MAX_BYTES // 2**20} MB cap; use "
-                f"transform")
-        table = self._rows(self._exponents(np.arange(self.phi)))
-        if self.modulus <= _VALUE_TABLE_CACHE_Q:
-            self._value_table = table
-        return table
-
     def transform(self, sums: np.ndarray) -> np.ndarray:
-        """Psi_chi = sum_a sums[a] chi(a) for every chi, in `characters` order.
+        """Psi_chi = sum_a sums[a] chi(a) for every chi, in lexicographic order.
 
         `sums` is indexed by residue 0..q-1; non-coprime entries are
-        ignored.  Equals `value_table() @ sums` up to rounding: the coprime
-        entries are scattered onto the exponent grid by discrete log and
-        phi(q) * ifftn of the grid is read in C order.
+        ignored.  The coprime entries are scattered onto the exponent grid
+        by discrete log and phi(q) * ifftn of the grid is read in C order.
         """
         residues, cells = self._scatter
         grid = np.zeros(self.phi, dtype=np.complex128)
@@ -314,14 +194,14 @@ class CharacterGroup:
         return gap
 
     def primitive_mask(self) -> np.ndarray:
-        """Boolean mask over `characters`: conductor equal to the modulus.
+        """Boolean mask over the characters: conductor equal to the modulus.
 
-        Read-only and cached.  Primitivity is local (see
-        `_conductor_from_exponents`): on each cyclic factor of p-power
-        modulus the exponent must be prime to p, except on the <-1> factor
-        of 2^k, k >= 3, which is free.  The mask is the outer product of
-        these per-factor conditions in C order; no character mod q is
-        primitive when q == 2 (mod 4).
+        Read-only and cached.  Primitivity is local: the component on a
+        cyclic factor of p-power modulus factors through a smaller modulus
+        iff its exponent is divisible by p, except on the <-1> factor of
+        2^k, k >= 3, which is free.  The mask is the outer product of these
+        per-factor conditions in C order; no character mod q is primitive
+        when q == 2 (mod 4).
         """
         return self._primitive
 
@@ -354,6 +234,8 @@ class CharacterGroup:
             len(self.factors), len(idx)).T
 
     def _rows(self, exps: np.ndarray) -> np.ndarray:
+        """Values at every residue 0..q-1 (0 off the coprime classes) of the
+        characters with exponent tuples `exps`, one row each."""
         L = self.exponent
         weighted = (exps * self._phase_mult[None, :]) % L
         idx = weighted @ self.dlog.T % L
@@ -362,41 +244,7 @@ class CharacterGroup:
         return rows
 
 
-def _lex_tuples(orders: list[int]):
-    """All exponent tuples, lexicographic (empty product gives one tuple)."""
-    if not orders:
-        yield ()
-        return
-    head, *rest = orders
-    for e in range(head):
-        for tail in _lex_tuples(rest):
-            yield (e, *tail)
-
-
 @lru_cache(maxsize=1024)
 def character_group(q: int) -> CharacterGroup:
     """Memoised CharacterGroup constructor."""
     return CharacterGroup(q)
-
-
-def char_eval(chi: DirichletCharacter, group: CharacterGroup, n: int) -> complex:
-    """chi(n), zero when gcd(n, q) > 1."""
-    q = group.modulus
-    r = n % q
-    if not group.coprime[r]:
-        return 0.0 + 0.0j
-    return complex(group.roots[group.phase_index(chi, r)])
-
-
-def psi_chi(weights, chi: DirichletCharacter,
-            group: CharacterGroup) -> complex:
-    """sum of w(n) * chi(n) over the weight table's range, ascending n.
-
-    Accepts a variance.WeightTable (duck-typed: needs .values and .n0).
-    Real and imaginary parts are each accumulated with math.fsum, which is
-    exactly rounded.
-    """
-    row = group.values_row(chi)
-    n = weights.n0 + np.arange(len(weights.values), dtype=np.int64)
-    prod = weights.values * row[n % group.modulus]
-    return complex(math.fsum(prod.real), math.fsum(prod.imag))

@@ -552,14 +552,9 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if flag in ("command", "config") or value is None:
             continue
         key = _FLAG_TO_KEY.get(flag, flag)
-        if key in ("output_path",):
-            values[key] = value
-        elif isinstance(value, bool):
-            values[key] = value
-        elif key in ("x_grid", "h_list", "gamma"):
-            values[key] = _coerce(key, str(value))
-        else:
-            values[key] = value
+        if key in ("x_grid", "h_list", "gamma"):
+            value = _coerce(key, str(value))
+        values[key] = value
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(values) - known
     if unknown:

@@ -51,10 +51,6 @@ _MPMATH_BUDGET = 1e60
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 NODES_PER_PERIOD = 12          # spec floor is 8; extra nodes buy margin
-MAX_OSCILLATIONS = 1e9
-# Panels evaluated per vectorised step of _panel_integral (at least 2);
-# bounds its working set and does not change its result.
-_PANEL_CHUNK = 1 << 13
 # oscillatory_integral switches from panels to the endpoint series at y*,
 # where 2*pi*|t| y*^c = _SERIES_START.  Past y* the series' term ratio
 # (k + 1 - 1/c) / (2*pi*|t| y^c) is at most (k + 1) / _SERIES_START, so the
@@ -229,9 +225,11 @@ def oscillatory_integral(a: float, b: float, t: float, c: float) -> complex:
     the size of one period's integral, so F(b) - F(a) would lose relative
     accuracy on a range much shorter than a period.
 
-    Each call costs O(1).  Against the closed form
-    (1/c) z^(-1/c) Gamma(1/c, z a^c, z b^c), z = -2*pi*i*t, the relative
-    error is below 1e-11 (tests hold it there up to X = 1e8, 2.6e7 periods).
+    Each call costs O(1), whatever the number of periods.  Against the
+    closed form (1/c) z^(-1/c) Gamma(1/c, z a^c, z b^c), z = -2*pi*i*t, the
+    relative error is below 1e-11 (tests hold it there up to X = 1e8, 2.6e7
+    periods, and at 3.7e9 periods).  An endpoint phase |t| y^c past the
+    extended-precision budget of `reduced_phase` raises ResourceError.
     """
     if not 0 < a <= b:
         raise ParameterError(f"need 0 < a <= b, got [{a}, {b}]")
@@ -240,9 +238,6 @@ def oscillatory_integral(a: float, b: float, t: float, c: float) -> complex:
     if t == 0.0:
         return complex(b - a)
     n_osc = abs(t) * (b ** c - a ** c)
-    if n_osc > MAX_OSCILLATIONS:
-        raise ResourceError(
-            f"{n_osc:.3e} oscillation periods exceed the {MAX_OSCILLATIONS:.0e} cap")
     if n_osc <= _SERIES_START / (2.0 * math.pi):
         return _panel_integral(a, b, t, c)  # this holds whenever b <= y*
     y_star = (_SERIES_START / (2.0 * math.pi * abs(t))) ** (1.0 / c)
@@ -278,62 +273,26 @@ def _panel_integral(a: float, b: float, t: float, c: float) -> complex:
     """integral of e(t y^c) dy over [a, b], 0 < a < b, t != 0, by panels.
 
     Equal-phase panels with 15-point Gauss-Legendre; panel sizes keep at
-    least NODES_PER_PERIOD nodes per period of the phase.  Panels are
-    evaluated _PANEL_CHUNK at a time, and the real and imaginary totals are
-    the correctly rounded sums of all panel values, for any chunk size.
+    least NODES_PER_PERIOD nodes per period of the phase.  Callers pass at
+    most about 10 periods (9 panels), so all panels are evaluated at once;
+    the real and imaginary totals are the correctly rounded sums of the
+    panel values.
     """
     n_osc = abs(t) * (b ** c - a ** c)
     panels = max(8, math.ceil(n_osc * NODES_PER_PERIOD / len(GL_NODES)))
-    equal_phase = n_osc >= 1.0
-    pa, pb = a ** c, b ** c
-
-    def edge_slice(i0: int, i1: int) -> np.ndarray:
-        # Panel edges i0..i1; equal phase spacing once oscillation matters.
-        frac = np.arange(i0, i1 + 1, dtype=np.float64) / panels
-        if equal_phase:
-            e = (pa + (pb - pa) * frac) ** (1.0 / c)
-        else:
-            e = a + (b - a) * frac
-        if i0 == 0:
-            e[0] = a
-        if i1 == panels:
-            e[-1] = b
-        return e
-
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    s = 0
-    while s < panels:
-        end = min(panels, s + _PANEL_CHUNK)
-        if end == panels - 1:
-            end = panels  # a one-row matmul is a dot, which rounds differently
-        e = edge_slice(s, end)
-        mid = 0.5 * (e[1:] + e[:-1])
-        half = 0.5 * (e[1:] - e[:-1])
-        ys = mid[:, None] + half[:, None] * GL_NODES[None, :]
-        ph = (t * ys ** c) % 1.0
-        vals = (np.exp(2j * np.pi * ph) @ GL_WEIGHTS) * half
-        re_parts += _exact_parts(vals.real.tolist())
-        im_parts += _exact_parts(vals.imag.tolist())
-        s = end
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
-
-
-def _exact_parts(xs: list[float]) -> list[float]:
-    """Floats whose exact sum is the exact sum of `xs` (appends to `xs`).
-
-    Each part is the correctly rounded remainder left by the parts before
-    it, so math.fsum over the parts of consecutive chunks equals math.fsum
-    over all their values at once: the total does not depend on the chunk
-    size.  The remainders shrink by 2^-52 per part, so there are few.
-    """
-    parts = []
-    while (s := math.fsum(xs)) != 0.0:
-        parts.append(s)
-        if not math.isfinite(s):
-            break  # a nan remainder would never reach 0
-        xs.append(-s)
-    return parts
+    frac = np.arange(panels + 1, dtype=np.float64) / panels
+    if n_osc >= 1.0:  # equal phase spacing once oscillation matters
+        pa, pb = a ** c, b ** c
+        e = (pa + (pb - pa) * frac) ** (1.0 / c)
+    else:
+        e = a + (b - a) * frac
+    e[0], e[-1] = a, b
+    mid = 0.5 * (e[1:] + e[:-1])
+    half = 0.5 * (e[1:] - e[:-1])
+    ys = mid[:, None] + half[:, None] * GL_NODES[None, :]
+    ph = (t * ys ** c) % 1.0
+    vals = (np.exp(2j * np.pi * ph) @ GL_WEIGHTS) * half
+    return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 
 def main_term_integral(params: ExpWeightParams) -> complex:

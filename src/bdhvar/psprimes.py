@@ -15,11 +15,11 @@ the array they return; every per-entry decision is the same as over the
 whole range at once.
 
 Float boundary decisions are guarded: whenever a power sits within
-guard_epsilon (widened by the a-priori float64 error bound) of an integer,
+_GUARD_EPSILON (widened by the a-priori float64 error bound) of an integer,
 the decision escalates either to exact big-integer comparisons (rational
 gamma = u/v: integer k lies in [n^(u/v), (n+1)^(u/v)) iff k^v in [n^u-ish
-ranges, decided via integer v-th roots) or to mpmath at
-high_precision_digits.  No floating-point logs decide a boundary.
+ranges, decided via integer v-th roots) or to mpmath at _MP_DIGITS digits.
+No floating-point logs decide a boundary.
 """
 
 from __future__ import annotations
@@ -41,28 +41,26 @@ _SNAP_TOL = 1e-15
 # Both array routes walk their range in blocks of this many entries, so their
 # working memory is O(_BLOCK) plus the array they return.
 _BLOCK = 1 << 16
+# Distance to integrality below which a boundary decision escalates, and the
+# mpmath working digits of the escalation for irrational gamma.
+_GUARD_EPSILON = 1e-9
+_MP_DIGITS = 50
 
 
 @dataclass(frozen=True)
 class PSConfig:
-    """Exponent gamma plus the boundary-escalation policy.
+    """The exponent gamma of a Piatetski-Shapiro index set.
 
     Attributes:
         gamma: float value of the exponent, 0 < gamma < 1.
         gamma_exact: exact Fraction when gamma is rational, else None.
-        guard_epsilon: float distance to integrality below which decisions
-            escalate to exact/high-precision arithmetic.
-        high_precision_digits: mpmath working digits for irrational gamma.
     """
 
     gamma: float
     gamma_exact: Fraction | None
-    guard_epsilon: float = 1e-9
-    high_precision_digits: int = 50
 
 
-def ps_config(gamma, guard_epsilon: float = 1e-9,
-              high_precision_digits: int = 50) -> PSConfig:
+def ps_config(gamma) -> PSConfig:
     """Build a PSConfig from a float, Fraction, or 'u/v' string.
 
     Floats within 1e-15 of a rational with denominator <= 64 are snapped to
@@ -90,11 +88,7 @@ def ps_config(gamma, guard_epsilon: float = 1e-9,
     if not 0.0 < value < 1.0:
         raise ParameterError(
             f"gamma must lie strictly inside (0, 1), got {gamma}")
-    if guard_epsilon <= 0:
-        raise ParameterError("guard_epsilon must be positive")
-    return PSConfig(gamma=value, gamma_exact=exact,
-                    guard_epsilon=guard_epsilon,
-                    high_precision_digits=high_precision_digits)
+    return PSConfig(gamma=value, gamma_exact=exact)
 
 
 def _iroot(m: int, k: int) -> tuple[int, bool]:
@@ -133,10 +127,10 @@ def _floor_pow_exact(n: int, frac: Fraction) -> int:
     return r
 
 
-def _guard(x: float, cfg: PSConfig, cond: float) -> float:
-    """Effective escalation band: configured epsilon or the float error bound,
+def _guard(cond: float) -> float:
+    """Effective escalation band: _GUARD_EPSILON or the float error bound,
     whichever is larger (cond ~ |d(x^gamma)| per ulp, i.e. x*log-ish)."""
-    return max(cfg.guard_epsilon, 8.0 * _F64_EPS * cond)
+    return max(_GUARD_EPSILON, 8.0 * _F64_EPS * cond)
 
 
 def _ceil_pow(n: int, cfg: PSConfig) -> int:
@@ -144,7 +138,7 @@ def _ceil_pow(n: int, cfg: PSConfig) -> int:
     if n == 1:
         return 1  # 1^gamma is exactly 1 for every gamma
     x = float(n) ** cfg.gamma
-    band = _guard(x, cfg, x * (1.0 + math.log(max(n, 2))))
+    band = _guard(x * (1.0 + math.log(max(n, 2))))
     nearest = round(x)
     if abs(x - nearest) <= band:
         if cfg.gamma_exact is not None:
@@ -155,13 +149,13 @@ def _ceil_pow(n: int, cfg: PSConfig) -> int:
 
 def _ceil_pow_mp(n: int, cfg: PSConfig) -> int:
     import mpmath  # loaded on demand: most runs never escalate this far
-    with mpmath.workdps(cfg.high_precision_digits):
+    with mpmath.workdps(_MP_DIGITS):
         x = mpmath.power(n, cfg.gamma)
         nearest = mpmath.nint(x)
-        if abs(x - nearest) < mpmath.mpf(10) ** (-(cfg.high_precision_digits - 10)):
+        if abs(x - nearest) < mpmath.mpf(10) ** (-(_MP_DIGITS - 10)):
             raise ResourceError(
                 f"{n}^{cfg.gamma} indistinguishable from an integer at "
-                f"{cfg.high_precision_digits} digits")
+                f"{_MP_DIGITS} digits")
         return int(mpmath.ceil(x))
 
 
@@ -185,7 +179,7 @@ def _floor_root_scalar(k: int, cfg: PSConfig) -> int:
         return 1  # 1^(1/gamma) is exactly 1 for every gamma
     inv = 1.0 / cfg.gamma
     x = float(k) ** inv
-    band = _guard(x, cfg, x * (1.0 + inv * math.log(max(k, 2))))
+    band = _guard(x * (1.0 + inv * math.log(max(k, 2))))
     nearest = round(x)
     if abs(x - nearest) <= band:
         if cfg.gamma_exact is not None:
@@ -196,10 +190,9 @@ def _floor_root_scalar(k: int, cfg: PSConfig) -> int:
 
 def _floor_root_mp(k: int, cfg: PSConfig) -> int:
     import mpmath  # loaded on demand: most runs never escalate this far
-    with mpmath.workdps(cfg.high_precision_digits):
+    with mpmath.workdps(_MP_DIGITS):
         y = mpmath.power(k, 1.0 / cfg.gamma)
-        if abs(y - mpmath.nint(y)) < mpmath.mpf(10) ** (
-                -(cfg.high_precision_digits - 10)):
+        if abs(y - mpmath.nint(y)) < mpmath.mpf(10) ** (-(_MP_DIGITS - 10)):
             raise ResourceError(
                 f"{k}^(1/{cfg.gamma}) indistinguishable from an integer")
         return int(mpmath.floor(y))
@@ -213,7 +206,7 @@ def _floor_roots(a: int, b: int, cfg: PSConfig) -> np.ndarray:
     floors = np.floor(roots).astype(np.int64)
     frac = roots - floors
     cond = roots * (1.0 + inv * np.log(np.maximum(ks, 2)))
-    band = np.maximum(cfg.guard_epsilon, 8.0 * _F64_EPS * cond)
+    band = np.maximum(_GUARD_EPSILON, 8.0 * _F64_EPS * cond)
     risky = np.flatnonzero((frac <= band) | (frac >= 1.0 - band))
     for i in risky.tolist():
         floors[i] = _floor_root_scalar(int(ks[i]), cfg)
@@ -227,7 +220,7 @@ def _ceil_pows(a: int, b: int, cfg: PSConfig) -> np.ndarray:
     ceils = np.ceil(pows).astype(np.int64)
     dist = np.abs(pows - np.rint(pows))
     cond = pows * (1.0 + np.log(np.maximum(ns, 2)))
-    band = np.maximum(cfg.guard_epsilon, 8.0 * _F64_EPS * cond)
+    band = np.maximum(_GUARD_EPSILON, 8.0 * _F64_EPS * cond)
     risky = np.flatnonzero(dist <= band)
     for i in risky.tolist():
         ceils[i] = _ceil_pow(int(ns[i]), cfg)

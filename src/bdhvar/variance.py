@@ -32,8 +32,9 @@ over it, added one term at a time in ascending n.  For a class with k
 support terms, each of the real and imaginary parts is within
 (k - 1) * 2^-53 * (sum of the |parts|) of the exact sum (the standard
 recursive-summation bound); tests hold it against a math.fsum oracle.
-The character side is an FFT over the discrete-log grid (relative error
-about 1e-15 against the dense table).  All per-q squared deviations and
+The character side is `CharacterGroup.transform`, an FFT over the
+discrete-log grid (relative error about 1e-15 against a dense evaluation of
+every character in the tests).  All per-q squared deviations and
 the cross-q total go through math.fsum, in ascending q.
 """
 
@@ -42,12 +43,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .arith import LambdaTable, PrimeTable, build_lambda_table, build_prime_table
-from .characters import CharacterGroup, character_group
+from .characters import character_group
 from .errors import ParameterError
 from .oscillatory import ExpWeightParams, main_term_integral, phase_frac_array
 from .psprimes import PSConfig, ps_array
@@ -348,7 +349,6 @@ def normalizer(kind: WeightKind, X: float, Q: int,
 
 
 def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
-                    groups: Callable[[int], CharacterGroup] = character_group,
                     per_q: bool = False) -> VarianceReport:
     """V(Q) by both routes, for each main-term reading, in one pass over q.
 
@@ -373,7 +373,7 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     gaps = []
     for q in range(1, Q + 1):
         sums = _residue_sums(support, q)
-        G = groups(q)
+        G = character_group(q)
         mask = G.coprime
         phi = int(mask.sum())
         if G.phi != phi:
@@ -417,9 +417,8 @@ class LargeSieveResult:
     ratio: float
 
 
-def large_sieve_check(M: int, N: int, Q: int, coeffs: np.ndarray, *,
-                      groups: Callable[[int], CharacterGroup] = character_group,
-                      ) -> LargeSieveResult:
+def large_sieve_check(M: int, N: int, Q: int,
+                      coeffs: np.ndarray) -> LargeSieveResult:
     """Primitive-character large-sieve quotient.
 
     lhs   = sum_{q <= Q} (q/phi(q)) sum*_{chi mod q} |sum a_n chi(n)|^2
@@ -440,7 +439,7 @@ def large_sieve_check(M: int, N: int, Q: int, coeffs: np.ndarray, *,
     support = _support(arr, M + 1)
     parts = []
     for q in range(1, Q + 1):
-        G = groups(q)
+        G = character_group(q)
         prim = G.primitive_mask()
         if not prim.any():
             parts.append(0.0)

@@ -1,13 +1,11 @@
-"""Working-set bounds of the range kernels and guards that refuse before
-allocating.  Peaks are tracemalloc's, i.e. numpy and Python allocations."""
+"""Working-set bounds of the range kernels.  Peaks are tracemalloc's, i.e.
+numpy and Python allocations."""
 
 import tracemalloc
 
 import numpy as np
-import pytest
 
-from bdhvar import ResourceError, ps_array, ps_config, ps_indicator_array
-from bdhvar.characters import CharacterGroup
+from bdhvar import ps_array, ps_config, ps_indicator_array
 
 MB = 10**6
 
@@ -32,14 +30,3 @@ def test_ps_routes_working_set_at_1e7():
     assert array_peak <= 64 * MB, array_peak / MB
     assert np.array_equal(np.flatnonzero(mask) + 2, members[members >= 2])
 
-
-def test_value_table_refuses_before_allocating():
-    G = CharacterGroup(5003)  # dense table: 5002 * 5003 * 24 bytes, 573 MB
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceError, match="value table mod 5003"):
-            G.value_table()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < MB, peak / MB

@@ -129,8 +129,6 @@ def test_gamma_validation():
     for bad in ("5/4", 1.0, 0.0, -0.3, float("nan"), "abc"):
         with pytest.raises(ParameterError):
             ps_config(bad)
-    with pytest.raises(ParameterError):
-        ps_config(0.5, guard_epsilon=0.0)
 
 
 def test_range_validation():

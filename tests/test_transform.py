@@ -1,17 +1,18 @@
 """The FFT character transform, its spot checks, and the vectorised masks.
 
-The dense `value_table` and the per-character `DirichletCharacter` objects
-are the references here: the transform must reproduce `value_table() @ S`,
-and `primitive_mask` must reproduce the conductors of `characters`.
+The dense evaluation in `dense_characters` is the reference here: the
+transform must reproduce `dense_table(G) @ S`, and `primitive_mask` must
+reproduce a value-level primitivity criterion.
 """
 
 import math
 
 import numpy as np
 import pytest
+from dense_characters import dense_table, unit_phases
 
 from bdhvar import (WeightKind, WeightParams, build_weight_table, class_sums,
-                    cli, make_tables, variance_report)
+                    cli, factorize, make_tables, variance_report)
 from bdhvar.characters import CharacterGroup
 
 TABLES = make_tables(2100)
@@ -23,7 +24,7 @@ def test_transform_matches_value_table():
     for q in range(1, 400):
         G = CharacterGroup(q)
         sums = rng.normal(size=q) + 1j * rng.normal(size=q)
-        want = G.value_table() @ sums
+        want = dense_table(G) @ sums
         got = G.transform(sums)
         assert got.shape == (G.phi,)
         worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
@@ -37,26 +38,17 @@ def test_transform_ignores_non_coprime_classes():
     assert np.array_equal(G.transform(sums), G.transform(clean))
 
 
-def test_variance_routes_build_no_character_objects():
-    params = WeightParams(c=1.5, t=1e-3)
-    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, params, TABLES)
-    built = {}
-
-    def fresh(q):
-        built[q] = CharacterGroup(q)
-        return built[q]
-
-    rep = variance_report(w, 30, groups=fresh)
-    assert rep.cross_check_ok and len(built) == 30
-    assert not any("characters" in vars(G) for G in built.values())
-    G = built[30]
-    assert len(G.characters) == G.phi == 8   # built on first access
-
-
 def test_primitive_mask_matches_conductors():
+    # chi has conductor q iff it does not factor through any q/p, i.e. iff
+    # for each prime p | q it is not identically 1 on the units n == 1
+    # (mod q/p)
     for q in range(1, 1201):
         G = CharacterGroup(q)
-        want = np.array([c.conductor == q for c in G.characters], dtype=bool)
+        want = np.ones(G.phi, dtype=bool)
+        for p, _ in factorize(q):
+            n = (1 + q // p * np.arange(p)) % q
+            phases = unit_phases(G, n[G.coprime[n]])
+            want &= np.any(phases != 0, axis=1)
         assert np.array_equal(G.primitive_mask(), want), q
 
 
@@ -101,7 +93,7 @@ def test_conjugated_transform_fails_report_not_routes(monkeypatch, tmp_path,
     params = WeightParams(c=1.5, t=1e-3)
     w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, params, TABLES)
     assert np.abs(w.values.imag).max() > 0.5     # genuinely complex weights
-    rep = variance_report(w, 30, groups=CharacterGroup)
+    rep = variance_report(w, 30)
     assert rep.cross_check_rel <= 1e-10          # Parseval cannot see it
     assert rep.transform_gap > 1e-3
     assert not rep.cross_check_ok
