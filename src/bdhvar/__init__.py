@@ -14,10 +14,10 @@ from .characters import CharacterGroup, character_group
 from .errors import ParameterError, ResourceError
 from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
                           oscillatory_integral, phase_frac_array,
-                          prime_exp_sum, reduced_phase, saw_psi, unit_exp,
+                          prime_exp_sum, reduced_phase, saw_psi,
                           vaaler_eval, vaaler_expansion)
-from .psprimes import (GAMMA_THRESHOLDS, PSConfig, ps_array, ps_config,
-                       ps_count_main_term, ps_indicator, ps_indicator_array)
+from .psprimes import (PSConfig, ps_array, ps_config, ps_count_main_term,
+                       ps_indicator, ps_indicator_array)
 from .variance import (LargeSieveResult, MainTerm, SieveTables, VarianceReport,
                        WeightKind, WeightParams, WeightTable,
                        build_weight_table, class_sums, custom_weight_table,

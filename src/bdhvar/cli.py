@@ -9,13 +9,14 @@ config files keep working, but it has no effect: every run is one thread.
 
 Configuration files are UTF-8 text, one `key = value` per line, `#` starts
 a comment, and keys are exactly the ExperimentConfig field names.  Command
-line flags override file values.  gamma accepts `u/v` rationals and echoes
-them exactly.
+line flags override file values, and both are typed alike from the field
+defaults.  gamma accepts `u/v` rationals and echoes them exactly.
 
 Exit codes: 0 success, 2 bad parameters/config, 3 resource budget exceeded
-(partial rows are still flushed and marked), 4 an internal cross-check
-failed (direct/character disagreement, PS count route mismatch, a large
-sieve ratio above 1 + 1e-9, or a sawtooth majorant violation).
+(every command runs its rows through `run_rows`, which still flushes and
+marks the partial rows), 4 an internal cross-check failed (direct/character
+disagreement, PS count route mismatch, a large sieve ratio above 1 + 1e-9,
+or a sawtooth majorant violation).
 """
 
 from __future__ import annotations
@@ -114,36 +115,32 @@ class ExperimentConfig:
             raise ParameterError("row_budget_s must be positive")
 
 
-_LIST_KEYS = {"x_grid", "h_list"}
-_INT_KEYS = {"seed", "threads", "trials", "n_max", "q_max", "t_count",
-             "grid_points"}
-_FLOAT_KEYS = {"mu", "c", "a", "delta", "row_budget_s"}
-_BOOL_KEYS = {"allow_out_of_range"}
-_STR_KEYS = {"kind", "q_rule", "t_rule", "output_path", "output_format"}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
 
 
 def _coerce(key: str, raw: str):
-    if key == "gamma":
-        return parse_gamma(raw)
-    if key in _LIST_KEYS:
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if key == "h_list":
-            return tuple(int(p) for p in parts)
-        return tuple(float(p) for p in parts)
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key in _BOOL_KEYS:
-        low = raw.strip().lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ParameterError(f"cannot parse boolean {key} = {raw!r}")
-    if key in _STR_KEYS:
-        return raw.strip()
-    raise ParameterError(f"unknown config key {key!r}")
+    """Type one setting, from a flag or a config file, by its field default.
+
+    A tuple default takes comma-separated items of its element type; bool,
+    int and float defaults take one value of that type; gamma goes through
+    parse_gamma; anything else stays text.  Bad values raise ParameterError.
+    """
+    if key not in _DEFAULTS:
+        raise ParameterError(f"unknown config key {key!r}")
+    default = _DEFAULTS[key]
+    try:
+        if isinstance(default, tuple):
+            item = type(default[0])
+            return tuple(item(p) for p in raw.split(",") if p.strip())
+        if isinstance(default, bool):
+            return _BOOLS[raw.strip().lower()]
+        if isinstance(default, (int, float)):
+            return type(default)(raw)
+    except (ValueError, KeyError) as exc:
+        raise ParameterError(f"bad value for {key}: {raw!r}") from exc
+    return parse_gamma(raw) if key == "gamma" else raw
 
 
 def parse_gamma(raw) -> Union[Fraction, float]:
@@ -180,11 +177,8 @@ def load_config_file(path: str) -> dict:
         key = key.strip().lower()
         try:
             out[key] = _coerce(key, raw.strip())
-        except ParameterError:
-            raise
-        except ValueError as exc:
-            raise ParameterError(
-                f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        except ParameterError as exc:
+            raise ParameterError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -194,15 +188,17 @@ def load_config_file(path: str) -> dict:
 
 def eval_q_rule(rule: str, X: float, gamma: float, a: float) -> int:
     name, _, arg = rule.partition(":")
-    lx = math.log(X)
-    if name == "fixed":
-        q = int(float(arg))
-    elif name == "x_over_log_pow":
-        q = math.floor(X / lx ** (float(arg) if arg else a))
-    elif name == "x_pow_gamma_over_log_pow":
-        q = math.floor(X ** gamma / lx ** (float(arg) if arg else a))
-    else:
+    if name not in ("fixed", "x_over_log_pow", "x_pow_gamma_over_log_pow"):
         raise ParameterError(f"unknown q_rule {rule!r}")
+    try:
+        if name == "fixed":
+            q = int(float(arg))
+        else:
+            top = X if name == "x_over_log_pow" else X ** gamma
+            q = math.floor(top / math.log(X) ** (float(arg) if arg else a))
+    except (ValueError, ArithmeticError) as exc:
+        raise ParameterError(
+            f"q_rule {rule!r} gives no Q at X = {X:g}: {exc}") from exc
     if q < 1:
         raise ParameterError(f"q_rule {rule!r} gives Q = {q} < 1 at X = {X}")
     return q
@@ -210,11 +206,13 @@ def eval_q_rule(rule: str, X: float, gamma: float, a: float) -> int:
 
 def eval_t_rule(rule: str, X: float, delta: float) -> float:
     name, _, arg = rule.partition(":")
-    if name == "fixed":
-        return float(arg)
-    if name == "x_pow":
-        return X ** (float(arg) - delta)
-    raise ParameterError(f"unknown t_rule {rule!r}")
+    if name not in ("fixed", "x_pow"):
+        raise ParameterError(f"unknown t_rule {rule!r}")
+    try:
+        return float(arg) if name == "fixed" else X ** (float(arg) - delta)
+    except (ValueError, ArithmeticError) as exc:
+        raise ParameterError(
+            f"t_rule {rule!r} gives no t at X = {X:g}: {exc}") from exc
 
 
 def theorem_range_warnings(kind: WeightKind, X: float, Q: int, t: float,
@@ -432,26 +430,27 @@ def cmd_lemma3(cfg: ExperimentConfig) -> int:
 
 def cmd_large_sieve(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
-    columns = ["trial", "n", "q", "m", "ratio", "seed", "wall_ms"]
-    rows = []
-    worst = 0.0
-    bad = 0
-    for trial in range(cfg.trials):
+    ratios: list[float] = []
+
+    def row(trial):
+        if trial == "max":  # the last cell: the worst ratio of all trials
+            return {"trial": "max", "n": 0, "q": 0, "m": 0,
+                    "ratio": max(ratios), "seed": cfg.seed, "wall_ms": 0}, True
         n = int(rng.integers(1, cfg.n_max + 1))
         q = int(rng.integers(1, cfg.q_max + 1))
         m = int(rng.integers(0, cfg.n_max + 1))
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        res = large_sieve_check(m, n, q, coeffs)
-        worst = max(worst, res.ratio)
-        if res.ratio > 1.0 + 1e-9:
-            bad += 1
-            _log(f"large sieve ratio {res.ratio:.12f} > 1 at trial {trial}")
-        rows.append({"trial": trial, "n": n, "q": q, "m": m,
-                     "ratio": res.ratio, "seed": cfg.seed, "wall_ms": 0})
-    rows.append({"trial": "max", "n": 0, "q": 0, "m": 0, "ratio": worst,
-                 "seed": cfg.seed, "wall_ms": 0})
-    emit(columns, rows, cfg)
-    return EXIT_CROSS_CHECK if bad else EXIT_OK
+        ratio = large_sieve_check(m, n, q, coeffs).ratio
+        ratios.append(ratio)
+        ok = ratio <= 1.0 + 1e-9
+        if not ok:
+            _log(f"large sieve ratio {ratio:.12f} > 1 at trial {trial}")
+        return {"trial": trial, "n": n, "q": q, "m": m, "ratio": ratio,
+                "seed": cfg.seed, "wall_ms": 0}, ok
+
+    columns = ["trial", "n", "q", "m", "ratio", "seed", "wall_ms"]
+    cells = [*range(cfg.trials), "max"]
+    return run_rows(cfg, "large-sieve", columns, cells, row)
 
 
 def cmd_vaaler(cfg: ExperimentConfig) -> int:
@@ -459,22 +458,19 @@ def cmd_vaaler(cfg: ExperimentConfig) -> int:
     base = np.linspace(-2.0, 3.0, cfg.grid_points - ints.size)
     grid = np.sort(np.concatenate([base, ints]))
     psi = saw_psi(grid)
-    columns = ["H", "max_error", "max_majorant", "violations", "seed",
-               "wall_ms"]
-    rows = []
-    bad = 0
-    for H in cfg.h_list:
-        exp = vaaler_expansion(int(H))
-        approx, majorant = vaaler_eval(grid, exp)
+
+    def row(H):
+        approx, majorant = vaaler_eval(grid, vaaler_expansion(int(H)))
         err = np.abs(psi - approx)
         violations = int(np.sum(err > majorant + 1e-12))
-        bad += violations
-        rows.append({"H": int(H), "max_error": float(err.max()),
-                     "max_majorant": float(majorant.max()),
-                     "violations": violations,
-                     "seed": cfg.seed, "wall_ms": 0})
-    emit(columns, rows, cfg)
-    return EXIT_CROSS_CHECK if bad else EXIT_OK
+        return {"H": int(H), "max_error": float(err.max()),
+                "max_majorant": float(majorant.max()),
+                "violations": violations,
+                "seed": cfg.seed, "wall_ms": 0}, violations == 0
+
+    columns = ["H", "max_error", "max_majorant", "violations", "seed",
+               "wall_ms"]
+    return run_rows(cfg, "vaaler", columns, cfg.h_list, row)
 
 
 # ---------------------------------------------------------------------------
@@ -482,38 +478,37 @@ def cmd_vaaler(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _shared_flags() -> argparse.ArgumentParser:
+    """Flags of every subcommand; each dest is an ExperimentConfig field,
+    and each value is typed by `_coerce`, as in a config file."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="PATH", help="key = value config file")
-    p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int,
+    p.add_argument("--out", dest="output_path", metavar="PATH",
+                   help="output file (default stdout)")
+    p.add_argument("--format", dest="output_format", choices=("csv", "json"))
+    p.add_argument("--seed")
+    p.add_argument("--threads",
                    help="accepted for compatibility (>= 1); has no effect")
-    p.add_argument("--allow-out-of-range", action="store_const", const=True,
+    p.add_argument("--allow-out-of-range", action="store_const", const="true",
                    help="proceed despite theorem-range warnings")
     p.add_argument("--x-grid", help="comma-separated X values")
     p.add_argument("--kind", help="weight kind (classic_exp, ps_plain, ...)")
     p.add_argument("--q-rule", help="fixed:V | x_over_log_pow:A | "
                                     "x_pow_gamma_over_log_pow:A")
     p.add_argument("--t-rule", help="fixed:V | x_pow:E (t = X^(E - delta))")
-    p.add_argument("--mu", type=float)
+    p.add_argument("--mu")
     p.add_argument("--gamma", help="decimal or exact u/v, e.g. 2426/2817")
-    p.add_argument("--c", type=float)
-    p.add_argument("--a", type=float, help="log-power A in theorem ranges")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--q-max", type=int)
-    p.add_argument("--t-count", type=int)
+    p.add_argument("--c")
+    p.add_argument("--a", help="log-power A in theorem ranges")
+    p.add_argument("--delta")
+    p.add_argument("--trials")
+    p.add_argument("--n-max")
+    p.add_argument("--q-max")
+    p.add_argument("--t-count")
     p.add_argument("--h-list", help="comma-separated H values")
-    p.add_argument("--grid-points", type=int)
-    p.add_argument("--row-budget-s", type=float)
+    p.add_argument("--grid-points")
+    p.add_argument("--row-budget-s")
     return p
 
-
-_FLAG_TO_KEY = {
-    "out": "output_path", "format": "output_format",
-}
 
 COMMANDS = {
     "variance": cmd_variance,
@@ -545,20 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for flag, value in vars(args).items():
-        if flag in ("command", "config") or value is None:
-            continue
-        key = _FLAG_TO_KEY.get(flag, flag)
-        if key in ("x_grid", "h_list", "gamma"):
-            value = _coerce(key, str(value))
-        values[key] = value
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    values = load_config_file(args.config) if args.config else {}
+    for key, raw in vars(args).items():
+        if key not in ("command", "config") and raw is not None:
+            values[key] = _coerce(key, raw)
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg

@@ -85,19 +85,6 @@ class ExpWeightParams:
             raise ParameterError(f"t must be finite, got {self.t}")
 
 
-def unit_exp(x):
-    """e(x) = exp(2*pi*i*x), reducing x mod 1 before the trig call.
-
-    Accepts scalars or arrays; rejects non-finite input.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("unit_exp needs finite input")
-    frac = arr - np.floor(arr)
-    out = np.exp(2j * np.pi * frac)
-    return complex(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 def saw_psi(x):
     """psi(x) = {x} - 1/2, with psi(integer) = -1/2."""
     arr = np.asarray(x, dtype=np.float64)
@@ -140,9 +127,10 @@ def reduced_phase(t: float, n: float, c: float) -> float:
 
 def phase_frac_array(t: float, ns: np.ndarray, c: float) -> np.ndarray:
     """Vectorised reduced_phase over an array of n values."""
-    ns = np.asarray(ns)
-    xs = ns.astype(np.float64)
-    if xs.size and float(xs.min()) <= 0:
+    if not (math.isfinite(t) and math.isfinite(c)):
+        raise ParameterError("t and c must be finite")
+    xs = np.asarray(ns).astype(np.float64)
+    if xs.size and not xs.min() > 0:  # a NaN n fails this too
         raise ParameterError("phase reduction needs n > 0")
     mags = abs(t) * xs ** c
     out = np.empty(xs.shape, dtype=np.float64)

@@ -9,17 +9,18 @@ which is 1 exactly when n = [k^(1/gamma)] for some integer k (floors are
 mathematical: [-2.5] = -3).  Enumeration over a range iterates k directly,
 which touches only O(X^gamma) values.
 
-Both array routes (`ps_array` over k, `ps_indicator_array` over n) run in
-fixed blocks of _BLOCK entries, so their working memory is O(_BLOCK) plus
-the array they return; every per-entry decision is the same as over the
-whole range at once.
+Two independent routes, each with its own array kernel, are checked one
+against the other by `ps-count`: the generator (`ps_array`, [k^(1/gamma)]
+by `_floor_roots`) and the indicator (`ps_indicator_array`, ceil(n^gamma)
+by `_ceil_pows`).  Both walk their range in blocks of _BLOCK entries, so
+their working memory is O(_BLOCK) plus the array they return.
 
-Float boundary decisions are guarded: whenever a power sits within
-_GUARD_EPSILON (widened by the a-priori float64 error bound) of an integer,
-the decision escalates either to exact big-integer comparisons (rational
-gamma = u/v: integer k lies in [n^(u/v), (n+1)^(u/v)) iff k^v in [n^u-ish
-ranges, decided via integer v-th roots) or to mpmath at _MP_DIGITS digits.
-No floating-point logs decide a boundary.
+Each kernel decides in float64, then re-decides every entry within `_band`
+of an integer (_GUARD_EPSILON, widened by the float64 error bound) with
+`_pow_floor(m, e)`: floor(m^e) and whether m^e is an integer, exactly by an
+integer root for rational gamma = u/v, else by mpmath at _MP_DIGITS digits.
+The generator takes the floor, the indicator floor + (not exact).  No
+floating-point logs decide a boundary.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ParameterError, ResourceError
-
-# Rational thresholds that recur as gamma values in the scaling experiments.
-GAMMA_THRESHOLDS = (Fraction(11, 12), Fraction(2426, 2817), Fraction(205, 243))
 
 _F64_EPS = float(np.finfo(np.float64).eps)
 _SNAP_DENOMINATOR = 64
@@ -113,117 +111,58 @@ def _iroot(m: int, k: int) -> tuple[int, bool]:
     return x, x ** k == m
 
 
-def _ceil_pow_exact(n: int, frac: Fraction) -> int:
-    """ceil(n^(u/v)) by integer arithmetic (frac = u/v in lowest terms)."""
-    u, v = frac.numerator, frac.denominator
-    r, exact = _iroot(n**u, v)
-    return r if exact else r + 1
+def _pow_floor(m: int, exponent) -> tuple[int, bool]:
+    """(floor(m^exponent), whether m^exponent is an integer), for m >= 1.
 
-
-def _floor_pow_exact(n: int, frac: Fraction) -> int:
-    """floor(n^(u/v)) by integer arithmetic."""
-    u, v = frac.numerator, frac.denominator
-    r, _ = _iroot(n**u, v)
-    return r
-
-
-def _guard(cond: float) -> float:
-    """Effective escalation band: _GUARD_EPSILON or the float error bound,
-    whichever is larger (cond ~ |d(x^gamma)| per ulp, i.e. x*log-ish)."""
-    return max(_GUARD_EPSILON, 8.0 * _F64_EPS * cond)
-
-
-def _ceil_pow(n: int, cfg: PSConfig) -> int:
-    """ceil(n^gamma) with guarded escalation."""
-    if n == 1:
-        return 1  # 1^gamma is exactly 1 for every gamma
-    x = float(n) ** cfg.gamma
-    band = _guard(x * (1.0 + math.log(max(n, 2))))
-    nearest = round(x)
-    if abs(x - nearest) <= band:
-        if cfg.gamma_exact is not None:
-            return _ceil_pow_exact(n, cfg.gamma_exact)
-        return _ceil_pow_mp(n, cfg)
-    return math.ceil(x)
-
-
-def _ceil_pow_mp(n: int, cfg: PSConfig) -> int:
-    import mpmath  # loaded on demand: most runs never escalate this far
-    with mpmath.workdps(_MP_DIGITS):
-        x = mpmath.power(n, cfg.gamma)
-        nearest = mpmath.nint(x)
-        if abs(x - nearest) < mpmath.mpf(10) ** (-(_MP_DIGITS - 10)):
-            raise ResourceError(
-                f"{n}^{cfg.gamma} indistinguishable from an integer at "
-                f"{_MP_DIGITS} digits")
-        return int(mpmath.ceil(x))
-
-
-def ps_indicator(n: int, cfg: PSConfig) -> int:
-    """1 if n belongs to the index set for cfg.gamma, else 0.
-
-    Evaluates [-n^gamma] - [-(n+1)^gamma] (equivalently
-    ceil((n+1)^gamma) - ceil(n^gamma)).
+    A Fraction exponent u/v is decided exactly, as the integer v-th root of
+    m^u.  A float exponent is decided by mpmath at _MP_DIGITS digits, which
+    raises ResourceError when it cannot tell the power from an integer.
     """
-    if n < 1:
-        raise ParameterError(f"ps_indicator needs n >= 1, got {n}")
-    hit = _ceil_pow(n + 1, cfg) - _ceil_pow(n, cfg)
-    if hit not in (0, 1):
-        raise AssertionError(f"indicator out of range at n={n}: {hit}")
-    return hit
-
-
-def _floor_root_scalar(k: int, cfg: PSConfig) -> int:
-    """[k^(1/gamma)] with guarded escalation."""
-    if k == 1:
-        return 1  # 1^(1/gamma) is exactly 1 for every gamma
-    inv = 1.0 / cfg.gamma
-    x = float(k) ** inv
-    band = _guard(x * (1.0 + inv * math.log(max(k, 2))))
-    nearest = round(x)
-    if abs(x - nearest) <= band:
-        if cfg.gamma_exact is not None:
-            return _floor_pow_exact(k, 1 / cfg.gamma_exact)
-        return _floor_root_mp(k, cfg)
-    return math.floor(x)
-
-
-def _floor_root_mp(k: int, cfg: PSConfig) -> int:
+    if m == 1:
+        return 1, True  # 1^e is exactly 1 for every e
+    if isinstance(exponent, Fraction):
+        return _iroot(m ** exponent.numerator, exponent.denominator)
     import mpmath  # loaded on demand: most runs never escalate this far
     with mpmath.workdps(_MP_DIGITS):
-        y = mpmath.power(k, 1.0 / cfg.gamma)
+        y = mpmath.power(m, exponent)
         if abs(y - mpmath.nint(y)) < mpmath.mpf(10) ** (-(_MP_DIGITS - 10)):
             raise ResourceError(
-                f"{k}^(1/{cfg.gamma}) indistinguishable from an integer")
-        return int(mpmath.floor(y))
+                f"{m}^{exponent} indistinguishable from an integer at "
+                f"{_MP_DIGITS} digits")
+        return int(mpmath.floor(y)), False
+
+
+def _band(x: np.ndarray, m: np.ndarray, exponent: float) -> np.ndarray:
+    """Escalation band around x = m^exponent: _GUARD_EPSILON, or the float64
+    error bound 8 eps x (1 + exponent log m) where that is larger."""
+    cond = x * (1.0 + exponent * np.log(np.maximum(m, 2)))
+    return np.maximum(_GUARD_EPSILON, 8.0 * _F64_EPS * cond)
 
 
 def _floor_roots(a: int, b: int, cfg: PSConfig) -> np.ndarray:
-    """[k^(1/gamma)] for k = a..b: float64 bulk, guarded scalar re-decision."""
+    """[k^(1/gamma)] for k = a..b: float64 bulk, exact re-decision in the band."""
     ks = np.arange(a, b + 1, dtype=np.int64)
     inv = 1.0 / cfg.gamma
     roots = ks.astype(np.float64) ** inv
     floors = np.floor(roots).astype(np.int64)
     frac = roots - floors
-    cond = roots * (1.0 + inv * np.log(np.maximum(ks, 2)))
-    band = np.maximum(_GUARD_EPSILON, 8.0 * _F64_EPS * cond)
-    risky = np.flatnonzero((frac <= band) | (frac >= 1.0 - band))
-    for i in risky.tolist():
-        floors[i] = _floor_root_scalar(int(ks[i]), cfg)
+    band = _band(roots, ks, inv)
+    exponent = inv if cfg.gamma_exact is None else 1 / cfg.gamma_exact
+    for i in np.flatnonzero((frac <= band) | (frac >= 1.0 - band)).tolist():
+        floors[i] = _pow_floor(int(ks[i]), exponent)[0]
     return floors
 
 
 def _ceil_pows(a: int, b: int, cfg: PSConfig) -> np.ndarray:
-    """ceil(n^gamma) for n = a..b: float64 bulk, guarded scalar re-decision."""
+    """ceil(n^gamma) for n = a..b: float64 bulk, exact re-decision in the band."""
     ns = np.arange(a, b + 1, dtype=np.int64)
     pows = ns.astype(np.float64) ** cfg.gamma
     ceils = np.ceil(pows).astype(np.int64)
-    dist = np.abs(pows - np.rint(pows))
-    cond = pows * (1.0 + np.log(np.maximum(ns, 2)))
-    band = np.maximum(_GUARD_EPSILON, 8.0 * _F64_EPS * cond)
-    risky = np.flatnonzero(dist <= band)
-    for i in risky.tolist():
-        ceils[i] = _ceil_pow(int(ns[i]), cfg)
+    band = _band(pows, ns, cfg.gamma)
+    exponent = cfg.gamma if cfg.gamma_exact is None else cfg.gamma_exact
+    for i in np.flatnonzero(np.abs(pows - np.rint(pows)) <= band).tolist():
+        floor, exact = _pow_floor(int(ns[i]), exponent)
+        ceils[i] = floor + (not exact)
     return ceils
 
 
@@ -232,7 +171,7 @@ def ps_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
 
     Generator route: walks k in blocks of _BLOCK and emits [k^(1/gamma)].
     The bulk is done in vectorised float64; only k whose root lands inside
-    the guard band are re-decided by the scalar escalation path.
+    the guard band are re-decided, one by one, by `_pow_floor`.
     """
     if lo < 1 or hi < lo:
         raise ParameterError(f"bad PS range [{lo}, {hi}]")
@@ -258,9 +197,8 @@ def ps_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
 def ps_indicator_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
     """Boolean membership mask for lo..hi (index i <-> n = lo + i).
 
-    Independent of ps_array: evaluates the ceil-difference identity
-    vectorised over blocks of _BLOCK n, with guarded scalar escalation.
-    Used as the cross-check route against the k-generator.
+    Independent of ps_array, and the cross-check route against it: the
+    ceil-difference identity over blocks of _BLOCK n, by `_ceil_pows`.
     """
     if lo < 1 or hi < lo:
         raise ParameterError(f"bad PS range [{lo}, {hi}]")
@@ -270,6 +208,17 @@ def ps_indicator_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
         ceils = _ceil_pows(a, b + 1, cfg)  # need n and n+1
         np.equal(ceils[1:] - ceils[:-1], 1, out=out[a - lo:b - lo + 1])
     return out
+
+
+def ps_indicator(n: int, cfg: PSConfig) -> int:
+    """1 if n belongs to the index set for cfg.gamma, else 0.
+
+    Evaluates [-n^gamma] - [-(n+1)^gamma] (equivalently
+    ceil((n+1)^gamma) - ceil(n^gamma)) by the indicator route at one n.
+    """
+    if n < 1:
+        raise ParameterError(f"ps_indicator needs n >= 1, got {n}")
+    return int(ps_indicator_array(n, n, cfg)[0])
 
 
 def ps_count_main_term(X: float, cfg: PSConfig) -> float:

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import LambdaTable, PrimeTable, build_lambda_table, build_prime_table
-from .characters import character_group
+from .characters import MAX_MODULUS, character_group
 from .errors import ParameterError
 from .oscillatory import ExpWeightParams, main_term_integral, phase_frac_array
 from .psprimes import PSConfig, ps_array
@@ -303,12 +303,6 @@ class VarianceReport:
     worst `CharacterGroup.check_transform` gap over all q.
     """
 
-    X: float
-    Q: int
-    mu: float
-    kind: WeightKind
-    params: WeightParams
-    main: MainTerm
     direct_variance: float
     character_variance: float
     normalized_ratio: float
@@ -359,8 +353,8 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     `main` defaults to `main_term_for` the table's kind; CUSTOM tables
     need one, e.g. MainTerm(kind=WeightKind.CUSTOM, value=M).
     """
-    if Q < 1:
-        raise ParameterError(f"Q must be >= 1, got {Q}")
+    if not 1 <= Q <= MAX_MODULUS:
+        raise ParameterError(f"Q must be in [1, {MAX_MODULUS}], got {Q}")
     if main is None:
         main = main_term_for(w.X, w.mu, w.kind, w.params)
     mains = [complex(main.headline())]
@@ -399,7 +393,6 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     if per_q:
         break_down = [(q, d, c) for q, (d, c) in enumerate(cells[0], start=1)]
     return VarianceReport(
-        X=w.X, Q=Q, mu=w.mu, kind=w.kind, params=w.params, main=main,
         direct_variance=direct, character_variance=chars,
         normalized_ratio=ratio, ratio_alt=ratio_alt,
         direct_alt=direct_alt, character_alt=chars_alt,
@@ -428,8 +421,9 @@ def large_sieve_check(M: int, N: int, Q: int,
     The returned ratio lhs/bound never exceeds 1 (up to rounding); it is 0
     for all-zero coefficients.
     """
-    if N < 1 or Q < 1 or M < 0:
-        raise ParameterError(f"need N, Q >= 1 and M >= 0, got N={N} Q={Q} M={M}")
+    if N < 1 or not 1 <= Q <= MAX_MODULUS or M < 0:
+        raise ParameterError(f"need N >= 1, 1 <= Q <= {MAX_MODULUS} and "
+                             f"M >= 0, got N={N} Q={Q} M={M}")
     arr = np.asarray(coeffs, dtype=np.complex128)
     if len(arr) != N:
         raise ParameterError(f"expected {N} coefficients, got {len(arr)}")

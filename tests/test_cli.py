@@ -1,6 +1,7 @@
 """Command-line front end: config handling, schemas, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import re
@@ -110,6 +111,15 @@ def test_rules():
         pytest.approx(100.0 ** -0.85)
     with pytest.raises(cli.ParameterError):
         cli.eval_t_rule("nope", 1e4, 0.05)
+    # arguments that give no finite Q or t: NaN, overflow, division by zero
+    for rule, a in (("fixed:nan", 2.0), ("fixed:inf", 2.0),
+                    ("x_over_log_pow:-1e6", 2.0), ("x_over_log_pow:1e6", 2.0),
+                    ("x_over_log_pow:", float("nan"))):
+        with pytest.raises(cli.ParameterError):
+            cli.eval_q_rule(rule, 1e4, 0.9, a)
+    for rule in ("fixed:", "x_pow:abc", "x_pow:1e6"):
+        with pytest.raises(cli.ParameterError):
+            cli.eval_t_rule(rule, 1e4, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +179,8 @@ BUDGETED = {
     "variance": ["--x-grid", "1000,2000,3000", "--t-rule", "fixed:0"],
     "ps-count": ["--x-grid", "1000,2000"],
     "lemma3": ["--x-grid", "1e4", "--t-count", "2"],
+    "large-sieve": ["--trials", "3", "--n-max", "20", "--q-max", "10"],
+    "vaaler": ["--h-list", "1,5", "--grid-points", "200"],
 }
 
 
@@ -300,13 +312,62 @@ def test_vaaler_rows(tmp_path):
         assert float(r[2]) <= 0.5 + 1e-9
 
 
-def test_bad_subcommand_flags():
+def test_bad_subcommand_flags(capsys):
     assert run_cli(["variance", "--x-grid", "1"]) == 2        # X < 2
     assert run_cli(["variance", "--x-grid", "100", "--kind", "martian"]) == 2
     assert run_cli(["large-sieve", "--n-max", "0"]) == 2
     assert run_cli(["large-sieve", "--n-max", "9999"]) == 2
     assert run_cli(["vaaler", "--grid-points", "3"]) == 2
     assert run_cli(["variance", "--x-grid", "100", "--threads", "0"]) == 2
+    # values that fail to parse, and rule arguments with no finite result
+    variance = ["variance", "--x-grid", "1e4"]
+    for argv in ([*variance, "--q-rule", "fixed:nan"],
+                 [*variance, "--q-rule", "fixed:inf"],
+                 [*variance, "--q-rule", "x_over_log_pow:-1e6"],
+                 [*variance, "--q-rule", "x_over_log_pow:", "--a", "nan"],
+                 [*variance, "--t-rule", "fixed:"],
+                 [*variance, "--kind", "raw_lambda", "--q-rule",
+                  "fixed:2000000", "--allow-out-of-range"],  # Q > MAX_MODULUS
+                 ["variance", "--x-grid", "abc"],
+                 ["vaaler", "--h-list", "1.5"],
+                 ["vaaler", "--seed", "x"]):
+        capsys.readouterr()
+        assert run_cli(argv) == 2, argv
+        assert "error: " in capsys.readouterr().err, argv
+
+
+# sha256 of each report written by `<command line> --out report`.  Any
+# change to these bytes must be deliberate: update the digest and say why.
+# They were recorded with numpy 2.4.6.
+PINNED_REPORTS = [
+    ("variance --kind classic_exp --x-grid 1e4,3e4 --t-rule x_pow:-0.834",
+     "bf589bc12ee86c8893e7cb11ef67d91df07a4a5b5ee43a70bf3371c99b1dd583"),
+    ("variance --kind ps_plain --x-grid 3e4 --gamma 9/10 "
+     "--q-rule x_pow_gamma_over_log_pow:2 --format json",
+     "ed28350fa1089adf3b7726b4f6dbadfd1b40c72a85b31a5c3c023b2595599875"),
+    ("variance --kind ps_exp --x-grid 3e4 --gamma 9/10 "
+     "--q-rule x_pow_gamma_over_log_pow:2 --t-rule x_pow:-0.634",
+     "64d28a834003230521c8ac6c2bd72100a47b5b774a25d41cf1e85c8a152e4fcd"),
+    ("ps-count --x-grid 1e4,1e5,1e6 --gamma 9/10",
+     "763bbe16323701a040ea0b4838af838a0faffd26f4c08f850b111e33413ff7a8"),
+    ("ps-count --x-grid 1e4 --gamma 0.5000000000001",
+     "a13d79066a0f4ce4725bdfdd95fe10fa7ab82a5c33488b111311d0471a0186a1"),
+    ("lemma3 --x-grid 1e5 --t-count 3",
+     "550698a8b28e3390f311a99db0ebc37d0b02669300c0c1e2b17d3c1e83a9a19c"),
+    ("large-sieve --trials 10 --n-max 200 --q-max 64 --seed 3",
+     "8426a74f94911730faef633761fe18ec02d265f8884741ff6406aeb98b169ae5"),
+    ("vaaler",
+     "2c41b37273550bc8efd983eaf6740f2dff69fa4969df5e7d91f230183009f4f5"),
+]
+
+
+def test_report_bytes_pinned(tmp_path, monkeypatch):
+    # a relative --out keeps the JSON config echo (output_path) fixed
+    monkeypatch.chdir(tmp_path)
+    for line, digest in PINNED_REPORTS:
+        assert run_cli([*shlex.split(line), "--out", "report"]) == 0, line
+        got = hashlib.sha256(Path("report").read_bytes()).hexdigest()
+        assert got == digest, line
 
 
 def _child_env():

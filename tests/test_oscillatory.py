@@ -1,5 +1,6 @@
 """Phase reduction, sawtooth approximation, and the oscillatory integral."""
 
+import cmath
 import math
 import time
 
@@ -10,7 +11,7 @@ import pytest
 from bdhvar import (ExpWeightParams, ParameterError, build_prime_table,
                     main_term_integral, oscillatory, oscillatory_integral,
                     phase_frac_array, prime_exp_sum, reduced_phase, saw_psi,
-                    unit_exp, vaaler_eval, vaaler_expansion)
+                    vaaler_eval, vaaler_expansion)
 from bdhvar.errors import ResourceError
 
 
@@ -29,18 +30,6 @@ def mp_frac(t, n, c, extra_digits=60):
 # ---------------------------------------------------------------------------
 # elementary maps
 # ---------------------------------------------------------------------------
-
-def test_unit_exp_values():
-    assert unit_exp(0.0) == 1.0 + 0j
-    assert unit_exp(0.25) == pytest.approx(1j)
-    assert unit_exp(17.0) == pytest.approx(1.0)
-    assert unit_exp(-0.75) == pytest.approx(unit_exp(0.25))
-    arr = unit_exp(np.array([0.0, 0.5, 1.25]))
-    assert np.allclose(arr, [1.0, -1.0, 1j])
-    assert np.allclose(np.abs(unit_exp(np.linspace(-3, 3, 101))), 1.0)
-    with pytest.raises(ParameterError):
-        unit_exp(float("inf"))
-
 
 def test_saw_psi_values():
     assert saw_psi(0.0) == -0.5
@@ -98,6 +87,16 @@ def test_reduced_phase_validation_and_budget():
         reduced_phase(float("inf"), 3, 1.5)
     with pytest.raises(ResourceError):
         reduced_phase(1e50, 1e6, 2.5)
+    # The array route checks the same things; a NaN t or n would otherwise
+    # match none of its three tiers and leave its output uninitialised.
+    ns = np.arange(1, 2000)
+    for t, arr, c in ((float("nan"), ns, 1.5), (float("inf"), ns, 1.5),
+                      (1.0, ns, float("nan")), (1.0, np.arange(0, 5), 1.5),
+                      (1.0, np.array([3.0, float("nan")]), 1.5)):
+        with pytest.raises(ParameterError):
+            phase_frac_array(t, arr, c)
+    with pytest.raises(ResourceError):
+        phase_frac_array(1e50, np.array([1e6]), 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,8 @@ def test_prime_exp_sum_matches_elementwise_route():
     acc = 0j
     for q in table.primes.tolist():
         if 500 < q <= 2000:
-            acc += math.log(q) * unit_exp(reduced_phase(p.t, q, p.c))
+            acc += math.log(q) * cmath.exp(
+                2j * math.pi * reduced_phase(p.t, q, p.c))
     assert abs(got - acc) <= 1e-9
 
 

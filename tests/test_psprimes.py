@@ -81,13 +81,20 @@ def test_both_routes_match_exact_oracle(gamma):
 
 
 def test_unsnapped_float_gamma_matches_mpmath_oracle():
-    gamma = 0.837  # no small-denominator rational nearby: float path
-    cfg = ps_config(gamma)
-    assert cfg.gamma_exact is None
-    expect = oracle_members_float(1, 1500, gamma)
-    assert ps_array(1, 1500, cfg).tolist() == expect
-    mask = ps_indicator_array(1, 1500, cfg)
-    assert np.flatnonzero(mask).tolist() == [n - 1 for n in expect]
+    # No small-denominator rational lies near either gamma: float path.
+    # Near the squares, 0.5 + 1e-13 puts k^(1/gamma) and n^gamma inside the
+    # 1e-9 guard band of an integer, so both routes re-decide those entries
+    # with mpmath (26 generator and 43 indicator entries besides k = n = 1).
+    squares = [1] + [m * m - 1 for m in range(2, 45)]
+    for gamma, hi, known in ((0.837, 1500, None), (0.5 + 1e-13, 2000, squares)):
+        cfg = ps_config(gamma)
+        assert cfg.gamma_exact is None
+        expect = oracle_members_float(1, hi, gamma)
+        if known is not None:
+            assert expect == known
+        assert ps_array(1, hi, cfg).tolist() == expect
+        mask = ps_indicator_array(1, hi, cfg)
+        assert np.flatnonzero(mask).tolist() == [n - 1 for n in expect]
 
 
 def test_square_set_frozen():

@@ -8,7 +8,8 @@ import pytest
 from bdhvar import (MainTerm, ParameterError, WeightKind, WeightParams,
                     build_weight_table, class_sums, custom_weight_table,
                     large_sieve_check, main_term_for, make_tables, normalizer,
-                    progression_sum, ps_config, variance_report)
+                    progression_sum, ps_config, variance, variance_report)
+from bdhvar.characters import MAX_MODULUS
 
 
 def naive_variance(w, Q, main):
@@ -330,3 +331,17 @@ def test_large_sieve_validation():
         large_sieve_check(0, 3, 0, np.zeros(3))
     with pytest.raises(ParameterError):
         large_sieve_check(0, 3, 2, np.zeros(4))
+
+
+def test_oversize_modulus_refused_before_q_loop(monkeypatch):
+    # Q past the largest character group would otherwise run the q loop up
+    # to q = MAX_MODULUS + 1 before failing; no group may be built at all.
+    def no_group(q):
+        raise AssertionError(f"q loop reached q = {q}")
+
+    monkeypatch.setattr(variance, "character_group", no_group)
+    w = build_weight_table(1000, 0.5, WeightKind.RAW_LAMBDA, None, TABLES)
+    with pytest.raises(ParameterError):
+        variance_report(w, MAX_MODULUS + 1)
+    with pytest.raises(ParameterError):
+        large_sieve_check(0, 3, MAX_MODULUS + 1, np.ones(3))
