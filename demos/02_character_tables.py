@@ -14,7 +14,7 @@ from bdhvar import character_group
 
 q = 12
 G = character_group(q)
-print(f"q = {q}: phi = {G.phi}, cyclic factor orders = {G.orders.tolist()}")
+print(f"q = {q}: phi = {G.phi}, cyclic factor orders = {list(G.orders)}")
 M = np.array([G.transform(e) for e in np.eye(q)]).T   # M[chi, a] = chi(a)
 units = np.flatnonzero(G.coprime)
 

@@ -111,7 +111,7 @@ class ExperimentConfig:
             raise ParameterError("h_list entries must be >= 1")
         if self.grid_points < 10:
             raise ParameterError("grid_points must be >= 10")
-        if self.row_budget_s <= 0:
+        if not self.row_budget_s > 0:
             raise ParameterError("row_budget_s must be positive")
 
 

@@ -58,6 +58,8 @@ NODES_PER_PERIOD = 12          # spec floor is 8; extra nodes buy margin
 # (1, 3); below y* lie at most _SERIES_START / (2*pi) ~ 10 periods.
 _SERIES_START = 64.0
 _SERIES_TOL = 2.0 ** -60
+# vaaler_eval's phase table is len(x) x H complex128 plus its real part.
+VAALER_MAX_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -182,9 +184,15 @@ def vaaler_expansion(H: int) -> VaalerExpansion:
 def vaaler_eval(x, exp: VaalerExpansion):
     """(approximation, majorant) at x; |psi(x) - approx| <= majorant.
 
-    Both outputs are real; x may be a scalar or an array.
+    Both outputs are real; x may be a scalar or an array.  A phase table
+    over VAALER_MAX_BYTES raises ResourceError before it is allocated.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    need = len(arr) * exp.H * 24
+    if need > VAALER_MAX_BYTES:
+        raise ResourceError(
+            f"Vaaler phase table of {len(arr)} points x H={exp.H} needs "
+            f"{need / 2**30:.1f} GiB, over {VAALER_MAX_BYTES / 2**30:g} GiB")
     h = np.arange(1, exp.H + 1, dtype=np.float64)
     ph = np.exp(2j * np.pi * np.outer(arr, h))
     approx = 2.0 * (ph @ exp.a).real

@@ -1,9 +1,11 @@
 """Dense evaluation of the characters mod q, the oracle for the FFT transform.
 
 Every value is read from a character's exponent tuple and the discrete logs
-(chi(n) = e(sum_j e_j x_j(n) / d_j)), never from the FFT, so
-`dense_table(G) @ S` is the character transform of S by definition.
-Characters are indexed as `CharacterGroup.transform` orders them.
+of `G.cell`, never from the FFT, so `dense_table(G) @ S` is the character
+transform of S by definition.  chi(n) = e(sum_j e_j x_j / d_j) is taken
+here as the product over factors of e(e_j x_j / d_j), each phase reduced
+mod d_j in integers.  Characters are indexed as `CharacterGroup.transform`
+orders them.
 """
 
 import math
@@ -11,15 +13,34 @@ import math
 import numpy as np
 
 
+def _exponents_and_logs(G, units):
+    """Per factor j: the exponents e_j of every character (length phi) and
+    the discrete logs x_j of `units`."""
+    if not G.orders:
+        return []
+    exps = np.unravel_index(np.arange(G.phi), G.orders)
+    logs = np.unravel_index(G.cell[units], G.orders)
+    return list(zip(G.orders, exps, logs))
+
+
 def dense_table(G):
     """(phi(q), q) table: row j holds chi_j at every residue (0 off units)."""
-    return G._rows(G._exponents(np.arange(G.phi)))
+    units = np.flatnonzero(G.coprime)
+    values = np.ones((G.phi, len(units)), dtype=complex)
+    for d, e, x in _exponents_and_logs(G, units):
+        values *= np.exp(2j * np.pi * (np.outer(e, x) % d) / d)
+    table = np.zeros((G.phi, G.modulus), dtype=complex)
+    table[:, units] = values
+    return table
 
 
 def unit_phases(G, units):
-    """k[j, i] with chi_j(units[i]) = e(k[j, i] / G.exponent), as integers."""
-    exps = G._exponents(np.arange(G.phi))
-    return exps * (G.exponent // G.orders) @ G.dlog[units].T % G.exponent
+    """k[j, i] with chi_j(units[i]) = e(k[j, i] / lcm(d_j)), as integers."""
+    lcm = math.lcm(*G.orders)
+    k = np.zeros((G.phi, len(units)), dtype=np.int64)
+    for d, e, x in _exponents_and_logs(G, units):
+        k += np.outer(e, x) % d * (lcm // d)
+    return k % lcm
 
 
 def oracle_conductor(row):

@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -330,10 +331,22 @@ def test_bad_subcommand_flags(capsys):
                   "fixed:2000000", "--allow-out-of-range"],  # Q > MAX_MODULUS
                  ["variance", "--x-grid", "abc"],
                  ["vaaler", "--h-list", "1.5"],
-                 ["vaaler", "--seed", "x"]):
+                 ["vaaler", "--seed", "x"],
+                 ["vaaler", "--h-list", "1,5", "--grid-points", "200",
+                  "--row-budget-s", "nan"]):
         capsys.readouterr()
         assert run_cli(argv) == 2, argv
         assert "error: " in capsys.readouterr().err, argv
+
+
+def test_oversize_vaaler_exits_3(tmp_path, capsys):
+    # the phase table would be 10^7 x 100 complex128: refused, not allocated
+    out = tmp_path / "v.csv"
+    started = time.perf_counter()
+    assert run_cli(["vaaler", "--grid-points", "10000000", "--h-list", "100",
+                    "--out", str(out)]) == 3
+    assert time.perf_counter() - started < 10
+    assert "GiB" in capsys.readouterr().err
 
 
 # sha256 of each report written by `<command line> --out report`.  Any
@@ -358,6 +371,11 @@ PINNED_REPORTS = [
      "8426a74f94911730faef633761fe18ec02d265f8884741ff6406aeb98b169ae5"),
     ("vaaler",
      "2c41b37273550bc8efd983eaf6740f2dff69fa4969df5e7d91f230183009f4f5"),
+    # Q = 754: up to four cyclic factors, and 2^k with k >= 3
+    ("variance --kind classic_exp --x-grid 1e5 --t-rule x_pow:-0.834",
+     "5b5be739461d154f8a4d99afe4b1949a1e25e4fed2a174ccd8bef74a0829081b"),
+    ("large-sieve --trials 30 --n-max 500 --q-max 256 --seed 3",
+     "625574e14c0ce74a2e6b6b0da7df2b23422ff681081006b15e5239a722b36621"),
 ]
 
 

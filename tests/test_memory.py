@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 
-from bdhvar import ps_array, ps_config, ps_indicator_array
+from bdhvar import character_group, ps_array, ps_config, ps_indicator_array
+from bdhvar.characters import _local_factors
 
 MB = 10**6
 
@@ -30,3 +31,27 @@ def test_ps_routes_working_set_at_1e7():
     assert array_peak <= 64 * MB, array_peak / MB
     assert np.array_equal(np.flatnonzero(mask) + 2, members[members >= 2])
 
+
+def test_cached_character_groups_near_5000():
+    # A full cache of 1024 groups, each transformed once and asked for its
+    # primitive mask, as variance rows and large-sieve trials use them.
+    # With (q, k) int64 discrete logs, an int64 scatter pair and a roots
+    # table per group this peaked at 174 MB.
+    character_group.cache_clear()
+    _local_factors.cache_clear()
+
+    def hold():
+        groups = []
+        for q in range(4216, 5240):
+            G = character_group(q)
+            G.transform(np.ones(q, dtype=complex))
+            G.primitive_mask()
+            groups.append(G)
+        return groups
+
+    try:
+        groups, peak = traced_peak(hold)
+        assert len(groups) == character_group.cache_info().currsize == 1024
+        assert peak <= 48 * MB, peak / MB
+    finally:
+        character_group.cache_clear()

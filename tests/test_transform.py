@@ -13,7 +13,7 @@ from dense_characters import dense_table, unit_phases
 
 from bdhvar import (WeightKind, WeightParams, build_weight_table, class_sums,
                     cli, factorize, make_tables, variance_report)
-from bdhvar.characters import CharacterGroup
+from bdhvar.characters import CharacterGroup, _local_factors
 
 TABLES = make_tables(2100)
 
@@ -60,6 +60,21 @@ def test_primitive_mask_is_cached_and_read_only():
         mask[0] = True
 
 
+def test_prime_power_tables_are_shared_and_read_only():
+    # 45 and 63 both contain 3^2: the second group reuses its dlog table
+    _local_factors.cache_clear()
+    G, H = CharacterGroup(45), CharacterGroup(63)
+    assert _local_factors.cache_info().hits == 1
+    (order, table), = _local_factors(3, 2)
+    assert _local_factors(3, 2)[0][1] is table
+    assert order == 6 and G.orders[0] == H.orders[0] == 6
+    with pytest.raises(ValueError):
+        table[1] = 0
+    units = np.flatnonzero(G.coprime)
+    assert np.array_equal(np.unravel_index(G.cell[units], G.orders)[0],
+                          table[units % 9])
+
+
 def _conjugated(G, sums):
     """What fftn in place of ifftn gives: every character conjugated."""
     return np.conj(G.transform(np.conj(sums)))
@@ -81,7 +96,9 @@ def test_check_transform_catches_non_additive_dlog():
     sums = np.ones(45, dtype=complex)
     psi = G.transform(sums)
     units = np.flatnonzero(G.coprime)
-    G.dlog[units] = (G.dlog[units] + 1) % G.orders   # no longer a homomorphism
+    logs = np.unravel_index(G.cell[units], G.orders)
+    shifted = tuple((x + 1) % d for x, d in zip(logs, G.orders))
+    G.cell[units] = np.ravel_multi_index(shifted, G.orders)  # not additive
     assert G.check_transform(sums, psi) == math.inf
 
 
