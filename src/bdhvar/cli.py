@@ -1,22 +1,24 @@
 """Batch command-line front end.
 
-Subcommands: variance, ps-count, lemma3, large-sieve, vaaler.  Every run is
-a deterministic function of the resolved configuration plus the seed, so a
-report file regenerates byte-identical.  Measured wall time goes to stderr
-only; the wall_ms column in files is fixed at 0 to keep reruns comparable.
-`threads` is accepted (and must be >= 1) so that existing command lines and
-config files keep working, but it has no effect: every run is one thread.
+Subcommands (declared once, in COMMANDS): variance, ps-count, lemma3,
+large-sieve, vaaler.  Every run is a deterministic function of the resolved
+configuration plus the seed, so a report file regenerates byte-identical.
+A report's columns are its rows' keys; `run_rows` adds `seed` and `wall_ms`,
+fixed at 0 so that reruns compare (wall time goes to stderr only).
+`threads` is accepted (>= 1) so that existing command lines and config files
+keep working, but it has no effect: every run is one thread.
 
-Configuration files are UTF-8 text, one `key = value` per line, `#` starts
-a comment, and keys are exactly the ExperimentConfig field names.  Command
-line flags override file values, and both are typed alike from the field
-defaults.  gamma accepts `u/v` rationals and echoes them exactly.
+The flags are generated from the ExperimentConfig fields, whose names are
+also the config file keys: `--x-grid` sets x_grid, and so on, except that
+`--out` sets output_path and `--format` output_format.  Config files are
+UTF-8, one `key = value` per line, `#` starts a comment.  Flags override
+file values, and both are typed alike from the field defaults.  gamma
+accepts `u/v` rationals and echoes them exactly.
 
 Exit codes: 0 success, 2 bad parameters/config, 3 resource budget exceeded
-(every command runs its rows through `run_rows`, which still flushes and
-marks the partial rows), 4 an internal cross-check failed (direct/character
-disagreement, PS count route mismatch, a large sieve ratio above 1 + 1e-9,
-or a sawtooth majorant violation).
+(`run_rows` still flushes and marks the partial rows), 4 an internal
+cross-check failed (direct/character disagreement, PS count route mismatch,
+a large sieve ratio above 1 + 1e-9, or a sawtooth majorant violation).
 """
 
 from __future__ import annotations
@@ -37,8 +39,9 @@ import numpy as np
 
 from .arith import build_prime_table
 from .errors import ParameterError, ResourceError
-from .oscillatory import (ExpWeightParams, main_term_integral, prime_exp_sum,
-                          saw_psi, vaaler_eval, vaaler_expansion)
+from .oscillatory import (ExpWeightParams, check_vaaler_size,
+                          main_term_integral, prime_exp_sum, saw_psi,
+                          vaaler_eval, vaaler_expansion)
 from .psprimes import (ps_array, ps_config, ps_count_main_term,
                        ps_indicator_array)
 from .variance import (WeightKind, WeightParams, build_weight_table,
@@ -107,6 +110,8 @@ class ExperimentConfig:
                 f"n_max and q_max must lie in [1, {LARGE_SIEVE_CAP}]")
         if self.t_count < 1:
             raise ParameterError("t_count must be >= 1")
+        if not self.h_list:
+            raise ParameterError("h_list must not be empty")
         if any(h < 1 for h in self.h_list):
             raise ParameterError("h_list entries must be >= 1")
         if self.grid_points < 10:
@@ -245,45 +250,30 @@ def theorem_range_warnings(kind: WeightKind, X: float, Q: int, t: float,
 # Serialisation
 # ---------------------------------------------------------------------------
 
-def _cell(value) -> str:
+def _plain(value):
+    """A report value as written: Fraction as exact 'u/v', tuple as list."""
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+    return list(value) if isinstance(value, tuple) else value
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    doc = {}
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, Fraction):
-            v = f"{v.numerator}/{v.denominator}"
-        elif isinstance(v, tuple):
-            v = list(v)
-        doc[f.name] = v
-    return doc
-
-
-def emit(columns: list[str], rows: list[dict], cfg: ExperimentConfig,
+def emit(rows: list[dict], cfg: ExperimentConfig,
          partial_at: Optional[int] = None) -> None:
-    """Write rows as CSV or JSON to cfg.output_path (or stdout)."""
+    """Write rows as CSV or JSON to cfg.output_path (or stdout); the columns
+    are the first row's keys, and CSV writes floats as %.17g."""
+    rows = [{key: _plain(v) for key, v in row.items()} for row in rows]
     if cfg.output_format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row[col]) for col in columns])
+        writer.writerow(list(rows[0]))
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else str(v)
+                          for v in row.values()] for row in rows)
         if partial_at is not None:
-            writer.writerow(["#PARTIAL"] + [""] * (len(columns) - 1))
+            writer.writerow(["#PARTIAL"] + [""] * (len(rows[0]) - 1))
         text = buf.getvalue()
     else:
-        json_rows = []
-        for row in rows:
-            json_rows.append({col: (f"{v.numerator}/{v.denominator}"
-                                    if isinstance(v := row[col], Fraction) else v)
-                              for col in columns})
-        doc = {"config": _config_echo(cfg), "rows": json_rows}
+        doc = {"config": {key: _plain(v) for key, v in vars(cfg).items()},
+               "rows": rows}
         if partial_at is not None:
             doc["partial"] = True
             doc["budget_exceeded_at_row"] = partial_at
@@ -302,12 +292,13 @@ def _log(msg: str) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def run_rows(cfg: ExperimentConfig, name: str, columns: list[str],
-             cells: Sequence, compute: Callable[..., tuple[dict, bool]]) -> int:
+def run_rows(cfg: ExperimentConfig, name: str, cells: Sequence,
+             compute: Callable[..., tuple[dict, bool]]) -> int:
     """Compute one row per cell, in order, emit them and give the exit code.
 
-    `compute(cell)` returns (row, ok).  A row that takes longer than
-    cfg.row_budget_s ends the run when rows remain: the rows so far are
+    `compute(cell)` returns (row, ok), and the row gains `seed` and
+    `wall_ms` (always 0) as its last two columns.  A row that takes longer
+    than cfg.row_budget_s ends the run when rows remain: the rows so far are
     emitted, marked partial, and the exit code is EXIT_RESOURCE.
     Otherwise it is EXIT_CROSS_CHECK if any row was not ok.
     """
@@ -316,16 +307,16 @@ def run_rows(cfg: ExperimentConfig, name: str, columns: list[str],
     for i, cell in enumerate(cells, start=1):
         started = time.perf_counter()
         row, ok = compute(cell)
-        rows.append(row)
+        rows.append({**row, "seed": cfg.seed, "wall_ms": 0})
         failures += not ok
         elapsed = time.perf_counter() - started
         _log(f"{name} row {i} of {len(cells)} took {elapsed:.2f}s")
         if elapsed > cfg.row_budget_s and i < len(cells):
             _log(f"row budget {cfg.row_budget_s:g}s exceeded; flushing "
                  f"{i} of {len(cells)} rows")
-            emit(columns, rows, cfg, partial_at=i)
+            emit(rows, cfg, partial_at=i)
             return EXIT_RESOURCE
-    emit(columns, rows, cfg)
+    emit(rows, cfg)
     return EXIT_CROSS_CHECK if failures else EXIT_OK
 
 
@@ -343,13 +334,12 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
         t = eval_t_rule(cfg.t_rule, X, cfg.delta) if needs_t else 0.0
         warns = theorem_range_warnings(kind, X, Q, t, cfg.c, gamma_f,
                                        cfg.a, cfg.delta)
-        if warns:
-            for w in warns:
-                _log(f"warning: {w}")
-            if not cfg.allow_out_of_range:
-                raise ParameterError(
-                    "outside the admissible theorem range; rerun with "
-                    "--allow-out-of-range to proceed")
+        for w in warns:
+            _log(f"warning: {w}")
+        if warns and not cfg.allow_out_of_range:
+            raise ParameterError(
+                "outside the admissible theorem range; rerun with "
+                "--allow-out-of-range to proceed")
         params = WeightParams(
             c=cfg.c if needs_t else None,
             t=t if needs_t else None,
@@ -365,12 +355,9 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
             "direct": rep.direct_variance,
             "character": rep.character_variance,
             "ratio": rep.normalized_ratio, "ratio_alt": rep.ratio_alt,
-            "seed": cfg.seed, "wall_ms": 0,
         }, rep.cross_check_ok
 
-    columns = ["X", "Q", "mu", "kind", "gamma", "c", "t", "direct",
-               "character", "ratio", "ratio_alt", "seed", "wall_ms"]
-    return run_rows(cfg, "variance", columns, cfg.x_grid, row)
+    return run_rows(cfg, "variance", cfg.x_grid, row)
 
 
 def cmd_ps_count(cfg: ExperimentConfig) -> int:
@@ -396,12 +383,9 @@ def cmd_ps_count(cfg: ExperimentConfig) -> int:
         lx = math.log(X)
         err = abs(count - main) * lx * lx / float(X) ** pscfg.gamma
         return {"X": float(X), "gamma": cfg.gamma, "count": count,
-                "main_term": main, "normalized_error": err,
-                "seed": cfg.seed, "wall_ms": 0}, count == count_ind
+                "main_term": main, "normalized_error": err}, count == count_ind
 
-    columns = ["X", "gamma", "count", "main_term", "normalized_error",
-               "seed", "wall_ms"]
-    return run_rows(cfg, "ps-count", columns, cfg.x_grid, row)
+    return run_rows(cfg, "ps-count", cfg.x_grid, row)
 
 
 def cmd_lemma3(cfg: ExperimentConfig) -> int:
@@ -419,13 +403,10 @@ def cmd_lemma3(cfg: ExperimentConfig) -> int:
             "X": float(X), "c": cfg.c, "t": t, "abs_diff": diff,
             "scaled_diff": diff / X,
             "reference_decay": X * math.exp(-math.log(X) ** 0.2),
-            "seed": cfg.seed, "wall_ms": 0,
         }, True
 
-    columns = ["X", "c", "t", "abs_diff", "scaled_diff", "reference_decay",
-               "seed", "wall_ms"]
     cells = [(X, j) for X in cfg.x_grid for j in range(cfg.t_count)]
-    return run_rows(cfg, "lemma3", columns, cells, row)
+    return run_rows(cfg, "lemma3", cells, row)
 
 
 def cmd_large_sieve(cfg: ExperimentConfig) -> int:
@@ -435,7 +416,7 @@ def cmd_large_sieve(cfg: ExperimentConfig) -> int:
     def row(trial):
         if trial == "max":  # the last cell: the worst ratio of all trials
             return {"trial": "max", "n": 0, "q": 0, "m": 0,
-                    "ratio": max(ratios), "seed": cfg.seed, "wall_ms": 0}, True
+                    "ratio": max(ratios)}, True
         n = int(rng.integers(1, cfg.n_max + 1))
         q = int(rng.integers(1, cfg.q_max + 1))
         m = int(rng.integers(0, cfg.n_max + 1))
@@ -445,15 +426,14 @@ def cmd_large_sieve(cfg: ExperimentConfig) -> int:
         ok = ratio <= 1.0 + 1e-9
         if not ok:
             _log(f"large sieve ratio {ratio:.12f} > 1 at trial {trial}")
-        return {"trial": trial, "n": n, "q": q, "m": m, "ratio": ratio,
-                "seed": cfg.seed, "wall_ms": 0}, ok
+        return {"trial": trial, "n": n, "q": q, "m": m, "ratio": ratio}, ok
 
-    columns = ["trial", "n", "q", "m", "ratio", "seed", "wall_ms"]
     cells = [*range(cfg.trials), "max"]
-    return run_rows(cfg, "large-sieve", columns, cells, row)
+    return run_rows(cfg, "large-sieve", cells, row)
 
 
 def cmd_vaaler(cfg: ExperimentConfig) -> int:
+    check_vaaler_size(cfg.grid_points, max(cfg.h_list))  # before the grid
     ints = np.arange(-2, 4, dtype=np.float64)
     base = np.linspace(-2.0, 3.0, cfg.grid_points - ints.size)
     grid = np.sort(np.concatenate([base, ints]))
@@ -465,57 +445,57 @@ def cmd_vaaler(cfg: ExperimentConfig) -> int:
         violations = int(np.sum(err > majorant + 1e-12))
         return {"H": int(H), "max_error": float(err.max()),
                 "max_majorant": float(majorant.max()),
-                "violations": violations,
-                "seed": cfg.seed, "wall_ms": 0}, violations == 0
+                "violations": violations}, violations == 0
 
-    columns = ["H", "max_error", "max_majorant", "violations", "seed",
-               "wall_ms"]
-    return run_rows(cfg, "vaaler", columns, cfg.h_list, row)
+    return run_rows(cfg, "vaaler", cfg.h_list, row)
 
 
 # ---------------------------------------------------------------------------
 # Argument handling
 # ---------------------------------------------------------------------------
 
+# Every flag is `--` plus its field name with `_` as `-`, except these two.
+_FLAG_NAMES = {"output_path": "--out", "output_format": "--format"}
+_HELP = {
+    "x_grid": "comma-separated X values",
+    "kind": "weight kind (classic_exp, ps_plain, ...)",
+    "q_rule": "fixed:V | x_over_log_pow:A | x_pow_gamma_over_log_pow:A",
+    "t_rule": "fixed:V | x_pow:E (t = X^(E - delta))",
+    "gamma": "decimal or exact u/v, e.g. 2426/2817",
+    "a": "log-power A in theorem ranges",
+    "threads": "accepted for compatibility (>= 1); has no effect",
+    "h_list": "comma-separated H values",
+    "allow_out_of_range": "proceed despite theorem-range warnings",
+    "output_path": "output file (default stdout)",
+    "output_format": "csv (default) or json",
+}
+
+
 def _shared_flags() -> argparse.ArgumentParser:
-    """Flags of every subcommand; each dest is an ExperimentConfig field,
-    and each value is typed by `_coerce`, as in a config file."""
+    """Flags of every subcommand: --config and one flag per ExperimentConfig
+    field, whose dest is the field and whose value `_coerce` types, as in a
+    config file.  The bool field is a switch."""
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", metavar="PATH", help="key = value config file")
-    p.add_argument("--out", dest="output_path", metavar="PATH",
-                   help="output file (default stdout)")
-    p.add_argument("--format", dest="output_format", choices=("csv", "json"))
-    p.add_argument("--seed")
-    p.add_argument("--threads",
-                   help="accepted for compatibility (>= 1); has no effect")
-    p.add_argument("--allow-out-of-range", action="store_const", const="true",
-                   help="proceed despite theorem-range warnings")
-    p.add_argument("--x-grid", help="comma-separated X values")
-    p.add_argument("--kind", help="weight kind (classic_exp, ps_plain, ...)")
-    p.add_argument("--q-rule", help="fixed:V | x_over_log_pow:A | "
-                                    "x_pow_gamma_over_log_pow:A")
-    p.add_argument("--t-rule", help="fixed:V | x_pow:E (t = X^(E - delta))")
-    p.add_argument("--mu")
-    p.add_argument("--gamma", help="decimal or exact u/v, e.g. 2426/2817")
-    p.add_argument("--c")
-    p.add_argument("--a", help="log-power A in theorem ranges")
-    p.add_argument("--delta")
-    p.add_argument("--trials")
-    p.add_argument("--n-max")
-    p.add_argument("--q-max")
-    p.add_argument("--t-count")
-    p.add_argument("--h-list", help="comma-separated H values")
-    p.add_argument("--grid-points")
-    p.add_argument("--row-budget-s")
+    for key, default in _DEFAULTS.items():
+        switch = ({"action": "store_const", "const": "true"}
+                  if isinstance(default, bool) else {})
+        p.add_argument(_FLAG_NAMES.get(key, "--" + key.replace("_", "-")),
+                       dest=key, help=_HELP.get(key), **switch)
     return p
 
 
 COMMANDS = {
-    "variance": cmd_variance,
-    "ps-count": cmd_ps_count,
-    "lemma3": cmd_lemma3,
-    "large-sieve": cmd_large_sieve,
-    "vaaler": cmd_vaaler,
+    "variance": (cmd_variance,
+                 "direct vs character-decomposed variance over a X grid"),
+    "ps-count": (cmd_ps_count,
+                 "Piatetski-Shapiro prime counts against X^gamma/log X"),
+    "lemma3": (cmd_lemma3,
+               "prime exponential sum against its archimedean integral"),
+    "large-sieve": (cmd_large_sieve,
+                    "randomised primitive-character large-sieve ratios"),
+    "vaaler": (cmd_vaaler,
+               "sawtooth approximation error against its majorant"),
 }
 
 
@@ -526,16 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Progression-variance experiments for weighted prime "
                     "counts (exponential-sum and Piatetski-Shapiro weights).")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("variance", parents=[shared],
-                   help="direct vs character-decomposed variance over a X grid")
-    sub.add_parser("ps-count", parents=[shared],
-                   help="Piatetski-Shapiro prime counts against X^gamma/log X")
-    sub.add_parser("lemma3", parents=[shared],
-                   help="prime exponential sum against its archimedean integral")
-    sub.add_parser("large-sieve", parents=[shared],
-                   help="randomised primitive-character large-sieve ratios")
-    sub.add_parser("vaaler", parents=[shared],
-                   help="sawtooth approximation error against its majorant")
+    for name, (_, help_text) in COMMANDS.items():
+        sub.add_parser(name, parents=[shared], help=help_text)
     return parser
 
 
@@ -550,11 +522,10 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg)
+        return COMMANDS[args.command][0](cfg)
     except ParameterError as exc:
         _log(f"error: {exc}")
         return EXIT_CONFIG

@@ -181,6 +181,15 @@ def vaaler_expansion(H: int) -> VaalerExpansion:
     return VaalerExpansion(H=int(H), a=a, b=b)
 
 
+def check_vaaler_size(points: int, H: int) -> None:
+    """Raise ResourceError for a vaaler_eval table over VAALER_MAX_BYTES."""
+    need = points * H * 24
+    if need > VAALER_MAX_BYTES:
+        raise ResourceError(
+            f"Vaaler phase table of {points} points x H={H} needs "
+            f"{need / 2**30:.1f} GiB, over {VAALER_MAX_BYTES / 2**30:g} GiB")
+
+
 def vaaler_eval(x, exp: VaalerExpansion):
     """(approximation, majorant) at x; |psi(x) - approx| <= majorant.
 
@@ -188,11 +197,7 @@ def vaaler_eval(x, exp: VaalerExpansion):
     over VAALER_MAX_BYTES raises ResourceError before it is allocated.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    need = len(arr) * exp.H * 24
-    if need > VAALER_MAX_BYTES:
-        raise ResourceError(
-            f"Vaaler phase table of {len(arr)} points x H={exp.H} needs "
-            f"{need / 2**30:.1f} GiB, over {VAALER_MAX_BYTES / 2**30:g} GiB")
+    check_vaaler_size(len(arr), exp.H)
     h = np.arange(1, exp.H + 1, dtype=np.float64)
     ph = np.exp(2j * np.pi * np.outer(arr, h))
     approx = 2.0 * (ph @ exp.a).real

@@ -1,6 +1,8 @@
 """Command-line front end: config handling, schemas, exit codes, determinism."""
 
+import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,6 +16,7 @@ from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bdhvar import cli
@@ -333,7 +336,9 @@ def test_bad_subcommand_flags(capsys):
                  ["vaaler", "--h-list", "1.5"],
                  ["vaaler", "--seed", "x"],
                  ["vaaler", "--h-list", "1,5", "--grid-points", "200",
-                  "--row-budget-s", "nan"]):
+                  "--row-budget-s", "nan"],
+                 ["vaaler", "--h-list", ","],              # empty list
+                 ["vaaler", "--format", "xml"]):
         capsys.readouterr()
         assert run_cli(argv) == 2, argv
         assert "error: " in capsys.readouterr().err, argv
@@ -349,9 +354,52 @@ def test_oversize_vaaler_exits_3(tmp_path, capsys):
     assert "GiB" in capsys.readouterr().err
 
 
+def test_oversize_vaaler_refused_before_its_grid(monkeypatch, capsys):
+    # 10^9 points would take about 32 GB for the grid alone
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the x grid was built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    assert run_cli(["vaaler", "--grid-points", "1000000000",
+                    "--h-list", "100"]) == 3
+    assert "GiB" in capsys.readouterr().err
+
+
+def test_one_flag_per_config_field():
+    renamed = {"output_path": "--out", "output_format": "--format"}
+    flags = {f.name: renamed.get(f.name, "--" + f.name.replace("_", "-"))
+             for f in dataclasses.fields(cli.ExperimentConfig)}
+    subcommands, = [a.choices for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    assert set(subcommands) == set(cli.COMMANDS)
+    for name, sub in subcommands.items():
+        longs = {opt for a in sub._actions for opt in a.option_strings
+                 if opt.startswith("--") and opt != "--help"}
+        assert longs == {"--config", *flags.values()}, name
+        for f in dataclasses.fields(cli.ExperimentConfig):
+            if f.default is None:
+                continue                   # output_path: no text for None
+            if isinstance(f.default, bool):
+                # a switch: absent it gives the default False, given True
+                on = cli.resolve_config(sub.parse_args([flags[f.name]]))
+                assert getattr(on, f.name) is True
+                argv = []
+            else:
+                text = f.default
+                if isinstance(text, tuple):
+                    text = ",".join(str(v) for v in text)
+                argv = [flags[f.name], str(text)]
+            cfg = cli.resolve_config(sub.parse_args(argv))
+            assert getattr(cfg, f.name) == f.default, (name, f.name)
+            assert type(getattr(cfg, f.name)) is type(f.default), f.name
+
+
 # sha256 of each report written by `<command line> --out report`.  Any
 # change to these bytes must be deliberate: update the digest and say why.
-# They were recorded with numpy 2.4.6.
+# They were recorded with numpy 2.4.6.  To regenerate one, from the
+# repository root:
+#   PYTHONPATH=src python3 -m bdhvar.cli <command line> --out report \
+#       && sha256sum report && rm report
 PINNED_REPORTS = [
     ("variance --kind classic_exp --x-grid 1e4,3e4 --t-rule x_pow:-0.834",
      "bf589bc12ee86c8893e7cb11ef67d91df07a4a5b5ee43a70bf3371c99b1dd583"),
@@ -376,6 +424,19 @@ PINNED_REPORTS = [
      "5b5be739461d154f8a4d99afe4b1949a1e25e4fed2a174ccd8bef74a0829081b"),
     ("large-sieve --trials 30 --n-max 500 --q-max 256 --seed 3",
      "625574e14c0ce74a2e6b6b0da7df2b23422ff681081006b15e5239a722b36621"),
+    # JSON renderings: a bool, threads and a tuple in the config echo, a
+    # float gamma, the large-sieve max row, and two more commands' rows
+    ("variance --kind raw_lambda --x-grid 2000 --q-rule fixed:40 "
+     "--allow-out-of-range --threads 2 --format json",
+     "c7f71a68445aac6f3d04f31b692b4e0bfe0a25d10e09f990df9fab09baaac5a1"),
+    ("ps-count --x-grid 1e4 --gamma 0.5000000000001 --format json",
+     "588f56b6a1ac482835a3a809b7fa43fa88c48516c36232b3d45edcac6e22a256"),
+    ("large-sieve --trials 10 --n-max 200 --q-max 64 --seed 3 --format json",
+     "b0af98981d1e9507306dfc3bc585fbcfcea804f7258139ac33f3c0df463edb88"),
+    ("vaaler --h-list 1,5 --grid-points 500 --format json",
+     "773fa4402b4f6e6643059f178a869c49adc17c33de8db4fbc346bd1fec32dd40"),
+    ("lemma3 --x-grid 1e5 --t-count 3 --format json",
+     "8212fca8ced6e964a3a33b333b39034feb49edc7a528cd025d737b8dc4d59a4b"),
 ]
 
 
