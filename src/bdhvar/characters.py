@@ -26,7 +26,9 @@ costs O(phi log phi) time and O(q) memory per modulus.  `check_transform`
 evaluates a few transform entries directly from their exponent tuples,
 each value from an exact reduced rational phase over L = lcm of the d_j,
 and tests the discrete logs for multiplicativity, so a wrong scatter,
-order or sign is caught rather than hidden by Parseval.
+order or sign is caught rather than hidden by Parseval.  It costs O(phi)
+integer work plus L <= phi complex `exp` calls, one per L-th root of
+unity, which the phases then index.
 
 Primitivity is local: a character is primitive iff each of its local
 components is, which gives `primitive_mask` as an outer product of
@@ -156,9 +158,9 @@ class CharacterGroup:
         ignored.  The coprime entries are written onto the exponent grid
         by `cell` and phi(q) * ifftn of the grid is read in C order.
         """
-        units = self.coprime
-        grid = np.zeros(self.phi, dtype=np.complex128)
-        grid[self.cell[units]] = sums[units]
+        grid = np.zeros(self.phi + 1, dtype=np.complex128)
+        grid[self.cell] = sums  # non-units (cell -1) land in the spare slot
+        grid = grid[:-1]
         if not self.orders:
             return grid
         return self.phi * np.fft.ifftn(grid.reshape(self.orders)).ravel()
@@ -167,7 +169,7 @@ class CharacterGroup:
         """Worst gap of `psi`, a claimed `transform(sums)`, at sampled entries.
 
         Entries 0, phi//3 and phi-1 are evaluated directly from their
-        exponent tuples at O(q) each; the gap is relative to the l1 norm of
+        exponent tuples at O(phi) each; the gap is relative to the l1 norm of
         the coprime sums, which bounds every |Psi_chi|.  Parseval holds for
         any orthogonal transform, so this is what catches a wrong scatter,
         a wrong character order or a conjugated transform.  Sampled
@@ -176,23 +178,25 @@ class CharacterGroup:
         """
         units = np.flatnonzero(self.coprime)
         k = len(units)
-        m = units[[k // 3, k // 2, k - 1]]
-        n = units[[k - 1, k // 3, k // 2]]
-        picks = np.unique([0, self.phi // 3, self.phi - 1])
+        unit_sums = sums[units]
+        picks = sorted({0, self.phi // 3, self.phi - 1})
         L = math.lcm(*self.orders)
-        phase = np.zeros((len(picks), k), dtype=np.int64)
-        additive = True
         if self.orders:
-            def logs(r):
-                return np.unravel_index(self.cell[r], self.orders)
-            exps = np.unravel_index(picks, self.orders)
-            for d, e, x, xm, xn, xmn in zip(
-                    self.orders, exps, logs(units), logs(m), logs(n),
-                    logs(m * n % self.modulus)):
-                phase += np.outer(e * (L // d), x) % L
-                additive &= not np.any((xmn - xm - xn) % d)
-        want = np.exp(2j * np.pi * (phase % L) / L) @ sums[units]
-        scale = float(np.abs(sums[units]).sum()) or 1.0
+            # one decode for the units and the sampled m, n and mn
+            m_n = units[[k // 3, k // 2, k - 1, k - 1, k // 3, k // 2]]
+            cells = self.cell[np.concatenate(
+                [units, m_n, m_n[:3] * m_n[3:] % self.modulus])]
+            logs = np.array(np.unravel_index(cells, self.orders))
+            orders = np.array(self.orders)[:, None]
+            exps = np.array(np.unravel_index(picks, self.orders))
+            # phase[i, u] = sum_j e_ij * (L / d_j) * x_j(u) mod L
+            phase = (exps * (L // orders)).T @ logs[:, :k] % L
+            xm, xn, xmn = logs[:, k:].reshape(-1, 3, 3).transpose(1, 0, 2)
+            additive = not ((xmn - xm - xn) % orders).any()
+        else:  # q = 1, 2: the principal character alone, L = 1
+            phase, additive = np.zeros((len(picks), k), dtype=np.int64), True
+        want = np.exp(2j * np.pi * np.arange(L) / L)[phase] @ unit_sums
+        scale = float(np.abs(unit_sums).sum()) or 1.0
         gap = float(np.abs(psi[picks] - want).max()) / scale
         return gap if additive else math.inf
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -49,7 +50,7 @@ _TIER1_MAX = (0.5 * PHASE_ABS_TOL) / (_COND * float(np.finfo(np.float64).eps))
 _TIER2_MAX = (0.5 * PHASE_ABS_TOL) / (_COND * float(np.finfo(np.longdouble).eps))
 _MPMATH_BUDGET = 1e60
 
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+GL_POINTS = 15                 # Gauss-Legendre nodes per panel
 NODES_PER_PERIOD = 12          # spec floor is 8; extra nodes buy margin
 # oscillatory_integral switches from panels to the endpoint series at y*,
 # where 2*pi*|t| y*^c = _SERIES_START.  Past y* the series' term ratio
@@ -270,6 +271,15 @@ def _endpoint_series(y: float, t: float, c: float) -> complex:
     return cmath.exp(2j * math.pi * reduced_phase(t, y, c)) * total
 
 
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The GL_POINTS-point rule, read-only, built on first use: runs that
+    never integrate by panels never load `numpy.polynomial`."""
+    nodes, weights = np.polynomial.legendre.leggauss(GL_POINTS)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _panel_integral(a: float, b: float, t: float, c: float) -> complex:
     """integral of e(t y^c) dy over [a, b], 0 < a < b, t != 0, by panels.
 
@@ -280,7 +290,7 @@ def _panel_integral(a: float, b: float, t: float, c: float) -> complex:
     panel values.
     """
     n_osc = abs(t) * (b ** c - a ** c)
-    panels = max(8, math.ceil(n_osc * NODES_PER_PERIOD / len(GL_NODES)))
+    panels = max(8, math.ceil(n_osc * NODES_PER_PERIOD / GL_POINTS))
     frac = np.arange(panels + 1, dtype=np.float64) / panels
     if n_osc >= 1.0:  # equal phase spacing once oscillation matters
         pa, pb = a ** c, b ** c
@@ -290,9 +300,10 @@ def _panel_integral(a: float, b: float, t: float, c: float) -> complex:
     e[0], e[-1] = a, b
     mid = 0.5 * (e[1:] + e[:-1])
     half = 0.5 * (e[1:] - e[:-1])
-    ys = mid[:, None] + half[:, None] * GL_NODES[None, :]
+    nodes, weights = _gauss_legendre()
+    ys = mid[:, None] + half[:, None] * nodes[None, :]
     ph = (t * ys ** c) % 1.0
-    vals = (np.exp(2j * np.pi * ph) @ GL_WEIGHTS) * half
+    vals = (np.exp(2j * np.pi * ph) @ weights) * half
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 

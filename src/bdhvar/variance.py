@@ -286,7 +286,7 @@ def progression_sum(w: WeightTable, q: int, a: int) -> complex:
 
 
 def _sq_abs_sum(z: np.ndarray) -> float:
-    return math.fsum(z.real * z.real + z.imag * z.imag)
+    return math.fsum((z.real * z.real + z.imag * z.imag).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +373,9 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
         if G.phi != phi:
             raise AssertionError(f"phi mismatch at q={q}: {G.phi} != {phi}")
         psi = G.transform(sums)
+        unit_sums = sums[mask]
         for mv, col in zip(mains, cells):
-            dev = sums[mask] - mv / phi
+            dev = unit_sums - mv / phi
             shifted = psi.copy()
             shifted[0] -= mv  # principal character sits at index 0
             col.append((_sq_abs_sum(dev), _sq_abs_sum(shifted) / phi))

@@ -11,6 +11,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import textwrap
 import time
 from fractions import Fraction
 from importlib.metadata import EntryPoint
@@ -437,6 +438,15 @@ PINNED_REPORTS = [
      "773fa4402b4f6e6643059f178a869c49adc17c33de8db4fbc346bd1fec32dd40"),
     ("lemma3 --x-grid 1e5 --t-count 3 --format json",
      "8212fca8ced6e964a3a33b333b39034feb49edc7a528cd025d737b8dc4d59a4b"),
+    # the seed-0 classic_grid and ps_exp lines of perfbench/run.py
+    ("variance --kind classic_exp --x-grid 1e4,3e4,1e5 "
+     "--q-rule x_over_log_pow:2 --c 1.5 --mu 0.5 "
+     "--t-rule x_pow:-0.8341777619 --threads 1",
+     "9e8615161013acfb3486976de4eef74fa3911b36173ee3bba583f1417f735583"),
+    ("variance --kind ps_exp --x-grid 3e5 --gamma 9/10 "
+     "--q-rule x_pow_gamma_over_log_pow:2 --c 1.5 --mu 0.5 --threads 2 "
+     "--t-rule x_pow:-0.6341777619",
+     "7ef5bf3cf86d06b8b057ceed71af1a92df92b7d6303e6eef2d013fe7204f6e5a"),
 ]
 
 
@@ -472,6 +482,27 @@ def test_cli_import_leaves_mpmath_unloaded():
          "import sys, bdhvar.cli; sys.exit('mpmath' in sys.modules)"],
         capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_variance_rows_leave_numpy_submodules_unloaded(tmp_path):
+    # numpy.polynomial serves only the panel integral, on first use, and
+    # no route needs numpy.ma
+    script = textwrap.dedent("""
+        import sys
+        from bdhvar import cli
+        lazy = ("mpmath", "numpy.polynomial", "numpy.ma")
+        print([m for m in lazy if m in sys.modules])
+        cli.main(["variance", "--kind", "classic_exp", "--x-grid", "2000",
+                  "--t-rule", "x_pow:-0.9", "--out", "a.csv"])
+        cli.main(["variance", "--kind", "ps_plain", "--x-grid", "3000",
+                  "--gamma", "9/10", "--q-rule", "x_pow_gamma_over_log_pow:2",
+                  "--out", "b.csv"])
+        print("numpy.ma" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "False"]
 
 
 def test_module_entry_point(tmp_path):
