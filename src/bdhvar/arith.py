@@ -3,14 +3,19 @@
 Provides:
     * PrimeTable      -- primality bitmap plus the packed list of primes
     * LambdaTable     -- von Mangoldt values Lambda(n) for 0 <= n <= limit
+    * sieve_segment   -- primality mask of one window [lo, hi]
+    * sieving_primes  -- the primes <= sqrt(limit) that such windows need
     * build_prime_table / build_lambda_table
     * von_mangoldt(n) for single n beyond any table
     * factorize, euler_phi
 
-The sieve is a segmented Eratosthenes: base primes up to sqrt(limit) are
-found first, then the bitmap is cleared segment by segment so the working
-set stays cache-sized even for limits in the 10^8 range.  Lambda tables
-compute log p once per prime and reuse it for every power of p.
+There is one sieve, the segmented Eratosthenes of `sieve_segment`: the
+primes up to sqrt(limit), found by the same sieve recursively, clear one
+window at a time.  `build_prime_table` fills its bitmap window by window;
+a caller that only scans [2, X] once, such as `ps-count`, sieves each
+window as it reaches it and holds O(window + sqrt X), not the whole table.
+Lambda tables compute log p once per prime and reuse it for every power
+of p.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from .errors import ParameterError, ResourceError
 # Window length of the segmented clearing pass.
 _SEGMENT = 1 << 20
 DEFAULT_LIMIT_CAP = 10**9
+# The primes below 37: base primes for every window that ends below 37^2.
+_SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31],
+                         dtype=np.int64)
 
 
 @dataclass
@@ -54,6 +62,44 @@ class LambdaTable:
     values: np.ndarray
 
 
+def sieve_segment(lo: int, hi: int, base_primes: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Primality mask of [lo, hi]: mask[i] == (lo + i is prime).
+
+    Needs 0 <= lo <= hi + 1 (hi = lo - 1 is the empty window).  base_primes
+    holds, ascending, at least every prime <= isqrt(hi); larger ones are
+    ignored.  The mask is written into `out` (length hi - lo + 1) when one
+    is given.
+    """
+    if not 0 <= lo <= hi + 1:
+        raise ParameterError(f"sieve window [{lo}, {hi}] is not valid")
+    if out is None:
+        out = np.empty(hi - lo + 1, dtype=bool)
+    out[:] = True
+    out[:max(0, 2 - lo)] = False  # 0 and 1
+    for p in base_primes.tolist():
+        if p * p > hi:
+            break
+        start = max(p * p, -(-lo // p) * p)
+        out[start - lo::p] = False
+    return out
+
+
+def sieving_primes(limit: int, *, cap: int = DEFAULT_LIMIT_CAP) -> np.ndarray:
+    """The primes <= isqrt(limit), the base of any window up to limit >= 2.
+
+    Limits above cap are refused (memory and time guard).
+    """
+    if limit < 2:
+        raise ParameterError(f"sieve limit must be >= 2, got {limit}")
+    if limit > cap:
+        raise ResourceError(f"sieve limit {limit} exceeds cap {cap}")
+    root = math.isqrt(limit)
+    if root < 37:
+        return _SMALL_PRIMES[_SMALL_PRIMES <= root]
+    return build_prime_table(root).primes
+
+
 def build_prime_table(limit: int, *,
                       cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
     """Sieve all primes up to limit.
@@ -65,32 +111,12 @@ def build_prime_table(limit: int, *,
     Returns:
         PrimeTable covering [0, limit].
     """
-    if limit < 2:
-        raise ParameterError(f"sieve limit must be >= 2, got {limit}")
-    if limit > cap:
-        raise ResourceError(f"sieve limit {limit} exceeds cap {cap}")
-
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-
-    root = math.isqrt(limit)
-    # Dense base sieve up to sqrt(limit); this is tiny (sqrt(1e9) ~ 3e4).
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p:: p] = False
-    base_primes = np.flatnonzero(base)
-
-    for lo in range(2, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, limit + 1)
-        for p in base_primes:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                is_prime[start:hi:p] = False
-
-    primes = np.flatnonzero(is_prime).astype(np.int64)
+    base = sieving_primes(limit, cap=cap)
+    is_prime = np.empty(limit + 1, dtype=bool)
+    for lo in range(0, limit + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT - 1, limit)
+        sieve_segment(lo, hi, base, out=is_prime[lo:hi + 1])
+    primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
     return PrimeTable(limit=limit, is_prime=is_prime, primes=primes)
 
 

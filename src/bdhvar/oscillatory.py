@@ -59,8 +59,11 @@ NODES_PER_PERIOD = 12          # spec floor is 8; extra nodes buy margin
 # (1, 3); below y* lie at most _SERIES_START / (2*pi) ~ 10 periods.
 _SERIES_START = 64.0
 _SERIES_TOL = 2.0 ** -60
-# vaaler_eval's phase table is len(x) x H complex128 plus its real part.
+# Cap on vaaler_eval's phase work: len(x) x H entries at 24 bytes each (a
+# complex128 phase plus its real part), as if the whole table were resident.
 VAALER_MAX_BYTES = 2**30
+# vaaler_eval builds its phase table this many x points at a time.
+_VAALER_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -183,26 +186,38 @@ def vaaler_expansion(H: int) -> VaalerExpansion:
 
 
 def check_vaaler_size(points: int, H: int) -> None:
-    """Raise ResourceError for a vaaler_eval table over VAALER_MAX_BYTES."""
+    """Raise ResourceError for vaaler_eval work over VAALER_MAX_BYTES."""
     need = points * H * 24
     if need > VAALER_MAX_BYTES:
         raise ResourceError(
-            f"Vaaler phase table of {points} points x H={H} needs "
-            f"{need / 2**30:.1f} GiB, over {VAALER_MAX_BYTES / 2**30:g} GiB")
+            f"Vaaler phase work of {points} points x H={H} is "
+            f"{need / 2**30:.1f} GiB of phase table, over "
+            f"{VAALER_MAX_BYTES / 2**30:g} GiB")
 
 
 def vaaler_eval(x, exp: VaalerExpansion):
     """(approximation, majorant) at x; |psi(x) - approx| <= majorant.
 
-    Both outputs are real; x may be a scalar or an array.  A phase table
-    over VAALER_MAX_BYTES raises ResourceError before it is allocated.
+    Both outputs are real; x may be a scalar or an array.  The phases
+    e(x h) are built for _VAALER_ROWS points at a time, so the working set
+    is O(_VAALER_ROWS * H) beside the outputs, whatever len(x) is.  Every
+    point's sums are the same floats as from one len(x) x H table: numpy
+    evaluates a one-row product as a dot, which rounds differently, so a
+    last block of one point joins the block before it.  Work over
+    VAALER_MAX_BYTES (see check_vaaler_size) raises ResourceError first.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     check_vaaler_size(len(arr), exp.H)
     h = np.arange(1, exp.H + 1, dtype=np.float64)
-    ph = np.exp(2j * np.pi * np.outer(arr, h))
-    approx = 2.0 * (ph @ exp.a).real
-    majorant = exp.b[0] + 2.0 * (ph.real @ exp.b[1:])
+    approx = np.empty(len(arr))
+    majorant = np.empty(len(arr))
+    starts = list(range(0, len(arr), _VAALER_ROWS))
+    if len(starts) > 1 and len(arr) - starts[-1] == 1:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [len(arr)]):
+        ph = np.exp(2j * np.pi * np.outer(arr[lo:hi], h))
+        approx[lo:hi] = 2.0 * (ph @ exp.a).real
+        majorant[lo:hi] = exp.b[0] + 2.0 * (ph.real @ exp.b[1:])
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(approx[0]), float(majorant[0])
     return approx, majorant

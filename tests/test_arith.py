@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from bdhvar import (ParameterError, build_lambda_table, build_prime_table,
-                    euler_phi, factorize, von_mangoldt)
+from bdhvar import (ParameterError, arith, build_lambda_table,
+                    build_prime_table, euler_phi, factorize, von_mangoldt)
+from bdhvar.arith import sieve_segment, sieving_primes
 from bdhvar.errors import ResourceError
 
 
@@ -56,6 +57,49 @@ def test_sieve_rejects_bad_limits():
         build_prime_table(1)
     with pytest.raises(ResourceError):
         build_prime_table(10**7, cap=10**6)
+
+
+def test_sieve_segment_matches_table_slices():
+    seg = arith._SEGMENT
+    table = build_prime_table(seg + 5000)
+    windows = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 50), (2, 2), (2, 1000),
+               # starting or ending at a prime square, and at 37^2, the
+               # first square past the built-in small primes
+               (49, 100), (25, 49), (121, 169), (961, 1369), (1369, 2000),
+               (997 ** 2, 997 ** 2 + 500), (991 ** 2 - 300, 991 ** 2),
+               # at and across a _SEGMENT seam of the table
+               (seg - 700, seg + 700), (seg - 1, seg), (seg, seg + 4999)]
+    wide = build_prime_table(2000).primes  # more base primes than needed
+    for lo, hi in windows:
+        expected = table.is_prime[lo:hi + 1]
+        base = sieving_primes(max(hi, 2))
+        assert np.array_equal(sieve_segment(lo, hi, base), expected), (lo, hi)
+        assert np.array_equal(sieve_segment(lo, hi, wide), expected), (lo, hi)
+    out = np.zeros(1401, dtype=bool)
+    assert sieve_segment(seg - 700, seg + 700, wide, out=out) is out
+    assert np.array_equal(out, table.is_prime[seg - 700:seg + 701])
+    assert sieve_segment(5, 4, wide).size == 0
+    with pytest.raises(ParameterError):
+        sieve_segment(-1, 10, wide)
+
+
+def test_table_windows_meet_at_seams(monkeypatch):
+    # 137 windows of 733 integers; 733 is prime, so seams fall everywhere
+    monkeypatch.setattr(arith, "_SEGMENT", 733)
+    table = build_prime_table(10**5)
+    assert table.primes.tolist() == naive_sieve(10**5)
+    assert table.primes.dtype == np.int64
+
+
+def test_sieving_primes_cap_and_roots():
+    assert sieving_primes(2).tolist() == []
+    assert sieving_primes(1368).tolist() == naive_sieve(36)
+    assert sieving_primes(1369).tolist() == naive_sieve(37)
+    assert sieving_primes(10**6).tolist() == naive_sieve(1000)
+    with pytest.raises(ParameterError):
+        sieving_primes(1)
+    with pytest.raises(ResourceError):
+        sieving_primes(10**7, cap=10**6)
 
 
 def test_lambda_divisor_sum_identity():

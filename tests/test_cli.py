@@ -264,6 +264,14 @@ def test_ps_count_blocks_do_not_change_counts(tmp_path, monkeypatch):
     assert [r[2] for r in read_csv(whole)[1:]] == ["473", "3080", "19500"]
 
 
+def test_ps_count_over_sieve_cap_exits_3(capsys):
+    # refused before any block is counted, the 1e4 row included
+    started = time.perf_counter()
+    assert run_cli(["ps-count", "--x-grid", "1e4,2e9"]) == 3
+    assert time.perf_counter() - started < 10
+    assert "cap" in capsys.readouterr().err
+
+
 def test_ps_count_requires_x_at_least_3():
     assert run_cli(["ps-count", "--x-grid", "2"]) == 2
 
@@ -447,6 +455,9 @@ PINNED_REPORTS = [
      "--q-rule x_pow_gamma_over_log_pow:2 --c 1.5 --mu 0.5 --threads 2 "
      "--t-rule x_pow:-0.6341777619",
      "7ef5bf3cf86d06b8b057ceed71af1a92df92b7d6303e6eef2d013fe7204f6e5a"),
+    # 99999 points: many phase-table row blocks and a short last one
+    ("vaaler --grid-points 99999 --h-list 3,77,100",
+     "ae54785fa441896bbfab1455e9a701ea6ab5ed7b8578cbef8446931ebae502ee"),
 ]
 
 

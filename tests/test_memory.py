@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 
-from bdhvar import character_group, ps_array, ps_config, ps_indicator_array
+from bdhvar import (character_group, cli, ps_array, ps_config,
+                    ps_indicator_array, vaaler_eval, vaaler_expansion)
 from bdhvar.characters import _local_factors
 
 MB = 10**6
@@ -30,6 +31,29 @@ def test_ps_routes_working_set_at_1e7():
     members, array_peak = traced_peak(ps_array, 1, 10**7, cfg)
     assert array_peak <= 64 * MB, array_peak / MB
     assert np.array_equal(np.flatnonzero(mask) + 2, members[members >= 2])
+
+
+def test_ps_count_working_set_at_1e7(tmp_path):
+    # The blocks are sieved as they are counted; a prime table over [0, X]
+    # (10 MB of flags plus the primes array and its astype copy) peaked at
+    # 22.6 MB.
+    code, peak = traced_peak(cli.main, [
+        "ps-count", "--x-grid", "1e7", "--gamma", "9/10",
+        "--out", str(tmp_path / "ps.csv")])
+    assert code == 0
+    assert peak <= 12 * MB, peak / MB
+
+
+def test_vaaler_working_set_at_h100():
+    # The CLI's default grid of 10^4 points.  One 10^4 x 100 phase table
+    # with its real part peaked at 32.5 MB; row blocks keep it O(block x H).
+    ints = np.arange(-2, 4, dtype=np.float64)
+    grid = np.sort(np.concatenate([np.linspace(-2.0, 3.0, 10**4 - ints.size),
+                                   ints]))
+    (approx, majorant), peak = traced_peak(vaaler_eval, grid,
+                                           vaaler_expansion(100))
+    assert approx.size == majorant.size == 10**4
+    assert peak <= 8 * MB, peak / MB
 
 
 def test_cached_character_groups_near_5000():

@@ -146,6 +146,22 @@ def test_vaaler_eval_scalar_array_agree():
         assert m_s == pytest.approx(m_arr[i], abs=1e-14)
 
 
+def test_vaaler_row_blocks_are_bit_identical(monkeypatch):
+    # 1001 points: a short last block for 3 and 6 rows, a one-point last
+    # block (joined to the one before) for 4 and 8, and none for 7
+    xs = np.sort(np.concatenate([np.linspace(-2.0, 3.0, 995),
+                                 np.arange(-2.0, 4.0)]))
+    for H in (1, 7, 100):
+        exp = vaaler_expansion(H)
+        monkeypatch.setattr(oscillatory, "_VAALER_ROWS", xs.size)
+        whole = vaaler_eval(xs, exp)
+        for rows in (3, 4, 6, 7, 8):
+            monkeypatch.setattr(oscillatory, "_VAALER_ROWS", rows)
+            blocked = vaaler_eval(xs, exp)
+            for got, want in zip(blocked, whole):
+                assert np.array_equal(got, want), (H, rows)
+
+
 def test_vaaler_degree_validation():
     for bad in (0, -3, 2.0, "5"):
         with pytest.raises(ParameterError):
