@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from bdhvar import build_lambda_table, build_prime_table, von_mangoldt
+from bdhvar import build_lambda_table, build_prime_table
 
 X = 10**6
 
@@ -17,7 +17,7 @@ print(f"  relative distance from X: {abs(psi - X) / X:.3e}")
 
 # prime powers carry log p, everything else is 0
 for n in (64, 243, 1024, 1000, 9973):
-    print(f"Lambda({n}) = {von_mangoldt(n, table):.6f}")
+    print(f"Lambda({n}) = {lam.values[n]:.6f}")
 
 # Mertens-style partial sums of Lambda(n)/n approach log X - gamma
 ns = np.arange(1, X + 1)

@@ -9,7 +9,7 @@ oscillatory integrals, a large-sieve checker) is exposed directly.
 """
 
 from .arith import (LambdaTable, PrimeTable, build_lambda_table,
-                    build_prime_table, euler_phi, factorize, von_mangoldt)
+                    build_prime_table, factorize)
 from .characters import CharacterGroup, character_group
 from .errors import ParameterError, ResourceError
 from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
@@ -17,11 +17,11 @@ from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
                           prime_exp_sum, reduced_phase, saw_psi,
                           vaaler_eval, vaaler_expansion)
 from .psprimes import (PSConfig, ps_array, ps_config, ps_count_main_term,
-                       ps_indicator, ps_indicator_array)
+                       ps_indicator_array)
 from .variance import (LargeSieveResult, MainTerm, SieveTables, VarianceReport,
                        WeightKind, WeightParams, WeightTable,
-                       build_weight_table, class_sums, custom_weight_table,
+                       build_weight_table, custom_weight_table,
                        large_sieve_check, main_term_for, make_tables,
-                       normalizer, progression_sum, variance_report)
+                       normalizer, variance_report)
 
 __version__ = "0.1.0"

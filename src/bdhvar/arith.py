@@ -6,8 +6,7 @@ Provides:
     * sieve_segment   -- primality mask of one window [lo, hi]
     * sieving_primes  -- the primes <= sqrt(limit) that such windows need
     * build_prime_table / build_lambda_table
-    * von_mangoldt(n) for single n beyond any table
-    * factorize, euler_phi
+    * factorize
 
 There is one sieve, the segmented Eratosthenes of `sieve_segment`: the
 primes up to sqrt(limit), found by the same sieve recursively, clear one
@@ -141,37 +140,7 @@ def build_lambda_table(limit: int, table: PrimeTable | None = None) -> LambdaTab
     return LambdaTable(limit=limit, values=values)
 
 
-def von_mangoldt(n: int, table: PrimeTable) -> float:
-    """Lambda(n) for a single n, using table primes for trial division.
-
-    Works whenever the smallest prime factor of n is <= table.limit, or
-    n <= table.limit^2 (enough primes to certify primality).
-    """
-    if n == 0:
-        raise ParameterError("Lambda(0) is undefined")
-    if n < 0:
-        raise ParameterError(f"Lambda needs n >= 1, got {n}")
-    if n == 1:
-        return 0.0
-    root = math.isqrt(n)
-    candidates = table.primes[table.primes <= min(root, table.limit)]
-    if candidates.size:
-        hits = candidates[n % candidates == 0]
-    else:
-        hits = candidates
-    if hits.size == 0:
-        if root <= table.limit:
-            return math.log(n)  # no factor up to sqrt(n): n is prime
-        raise ParameterError(
-            f"prime table (limit {table.limit}) too small to classify {n}")
-    p = int(hits[0])
-    m = n
-    while m % p == 0:
-        m //= p
-    return math.log(p) if m == 1 else 0.0
-
-
-# Shared table for factorize/euler_phi, grown on demand.
+# Shared table for factorize, grown on demand.
 _factor_table: PrimeTable | None = None
 
 
@@ -207,12 +176,3 @@ def factorize(n: int) -> list[tuple[int, int]]:
         out.append((m, 1))
     return out
 
-
-def euler_phi(n: int) -> int:
-    """Euler totient, via the factorization of n."""
-    if n < 1:
-        raise ParameterError(f"euler_phi needs n >= 1, got {n}")
-    result = n
-    for p, _ in factorize(n):
-        result -= result // p
-    return result

@@ -148,9 +148,6 @@ class CharacterGroup:
             period += table * stride
         self.cell[~self.coprime] = -1
 
-    def __len__(self) -> int:
-        return self.phi
-
     def transform(self, sums: np.ndarray) -> np.ndarray:
         """Psi_chi = sum_a sums[a] chi(a) for every chi, in lexicographic order.
 

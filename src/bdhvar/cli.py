@@ -132,8 +132,9 @@ def _coerce(key: str, raw: str):
     """Type one setting, from a flag or a config file, by its field default.
 
     A tuple default takes comma-separated items of its element type; bool,
-    int and float defaults take one value of that type; gamma goes through
-    parse_gamma; anything else stays text.  Bad values raise ParameterError.
+    int and float defaults take one value of that type; gamma takes a 'u/v'
+    Fraction or a float (`validate` checks its range); anything else stays
+    text.  Bad values raise ParameterError.
     """
     if key not in _DEFAULTS:
         raise ParameterError(f"unknown config key {key!r}")
@@ -146,25 +147,11 @@ def _coerce(key: str, raw: str):
             return _BOOLS[raw.strip().lower()]
         if isinstance(default, (int, float)):
             return type(default)(raw)
-    except (ValueError, KeyError) as exc:
+        if key == "gamma":
+            return Fraction(raw) if "/" in raw else float(raw)
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
         raise ParameterError(f"bad value for {key}: {raw!r}") from exc
-    return parse_gamma(raw) if key == "gamma" else raw
-
-
-def parse_gamma(raw) -> Union[Fraction, float]:
-    """gamma from 'u/v', a decimal string, or a number; must lie in (0,1)."""
-    if isinstance(raw, (Fraction, float)):
-        value = raw
-    else:
-        text = str(raw).strip()
-        try:
-            value = Fraction(text) if "/" in text else float(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParameterError(f"cannot parse gamma {raw!r}") from exc
-    if not 0 < value < 1:
-        raise ParameterError(
-            f"gamma must lie strictly inside (0, 1), got {value}")
-    return value
+    return raw
 
 
 def load_config_file(path: str) -> dict:
@@ -403,8 +390,8 @@ def cmd_ps_count(cfg: ExperimentConfig) -> int:
 def cmd_lemma3(cfg: ExperimentConfig) -> int:
     table = build_prime_table(int(max(cfg.x_grid)))
 
-    def row(cell):
-        X, j = cell
+    def row(i):
+        X, j = cfg.x_grid[i // cfg.t_count], i % cfg.t_count
         t_cap = X ** (1.0 - cfg.c - cfg.delta)
         t = t_cap * 10.0 ** (-(cfg.t_count - 1 - j) / 2.0)
         params = ExpWeightParams(X=X, mu=cfg.mu, c=cfg.c, t=t)
@@ -417,31 +404,32 @@ def cmd_lemma3(cfg: ExperimentConfig) -> int:
             "reference_decay": X * math.exp(-math.log(X) ** 0.2),
         }, True
 
-    cells = [(X, j) for X in cfg.x_grid for j in range(cfg.t_count)]
+    # indices, not a list of (X, j): 10^9 cells would need tens of GB
+    cells = range(len(cfg.x_grid) * cfg.t_count)
     return run_rows(cfg, "lemma3", cells, row)
 
 
 def cmd_large_sieve(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
-    ratios: list[float] = []
+    worst = -math.inf
 
     def row(trial):
-        if trial == "max":  # the last cell: the worst ratio of all trials
+        nonlocal worst
+        if trial == cfg.trials:  # the last cell: the worst ratio of all trials
             return {"trial": "max", "n": 0, "q": 0, "m": 0,
-                    "ratio": max(ratios)}, True
+                    "ratio": worst}, True
         n = int(rng.integers(1, cfg.n_max + 1))
         q = int(rng.integers(1, cfg.q_max + 1))
         m = int(rng.integers(0, cfg.n_max + 1))
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ratio = large_sieve_check(m, n, q, coeffs).ratio
-        ratios.append(ratio)
+        worst = max(worst, ratio)
         ok = ratio <= 1.0 + 1e-9
         if not ok:
             _log(f"large sieve ratio {ratio:.12f} > 1 at trial {trial}")
         return {"trial": trial, "n": n, "q": q, "m": m, "ratio": ratio}, ok
 
-    cells = [*range(cfg.trials), "max"]
-    return run_rows(cfg, "large-sieve", cells, row)
+    return run_rows(cfg, "large-sieve", range(cfg.trials + 1), row)
 
 
 def cmd_vaaler(cfg: ExperimentConfig) -> int:

@@ -210,17 +210,6 @@ def ps_indicator_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
     return out
 
 
-def ps_indicator(n: int, cfg: PSConfig) -> int:
-    """1 if n belongs to the index set for cfg.gamma, else 0.
-
-    Evaluates [-n^gamma] - [-(n+1)^gamma] (equivalently
-    ceil((n+1)^gamma) - ceil(n^gamma)) by the indicator route at one n.
-    """
-    if n < 1:
-        raise ParameterError(f"ps_indicator needs n >= 1, got {n}")
-    return int(ps_indicator_array(n, n, cfg)[0])
-
-
 def ps_count_main_term(X: float, cfg: PSConfig) -> float:
     """Leading term X^gamma / log X of the PS prime count up to X."""
     if X <= 1:

@@ -102,12 +102,6 @@ class WeightTable:
     n0: int
     values: np.ndarray
 
-    def n_values(self) -> np.ndarray:
-        return self.n0 + np.arange(len(self.values), dtype=np.int64)
-
-    def total(self) -> complex:
-        return complex(math.fsum(self.values.real), math.fsum(self.values.imag))
-
 
 @dataclass(frozen=True)
 class MainTerm:
@@ -259,30 +253,6 @@ def _residue_sums(support, q: int) -> np.ndarray:
     out.real = np.bincount(r, weights=re, minlength=q)
     out.imag = np.bincount(r, weights=im, minlength=q)
     return out
-
-
-def class_sums(values: np.ndarray, n0: int, q: int) -> np.ndarray:
-    """Residue-class sums: out[r] = sum of values[i] with (n0+i) == r (mod q).
-
-    Only nonzero entries are visited.  Each class is summed in float64 in
-    ascending n, so for a class with k nonzero terms the real and the
-    imaginary part are each within (k - 1) * 2^-53 times the sum of the
-    absolute values of that part's terms of the exact sum.
-    """
-    if q < 1:
-        raise ParameterError(f"modulus must be >= 1, got {q}")
-    return _residue_sums(_support(np.asarray(values), n0), q)
-
-
-def progression_sum(w: WeightTable, q: int, a: int) -> complex:
-    """Sum of w(n) over n == a (mod q) in the table range (1 <= a <= q)."""
-    if q < 1:
-        raise ParameterError(f"modulus must be >= 1, got {q}")
-    if not 1 <= a <= q:
-        raise ParameterError(f"residue must satisfy 1 <= a <= q, got {a}")
-    start = (a - w.n0) % q
-    sl = w.values[start::q]
-    return complex(math.fsum(sl.real), math.fsum(sl.imag))
 
 
 def _sq_abs_sum(z: np.ndarray) -> float:

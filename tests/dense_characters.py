@@ -5,7 +5,8 @@ of `G.cell`, never from the FFT, so `dense_table(G) @ S` is the character
 transform of S by definition.  chi(n) = e(sum_j e_j x_j / d_j) is taken
 here as the product over factors of e(e_j x_j / d_j), each phase reduced
 mod d_j in integers.  Characters are indexed as `CharacterGroup.transform`
-orders them.
+orders them.  `oracle_phi` and `oracle_conductor` count group orders and
+conductors by direct scans.
 """
 
 import math
@@ -41,6 +42,11 @@ def unit_phases(G, units):
     for d, e, x in _exponents_and_logs(G, units):
         k += np.outer(e, x) % d * (lcm // d)
     return k % lcm
+
+
+def oracle_phi(q):
+    """Euler's phi(q): the residues 0 <= a < q with gcd(a, q) == 1."""
+    return sum(1 for a in range(q) if math.gcd(a, q) == 1)
 
 
 def oracle_conductor(row):

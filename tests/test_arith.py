@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bdhvar import (ParameterError, arith, build_lambda_table,
-                    build_prime_table, euler_phi, factorize, von_mangoldt)
+                    build_prime_table, factorize)
 from bdhvar.arith import sieve_segment, sieving_primes
 from bdhvar.errors import ResourceError
 
@@ -131,24 +131,25 @@ def test_chebyshev_psi_near_x():
 
 
 def test_von_mangoldt_spot_values():
-    table = build_prime_table(100)
-    assert von_mangoldt(1, table) == 0.0
-    assert von_mangoldt(8, table) == pytest.approx(math.log(2))
-    assert von_mangoldt(97, table) == pytest.approx(math.log(97))
-    assert von_mangoldt(96, table) == 0.0
-    # 9973 is prime and its square root is below the table limit
-    assert von_mangoldt(9973, table) == pytest.approx(math.log(9973))
-    with pytest.raises(ParameterError):
-        von_mangoldt(0, table)
-    with pytest.raises(ParameterError):
-        von_mangoldt(10007 * 10009, table)
+    lam = build_lambda_table(10**4).values
+    assert lam[1] == 0.0
+    assert lam[8] == pytest.approx(math.log(2))
+    assert lam[97] == pytest.approx(math.log(97))
+    assert lam[96] == 0.0
+    assert lam[9973] == pytest.approx(math.log(9973))
+
+
+def naive_lambda(n):
+    """log p when n = p^k, else 0, from the naive factorization."""
+    factors = naive_factor(n)
+    return math.log(factors[0][0]) if len(factors) == 1 else 0.0
 
 
 def test_von_mangoldt_agrees_with_table():
     table = build_prime_table(2000)
     lam = build_lambda_table(2000, table).values
     for n in range(1, 2001):
-        assert von_mangoldt(n, table) == pytest.approx(lam[n], abs=1e-12)
+        assert naive_lambda(n) == pytest.approx(lam[n], abs=1e-12)
 
 
 def test_factorize_matches_naive():
@@ -160,18 +161,3 @@ def test_factorize_matches_naive():
     assert factorize(2**31 - 1) == [(2147483647, 1)]
     with pytest.raises(ParameterError):
         factorize(0)
-
-
-def test_euler_phi_multiplicative():
-    rng = random.Random(11)
-    primes = build_prime_table(10**4).primes.tolist()
-    for p in primes[:50]:
-        assert euler_phi(p) == p - 1
-    for _ in range(200):
-        m = rng.randrange(1, 3000)
-        n = rng.randrange(1, 3000)
-        if math.gcd(m, n) == 1:
-            assert euler_phi(m * n) == euler_phi(m) * euler_phi(n)
-    assert euler_phi(1) == 1
-    with pytest.raises(ParameterError):
-        euler_phi(0)

@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 import pytest
-from dense_characters import dense_table, oracle_conductor
+from dense_characters import dense_table, oracle_conductor, oracle_phi
 
-from bdhvar import ParameterError, character_group, class_sums, euler_phi
+from bdhvar import ParameterError, character_group, variance
 from bdhvar.characters import CharacterGroup
 
 
@@ -23,9 +23,9 @@ def divisors(q):
 def test_group_sizes():
     for q in range(1, 101):
         G = character_group(q)
-        assert len(G) == euler_phi(q)
+        assert G.phi == oracle_phi(q)
         assert dense_table(G).shape == (G.phi, q)
-        assert int(G.coprime.sum()) == euler_phi(q)
+        assert int(G.coprime.sum()) == oracle_phi(q)
 
 
 def test_principal_character_first():
@@ -133,7 +133,7 @@ def test_primitive_counts_match_moebius_formula():
 
     for q in range(1, 151):
         G = character_group(q)
-        expect = sum(mu(q // d) * euler_phi(d) for d in divisors(q))
+        expect = sum(mu(q // d) * oracle_phi(d) for d in divisors(q))
         assert int(G.primitive_mask().sum()) == expect, q
 
 
@@ -181,7 +181,7 @@ def test_psi_chi_matches_direct_loop():
     rng = np.random.default_rng(17)
     vals = rng.normal(size=40) + 1j * rng.normal(size=40)
     G = character_group(7)
-    psi = G.transform(class_sums(vals, 11, 7))
+    psi = G.transform(variance._residue_sums(variance._support(vals, 11), 7))
     for j, row in enumerate(dense_table(G)):
         direct = sum(v * row[(11 + i) % 7] for i, v in enumerate(vals))
         assert abs(psi[j] - direct) <= 1e-10
@@ -191,6 +191,7 @@ def test_psi_chi_principal_mod_one_is_plain_sum():
     from bdhvar import build_lambda_table
     lam = build_lambda_table(100).values
     G = character_group(1)
-    total = G.transform(class_sums(lam[1:101].astype(complex), 1, 1))[0]
+    support = variance._support(lam[1:101].astype(complex), 1)
+    total = G.transform(variance._residue_sums(support, 1))[0]
     assert total.real == pytest.approx(94.0453112293574, abs=1e-9)
     assert total.imag == 0.0

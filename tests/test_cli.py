@@ -1,9 +1,11 @@
 """Command-line front end: config handling, schemas, exit codes, determinism."""
 
 import argparse
+import ast
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bdhvar
 from bdhvar import cli
 
 
@@ -85,21 +88,29 @@ def test_flags_override_config_file(tmp_path, capsys):
 
 
 def test_gamma_outside_unit_interval_is_config_error(capsys):
-    assert run_cli(["ps-count", "--x-grid", "100", "--gamma", "5/4"]) == 2
-    err = capsys.readouterr().err
-    assert "(0, 1)" in err
+    for gamma in ("5/4", "0"):
+        assert run_cli(["ps-count", "--x-grid", "100", "--gamma", gamma]) == 2
+        err = capsys.readouterr().err
+        assert "(0, 1)" in err, gamma
 
 
 def test_unknown_gamma_text_is_config_error():
     assert run_cli(["ps-count", "--x-grid", "100", "--gamma", "wat"]) == 2
 
 
-def test_parse_gamma_fraction_roundtrip():
-    g = cli.parse_gamma("2426/2817")
+def test_parse_gamma_fraction_roundtrip(tmp_path):
+    g = cli._coerce("gamma", "2426/2817")
     assert g == Fraction(2426, 2817)
-    assert cli.parse_gamma(0.75) == 0.75
+    out = tmp_path / "g.csv"
+    assert run_cli(["ps-count", "--x-grid", "100", "--gamma", "2426/2817",
+                    "--out", str(out)]) == 0
+    header, row = read_csv(out)
+    assert row[header.index("gamma")] == "2426/2817"
+    assert cli._coerce("gamma", "0.75") == 0.75
+    # the range is checked once, by validate
+    cfg = cli.ExperimentConfig(gamma=cli._coerce("gamma", "0"))
     with pytest.raises(cli.ParameterError):
-        cli.parse_gamma("0")
+        cfg.validate()
 
 
 def test_rules():
@@ -342,6 +353,7 @@ def test_bad_subcommand_flags(capsys):
                  [*variance, "--kind", "raw_lambda", "--q-rule",
                   "fixed:2000000", "--allow-out-of-range"],  # Q > MAX_MODULUS
                  ["variance", "--x-grid", "abc"],
+                 ["ps-count", "--x-grid", "100", "--gamma", "1/0"],
                  ["vaaler", "--h-list", "1.5"],
                  ["vaaler", "--seed", "x"],
                  ["vaaler", "--h-list", "1,5", "--grid-points", "200",
@@ -484,6 +496,27 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
                           text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_are_used_by_package_or_demos():
+    # The public surface is what the package's own modules and the demos
+    # call.  Only code counts (a name, an attribute or an import), not text
+    # in docstrings or messages, so an export that only tests call fails.
+    src = Path(cli.__file__).resolve().parent
+    used = set()
+    for path in [*sorted(src.glob("*.py")), *DEMOS]:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    public = {name for name, value in vars(bdhvar).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert sorted(public - used) == []
 
 
 def test_cli_import_leaves_mpmath_unloaded():

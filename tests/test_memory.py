@@ -44,6 +44,18 @@ def test_ps_count_working_set_at_1e7(tmp_path):
     assert peak <= 12 * MB, peak / MB
 
 
+def test_rows_are_made_as_they_are_reached(tmp_path):
+    # 10^6 cells, ended by the row budget after the first row.  A list of
+    # every cell made up front peaked at 96.7 MB (lemma3) and 42.1 MB
+    # (large-sieve).
+    for argv in (["lemma3", "--x-grid", "1e3", "--t-count", "1000000"],
+                 ["large-sieve", "--trials", "1000000"]):
+        code, peak = traced_peak(cli.main, [
+            *argv, "--row-budget-s", "1e-9", "--out", str(tmp_path / "r")])
+        assert code == 3, argv
+        assert peak <= 8 * MB, (argv, peak / MB)
+
+
 def test_vaaler_working_set_at_h100():
     # The CLI's default grid of 10^4 points.  One 10^4 x 100 phase table
     # with its real part peaked at 32.5 MB; row blocks keep it O(block x H).

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from bdhvar import (ParameterError, ps_array, ps_config, ps_count_main_term,
-                    ps_indicator, ps_indicator_array, psprimes)
+                    ps_indicator_array, psprimes)
+
+
+def ps_indicator(n, cfg):
+    """Membership of one n by the indicator route on the range [n, n]."""
+    return int(ps_indicator_array(n, n, cfg)[0])
 
 
 def int_root(m, k):
@@ -145,7 +150,7 @@ def test_range_validation():
     with pytest.raises(ParameterError):
         ps_array(5, 4, cfg)
     with pytest.raises(ParameterError):
-        ps_indicator(0, cfg)
+        ps_indicator_array(0, 0, cfg)
 
 
 def test_count_main_term():

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from dense_characters import dense_table, unit_phases
 
-from bdhvar import (WeightKind, WeightParams, build_weight_table, class_sums,
-                    cli, factorize, make_tables, variance_report)
+from bdhvar import (WeightKind, WeightParams, build_weight_table, cli,
+                    factorize, make_tables, variance, variance_report)
 from bdhvar.characters import CharacterGroup, _local_factors
 
 TABLES = make_tables(2100)
@@ -135,8 +135,9 @@ def test_class_sums_within_recursive_summation_bound():
     nz = np.flatnonzero(w.values)
     n, vals = w.n0 + nz, w.values[nz]
     u = 2.0 ** -53
+    support = variance._support(w.values, w.n0)  # as variance_report takes it
     for q in [1, 2, 1999, 2000] + rng.integers(3, 2001, size=16).tolist():
-        got = class_sums(w.values, w.n0, q)
+        got = variance._residue_sums(support, q)
         res = n % q
         order = np.argsort(res, kind="stable")
         starts = np.cumsum(np.bincount(res, minlength=q))[:-1]

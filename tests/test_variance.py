@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from bdhvar import (MainTerm, ParameterError, WeightKind, WeightParams,
-                    build_weight_table, class_sums, custom_weight_table,
+                    build_weight_table, custom_weight_table,
                     large_sieve_check, main_term_for, make_tables, normalizer,
-                    progression_sum, ps_config, variance, variance_report)
+                    ps_config, variance, variance_report)
 from bdhvar.characters import MAX_MODULUS
 
 
@@ -34,6 +34,19 @@ TABLES = make_tables(2100)
 
 def custom_main(value):
     return MainTerm(kind=WeightKind.CUSTOM, value=complex(value))
+
+
+def n_values(w):
+    return w.n0 + np.arange(len(w.values), dtype=np.int64)
+
+
+def fsum_total(w):
+    return complex(math.fsum(w.values.real), math.fsum(w.values.imag))
+
+
+def residue_sums(vals, n0, q):
+    """The class sums mod q of vals[i] = w(n0 + i), by the report's kernel."""
+    return variance._residue_sums(variance._support(vals, n0), q)
 
 
 def check_against_naive(w, Q, main):
@@ -82,24 +95,16 @@ def test_routes_agree_on_random_tables():
         assert c == pytest.approx(d, rel=1e-10, abs=1e-10)
         for q, dv, cv in rep.per_q:
             assert cv == pytest.approx(dv, rel=1e-10, abs=1e-10), q
+        # README's "1e-15 level" route gap, and the spot-checked transform
+        assert rep.cross_check_rel <= 1e-13
+        assert rep.transform_gap <= 1e-13
 
 
 def test_progression_sums_partition_total():
     w = build_weight_table(1200.0, 0.4, WeightKind.RAW_LAMBDA, None, TABLES)
     for q in (1, 2, 7, 12, 30):
-        parts = [progression_sum(w, q, a) for a in range(1, q + 1)]
-        total = sum(parts)
-        assert total == pytest.approx(w.total(), rel=1e-12)
-
-
-def test_progression_sum_validation():
-    w = build_weight_table(100.0, 0.0, WeightKind.RAW_LAMBDA, None, TABLES)
-    with pytest.raises(ParameterError):
-        progression_sum(w, 0, 1)
-    with pytest.raises(ParameterError):
-        progression_sum(w, 5, 0)
-    with pytest.raises(ParameterError):
-        progression_sum(w, 5, 6)
+        total = sum(residue_sums(w.values, w.n0, q))
+        assert total == pytest.approx(fsum_total(w), rel=1e-12)
 
 
 def test_class_sums_against_dict_oracle():
@@ -112,13 +117,13 @@ def test_class_sums_against_dict_oracle():
         want = np.zeros(q, dtype=complex)
         for i in range(m):
             want[(n0 + i) % q] += vals[i]
-        got = class_sums(vals, n0, q)
+        got = residue_sums(vals, n0, q)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_class_sums_modulus_one():
     vals = np.arange(5, dtype=float) + 0j
-    assert class_sums(vals, 7, 1)[0] == pytest.approx(10.0)
+    assert residue_sums(vals, 7, 1)[0] == pytest.approx(10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +146,7 @@ def test_classic_weight_magnitudes_are_lambda():
 
 def test_logp_weight_supported_on_primes():
     w = build_weight_table(500.0, 0.2, WeightKind.LOGP_ONLY, None, TABLES)
-    ns = w.n_values()
+    ns = n_values(w)
     mask = TABLES.primes.is_prime[ns[0]:ns[-1] + 1]
     assert np.array_equal(w.values != 0, mask)
     assert np.allclose(w.values[mask], np.log(ns[mask].astype(float)))
@@ -154,7 +159,7 @@ def test_ps_weight_support():
     from bdhvar import ps_array
     members = set(ps_array(w.n0, int(w.X), cfg).tolist())
     lam = TABLES.lam.values
-    for i, n in enumerate(w.n_values().tolist()):
+    for i, n in enumerate(n_values(w).tolist()):
         expect = lam[n] if n in members else 0.0
         assert w.values[i] == expect
 
@@ -164,7 +169,7 @@ def test_ps_exp_weight_amplitudes():
     params = WeightParams(c=1.5, t=1e-3, ps=cfg)
     w = build_weight_table(2000.0, 0.25, WeightKind.PS_EXP, params, TABLES)
     lam = TABLES.lam.values
-    ns = w.n_values()
+    ns = n_values(w)
     nz = w.values != 0
     expect = lam[ns[nz]] * ns[nz].astype(float) ** 0.1
     assert np.max(np.abs(np.abs(w.values[nz]) - expect)) <= 1e-9
@@ -211,7 +216,7 @@ def test_single_modulus_closed_form():
     w = build_weight_table(300.0, 0.5, WeightKind.RAW_LAMBDA, None, TABLES)
     main = 150.0 + 0j
     got = variance_report(w, 1, custom_main(main)).direct_variance
-    assert got == pytest.approx(abs(w.total() - main) ** 2, rel=1e-12)
+    assert got == pytest.approx(abs(fsum_total(w) - main) ** 2, rel=1e-12)
 
 
 def test_zero_weights_closed_form():
