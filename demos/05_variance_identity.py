@@ -13,12 +13,10 @@ standing cross-check; this script shows it on a real weight and on noise.
 import numpy as np
 
 from bdhvar import (WeightKind, WeightParams, build_weight_table,
-                    custom_weight_table, make_tables, variance_report)
-
-tables = make_tables(20000)
+                    custom_weight_table, variance_report)
 
 params = WeightParams(c=1.5, t=2e-4)
-w = build_weight_table(20000.0, 0.5, WeightKind.CLASSIC_EXP, params, tables)
+w = build_weight_table(20000.0, 0.5, WeightKind.CLASSIC_EXP, params)
 rep = variance_report(w, 40, per_q=True)
 print("weight Lambda(n) e(t n^1.5), X = 20000, Q = 40")
 print(f"  direct route    : {rep.direct_variance:.6f}")

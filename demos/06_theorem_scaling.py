@@ -10,13 +10,12 @@ nothing here proves anything, but runaway growth would be a red flag.
 import math
 from fractions import Fraction
 
-from bdhvar import (WeightKind, WeightParams, build_weight_table, make_tables,
-                    ps_config, variance_report)
+from bdhvar import (WeightKind, WeightParams, build_weight_table, ps_config,
+                    variance_report)
 
 XS = (10**4, 3 * 10**4, 10**5)
 MU, C, DELTA = 0.5, 1.5, 0.05
 
-tables = make_tables(max(XS))
 gamma = ps_config(Fraction(9, 10))
 
 print("classic weight Lambda(n) e(t n^c), normaliser X Q log X")
@@ -25,7 +24,7 @@ for X in XS:
     Q = math.floor(X / math.log(X) ** 2)
     for t in (0.0, float(X) ** (2 / 3 - C - DELTA)):
         w = build_weight_table(float(X), MU, WeightKind.CLASSIC_EXP,
-                               WeightParams(c=C, t=t), tables)
+                               WeightParams(c=C, t=t))
         rep = variance_report(w, Q)
         print(f"{X:>8} {Q:>5} {t:>10.3e} {rep.normalized_ratio:>8.3f} "
               f"{rep.cross_check_rel:>9.1e}")
@@ -35,7 +34,7 @@ print(f"{'X':>8} {'Q':>5} {'ratio':>8} {'alt-main ratio':>15}")
 for X in XS:
     Q = math.floor(float(X) ** gamma.gamma / math.log(X) ** 2)
     w = build_weight_table(float(X), MU, WeightKind.PS_PLAIN,
-                           WeightParams(ps=gamma), tables)
+                           WeightParams(ps=gamma))
     rep = variance_report(w, Q)
     print(f"{X:>8} {Q:>5} {rep.normalized_ratio:>8.3f} {rep.ratio_alt:>15.3f}")
 
@@ -45,6 +44,6 @@ for X in XS:
     Q = math.floor(float(X) ** gamma.gamma / math.log(X) ** 2)
     t = float(X) ** ((4 * gamma.gamma - 3 * C - 1) / 3 - DELTA)
     w = build_weight_table(float(X), MU, WeightKind.PS_EXP,
-                           WeightParams(c=C, t=t, ps=gamma), tables)
+                           WeightParams(c=C, t=t, ps=gamma))
     rep = variance_report(w, Q)
     print(f"{X:>8} {Q:>5} {t:>10.3e} {rep.normalized_ratio:>8.3f}")

@@ -8,8 +8,7 @@ Piatetski-Shapiro index sets, and both at once.  Supporting machinery
 oscillatory integrals, a large-sieve checker) is exposed directly.
 """
 
-from .arith import (LambdaTable, PrimeTable, build_lambda_table,
-                    build_prime_table, factorize)
+from .arith import PrimeTable, build_prime_table, factorize, lambda_segment
 from .characters import CharacterGroup, character_group
 from .errors import ParameterError, ResourceError
 from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
@@ -18,10 +17,9 @@ from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
                           vaaler_eval, vaaler_expansion)
 from .psprimes import (PSConfig, ps_array, ps_config, ps_count_main_term,
                        ps_indicator_array)
-from .variance import (LargeSieveResult, MainTerm, SieveTables, VarianceReport,
-                       WeightKind, WeightParams, WeightTable,
-                       build_weight_table, custom_weight_table,
-                       large_sieve_check, main_term_for, make_tables,
+from .variance import (LargeSieveResult, MainTerm, VarianceReport, WeightKind,
+                       WeightParams, WeightTable, build_weight_table,
+                       custom_weight_table, large_sieve_check, main_term_for,
                        normalizer, variance_report)
 
 __version__ = "0.1.0"

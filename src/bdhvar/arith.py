@@ -2,10 +2,10 @@
 
 Provides:
     * PrimeTable      -- primality bitmap plus the packed list of primes
-    * LambdaTable     -- von Mangoldt values Lambda(n) for 0 <= n <= limit
     * sieve_segment   -- primality mask of one window [lo, hi]
     * sieving_primes  -- the primes <= sqrt(limit) that such windows need
-    * build_prime_table / build_lambda_table
+    * lambda_segment  -- von Mangoldt values Lambda(n) on one window [lo, hi]
+    * build_prime_table
     * factorize
 
 There is one sieve, the segmented Eratosthenes of `sieve_segment`: the
@@ -13,8 +13,9 @@ primes up to sqrt(limit), found by the same sieve recursively, clear one
 window at a time.  `build_prime_table` fills its bitmap window by window;
 a caller that only scans [2, X] once, such as `ps-count`, sieves each
 window as it reaches it and holds O(window + sqrt X), not the whole table.
-Lambda tables compute log p once per prime and reuse it for every power
-of p.
+`lambda_segment` sieves only its own window, so a weight on (mu X, X] never
+holds [0, X]; it evaluates log p once per prime and reuses it for every
+power of p.
 """
 
 from __future__ import annotations
@@ -47,18 +48,6 @@ class PrimeTable:
     limit: int
     is_prime: np.ndarray
     primes: np.ndarray
-
-
-@dataclass
-class LambdaTable:
-    """von Mangoldt values up to a fixed limit.
-
-    values[n] == log p if n = p^k for a prime p, else 0.0.  Index 0 and 1
-    are 0.0.
-    """
-
-    limit: int
-    values: np.ndarray
 
 
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray,
@@ -119,25 +108,24 @@ def build_prime_table(limit: int, *,
     return PrimeTable(limit=limit, is_prime=is_prime, primes=primes)
 
 
-def build_lambda_table(limit: int, table: PrimeTable | None = None) -> LambdaTable:
-    """Tabulate Lambda(n) for 0 <= n <= limit.
+def lambda_segment(lo: int, hi: int) -> np.ndarray:
+    """Lambda(lo + i) for the n in [lo, hi], as float64.
 
-    log p is evaluated once per prime; prime powers reuse the stored value.
+    Lambda(n) is log p when n = p^k for a prime p, else 0.0 (so 0.0 at 0
+    and 1).  Needs 0 <= lo <= hi + 1; hi above the sieve cap is refused.
     """
-    if table is None or table.limit < limit:
-        table = build_prime_table(max(limit, 2))
-    primes = table.primes[table.primes <= limit]
-    values = np.zeros(limit + 1, dtype=np.float64)
-    logs = np.log(primes.astype(np.float64))
-    values[primes] = logs
-    # Higher powers only exist for p <= sqrt(limit).
-    root = math.isqrt(limit)
-    for p, lg in zip(primes[primes <= root].tolist(), logs[primes <= root].tolist()):
+    base = sieving_primes(max(hi, 2))
+    idx = np.flatnonzero(sieve_segment(lo, hi, base))
+    values = np.zeros(hi - lo + 1, dtype=np.float64)
+    values[idx] = np.log((lo + idx).astype(np.float64))
+    # Higher powers only exist for the base primes p <= sqrt(hi).
+    for p, lg in zip(base.tolist(), np.log(base.astype(np.float64)).tolist()):
         pk = p * p
-        while pk <= limit:
-            values[pk] = lg
+        while pk <= hi:
+            if pk >= lo:
+                values[pk - lo] = lg
             pk *= p
-    return LambdaTable(limit=limit, values=values)
+    return values
 
 
 # Shared table for factorize, grown on demand.

@@ -45,7 +45,7 @@ from .oscillatory import (ExpWeightParams, check_vaaler_size,
 from .psprimes import (ps_array, ps_config, ps_count_main_term,
                        ps_indicator_array)
 from .variance import (WeightKind, WeightParams, build_weight_table,
-                       large_sieve_check, make_tables, variance_report)
+                       large_sieve_check, variance_report)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -158,7 +158,7 @@ def load_config_file(path: str) -> dict:
     """Parse `key = value` lines (UTF-8, # comments) into typed values."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     out = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -269,7 +269,11 @@ def emit(rows: list[dict], cfg: ExperimentConfig,
             doc["budget_exceeded_at_row"] = partial_at
         text = json.dumps(doc, indent=2) + "\n"
     if cfg.output_path:
-        Path(cfg.output_path).write_text(text, encoding="utf-8")
+        try:
+            Path(cfg.output_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ParameterError(
+                f"cannot write report {cfg.output_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -317,7 +321,8 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
     gamma_f = float(cfg.gamma)
     needs_ps = kind in (WeightKind.PS_PLAIN, WeightKind.PS_EXP)
     needs_t = kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP)
-    tables = make_tables(int(max(cfg.x_grid)))
+    # each row sieves its own window; the cap is checked here, before any row
+    sieving_primes(int(max(cfg.x_grid)))
 
     def row(X):
         Q = eval_q_rule(cfg.q_rule, X, gamma_f, cfg.a)
@@ -334,7 +339,7 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
             c=cfg.c if needs_t else None,
             t=t if needs_t else None,
             ps=ps_config(cfg.gamma) if needs_ps else None)
-        w = build_weight_table(X, cfg.mu, kind, params, tables)
+        w = build_weight_table(X, cfg.mu, kind, params)
         rep = variance_report(w, Q)
         if not rep.cross_check_ok:
             _log(f"cross-check FAILED at X={X:g}: rel={rep.cross_check_rel:.3e}"

@@ -47,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import LambdaTable, PrimeTable, build_lambda_table, build_prime_table
+from .arith import lambda_segment, sieve_segment, sieving_primes
 from .characters import MAX_MODULUS, character_group
 from .errors import ParameterError
 from .oscillatory import ExpWeightParams, main_term_integral, phase_frac_array
@@ -72,19 +72,6 @@ class WeightParams:
     c: Optional[float] = None
     t: Optional[float] = None
     ps: Optional[PSConfig] = None
-
-
-@dataclass
-class SieveTables:
-    """Bundle of shared sieve products a weight build reads from."""
-
-    primes: PrimeTable
-    lam: LambdaTable
-
-
-def make_tables(limit: int) -> SieveTables:
-    pt = build_prime_table(limit)
-    return SieveTables(primes=pt, lam=build_lambda_table(limit, pt))
 
 
 @dataclass
@@ -170,43 +157,42 @@ def _exp_params(X: float, mu: float, params: WeightParams) -> ExpWeightParams:
 
 
 def build_weight_table(X: float, mu: float, kind: WeightKind,
-                       params: WeightParams | None,
-                       tables: SieveTables) -> WeightTable:
-    """Materialise one of the built-in weight kinds on (mu X, X]."""
+                       params: WeightParams | None) -> WeightTable:
+    """Materialise one of the built-in weight kinds on (mu X, X].
+
+    Only that window is sieved, from the primes <= sqrt(X).
+    """
     params = params or WeightParams()
     n0, n1 = _range_bounds(X, mu)
-    if tables.lam.limit < n1:
-        raise ParameterError(
-            f"Lambda table limit {tables.lam.limit} below range end {n1}")
     ns = np.arange(n0, n1 + 1, dtype=np.int64)
-    lam = tables.lam.values[n0:n1 + 1]
 
     if kind is WeightKind.RAW_LAMBDA:
-        vals = lam.astype(np.complex128)
+        vals = lambda_segment(n0, n1)
     elif kind is WeightKind.LOGP_ONLY:
-        mask = tables.primes.is_prime[n0:n1 + 1]
+        mask = sieve_segment(n0, n1, sieving_primes(n1))
         vals = np.where(mask, np.log(ns.astype(np.float64)), 0.0)
-        vals = vals.astype(np.complex128)
     elif kind is WeightKind.CLASSIC_EXP:
-        vals = _twisted(lam, ns, _exp_params(X, mu, params))
+        p = _exp_params(X, mu, params)
+        vals = _twisted(lambda_segment(n0, n1), ns, p)
     elif kind is WeightKind.PS_PLAIN:
         if params.ps is None:
             raise ParameterError("PS_PLAIN needs params.ps (a PSConfig)")
-        vals = np.where(_ps_mask(n0, n1, params.ps), lam, 0.0)
-        vals = vals.astype(np.complex128)
+        vals = np.where(_ps_mask(n0, n1, params.ps), lambda_segment(n0, n1),
+                        0.0)
     elif kind is WeightKind.PS_EXP:
         if params.ps is None:
             raise ParameterError("PS_EXP needs params.ps (a PSConfig)")
         p = _exp_params(X, mu, params)
         amp = ns.astype(np.float64) ** (1.0 - params.ps.gamma)
-        base = np.where(_ps_mask(n0, n1, params.ps), lam * amp, 0.0)
+        base = np.where(_ps_mask(n0, n1, params.ps),
+                        lambda_segment(n0, n1) * amp, 0.0)
         vals = _twisted(base, ns, p)
     elif kind is WeightKind.CUSTOM:
         raise ParameterError("use custom_weight_table for CUSTOM kinds")
     else:
         raise ParameterError(f"unknown weight kind {kind}")
     return WeightTable(X=float(X), mu=float(mu), kind=kind, params=params,
-                       n0=n0, values=vals)
+                       n0=n0, values=vals.astype(np.complex128, copy=False))
 
 
 def main_term_for(X: float, mu: float, kind: WeightKind,

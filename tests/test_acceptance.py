@@ -19,7 +19,7 @@ import pytest
 import bdhvar
 from bdhvar import (ExpWeightParams, MainTerm, WeightKind, WeightParams,
                     build_prime_table, build_weight_table, custom_weight_table,
-                    large_sieve_check, main_term_integral, make_tables,
+                    large_sieve_check, main_term_integral,
                     prime_exp_sum, ps_array, ps_config, ps_count_main_term,
                     ps_indicator_array, saw_psi, vaaler_eval, vaaler_expansion,
                     variance_report)
@@ -46,11 +46,6 @@ def verdict(num, label, failures, detail=""):
     else:
         print(line, flush=True)
     assert not failures, "; ".join(failures)
-
-
-@pytest.fixture(scope="module")
-def tables_1e5():
-    return make_tables(10**5)
 
 
 @pytest.fixture(scope="module")
@@ -105,13 +100,12 @@ def test_acceptance_2_bucketing_matches_naive_rescan():
     """Residue bucketing reproduces the literal double sum."""
     start = time.perf_counter()
     failures = []
-    tables = make_tables(2000)
     rng = np.random.default_rng(5150)
     cases = []
-    w1 = build_weight_table(2000.0, 0.3, WeightKind.RAW_LAMBDA, None, tables)
+    w1 = build_weight_table(2000.0, 0.3, WeightKind.RAW_LAMBDA, None)
     cases.append(("raw", w1, complex((1 - 0.3) * 2000.0)))
     p2 = WeightParams(c=1.5, t=3e-4)
-    w2 = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, p2, tables)
+    w2 = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, p2)
     cases.append(("phase", w2, complex(main_term_integral(
         ExpWeightParams(X=1500.0, mu=0.5, c=1.5, t=3e-4)))))
     m = 2000 - 600
@@ -183,17 +177,18 @@ def test_acceptance_4_ps_prime_count_main_term(primes_1e6):
             f"errors {', '.join(f'{e:.2f}' for e in errs)}, {elapsed:.1f}s")
 
 
-def test_acceptance_5_exp_sum_tracks_integral(tables_1e5):
+def test_acceptance_5_exp_sum_tracks_integral():
     """Prime exponential sum stays near its archimedean integral."""
     start = time.perf_counter()
     failures = []
     X, mu, c, delta = 10**5, 0.5, 1.5, 0.05
+    primes = build_prime_table(X).primes
     cap = float(X) ** (1.0 - c - delta)
     worst = 0.0
     for j in range(5):
         t = cap * 10.0 ** (-(4 - j) / 2.0)
         params = ExpWeightParams(X=float(X), mu=mu, c=c, t=t)
-        s = prime_exp_sum(params, tables_1e5.primes.primes)
+        s = prime_exp_sum(params, primes)
         integral = main_term_integral(params)
         scaled = abs(s - integral) / X
         worst = max(worst, scaled)
@@ -257,7 +252,7 @@ def test_acceptance_7_sawtooth_majorant():
             failures, f"{elapsed:.1f}s")
 
 
-def test_acceptance_8_classic_weight_variance_trend(tables_1e5):
+def test_acceptance_8_classic_weight_variance_trend():
     """Normalised variance of Lambda(n) e(t n^c) stays bounded along X."""
     start = time.perf_counter()
     failures = []
@@ -270,7 +265,7 @@ def test_acceptance_8_classic_weight_variance_trend(tables_1e5):
             t = 0.0 if key == 0.0 else float(X) ** (2.0 / 3.0 - c - delta)
             params = WeightParams(c=c, t=t)
             w = build_weight_table(float(X), mu, WeightKind.CLASSIC_EXP,
-                                   params, tables_1e5)
+                                   params)
             rep = variance_report(w, Q)
             if not rep.cross_check_ok:
                 failures.append(f"X={X:g} t={t:g}: cross-check "
@@ -290,7 +285,7 @@ def test_acceptance_8_classic_weight_variance_trend(tables_1e5):
     verdict(8, "classic weight V(Q)/(X Q log X) along X", failures, detail)
 
 
-def test_acceptance_9_ps_weight_variance_trends(tables_1e5):
+def test_acceptance_9_ps_weight_variance_trends():
     """PS-restricted variances stay bounded on the theorem scale."""
     start = time.perf_counter()
     failures = []
@@ -303,7 +298,7 @@ def test_acceptance_9_ps_weight_variance_trends(tables_1e5):
     for X in xs:
         Q = math.floor(float(X) ** g / math.log(X) ** 2)
         w = build_weight_table(float(X), mu, WeightKind.PS_PLAIN,
-                               WeightParams(ps=cfg), tables_1e5)
+                               WeightParams(ps=cfg))
         rep = variance_report(w, Q)
         if not rep.cross_check_ok:
             failures.append(f"PS_PLAIN X={X:g}: cross-check "
@@ -315,7 +310,7 @@ def test_acceptance_9_ps_weight_variance_trends(tables_1e5):
 
         t = float(X) ** ((4.0 * g - 3.0 * c - 1.0) / 3.0 - delta)
         w2 = build_weight_table(float(X), mu, WeightKind.PS_EXP,
-                                WeightParams(c=c, t=t, ps=cfg), tables_1e5)
+                                WeightParams(c=c, t=t, ps=cfg))
         rep2 = variance_report(w2, Q)
         if not rep2.cross_check_ok:
             failures.append(f"PS_EXP X={X:g}: cross-check "
@@ -346,13 +341,12 @@ def test_theorem_scale_classic_row_at_x_3e5():
     start = time.perf_counter()
     failures = []
     c, mu, delta = 1.5, 0.5, 0.05
-    tables = make_tables(3 * 10**5)
     ratios = []
     for X in (10**4, 3 * 10**5):
         Q = math.floor(X / math.log(X) ** 2)
         t = float(X) ** (2.0 / 3.0 - c - delta) * (1.0 - 1e-9)
         w = build_weight_table(float(X), mu, WeightKind.CLASSIC_EXP,
-                               WeightParams(c=c, t=t), tables)
+                               WeightParams(c=c, t=t))
         rep = variance_report(w, Q)
         if rep.cross_check_rel > 1e-10:
             failures.append(f"X={X:g}: route gap {rep.cross_check_rel:.2e}")

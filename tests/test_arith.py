@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from bdhvar import (ParameterError, arith, build_lambda_table,
-                    build_prime_table, factorize)
+from bdhvar import (ParameterError, arith, build_prime_table, factorize,
+                    lambda_segment)
 from bdhvar.arith import sieve_segment, sieving_primes
 from bdhvar.errors import ResourceError
 
@@ -105,7 +105,7 @@ def test_sieving_primes_cap_and_roots():
 def test_lambda_divisor_sum_identity():
     # sum of Lambda(d) over d | n equals log n
     N = 10**4
-    lam = build_lambda_table(N).values
+    lam = lambda_segment(0, N)
     acc = np.zeros(N + 1)
     for d in range(1, N + 1):
         if lam[d] != 0.0:
@@ -115,7 +115,7 @@ def test_lambda_divisor_sum_identity():
 
 
 def test_lambda_small_values():
-    lam = build_lambda_table(100).values
+    lam = lambda_segment(0, 100)
     assert lam[0] == 0.0 and lam[1] == 0.0
     assert lam[2] == pytest.approx(math.log(2))
     assert lam[8] == pytest.approx(math.log(2))
@@ -126,12 +126,12 @@ def test_lambda_small_values():
 
 def test_chebyshev_psi_near_x():
     X = 10**6
-    psi = math.fsum(build_lambda_table(X).values)
+    psi = math.fsum(lambda_segment(0, X))
     assert abs(psi - X) <= 0.005 * X
 
 
 def test_von_mangoldt_spot_values():
-    lam = build_lambda_table(10**4).values
+    lam = lambda_segment(0, 10**4)
     assert lam[1] == 0.0
     assert lam[8] == pytest.approx(math.log(2))
     assert lam[97] == pytest.approx(math.log(97))
@@ -146,10 +146,32 @@ def naive_lambda(n):
 
 
 def test_von_mangoldt_agrees_with_table():
-    table = build_prime_table(2000)
-    lam = build_lambda_table(2000, table).values
+    lam = lambda_segment(0, 2000)
     for n in range(1, 2001):
         assert naive_lambda(n) == pytest.approx(lam[n], abs=1e-12)
+
+
+def test_lambda_segment_windows_match_full_range():
+    # windows that start or end inside a run of prime powers: at 0, 1 and 2,
+    # at p^k and at p^k - 1, one point wide, and empty
+    N = 5000
+    full = lambda_segment(0, N)
+    powers = [p ** k for p in (2, 3, 5, 7, 11, 67) for k in range(2, 13)
+              if p ** k <= N]
+    windows = [(lo, hi) for lo in (0, 1, 2) for hi in (lo - 1, lo, 10, N)]
+    windows += [(pk, N) for pk in powers] + [(0, pk - 1) for pk in powers]
+    windows += [(pk, pk) for pk in powers] + [(pk - 1, pk - 1) for pk in powers]
+    windows += [(n, n) for n in (3, 4, 6, 97, 4096, 4999)]
+    windows += [(pk - 1, pk + 1) for pk in powers] + [(1369, 2000)]
+    for lo, hi in windows:
+        seg = lambda_segment(lo, hi)
+        assert seg.dtype == np.float64 and seg.size == hi - lo + 1
+        assert np.array_equal(seg.view(np.uint64),
+                              full[lo:hi + 1].view(np.uint64)), (lo, hi)
+        for n, value in zip(range(lo, hi + 1), seg.tolist()):
+            assert value == pytest.approx(naive_lambda(n), abs=1e-12), n
+    with pytest.raises(ResourceError):
+        lambda_segment(2 * 10**9, 2 * 10**9)
 
 
 def test_factorize_matches_naive():

@@ -188,8 +188,8 @@ def test_psi_chi_matches_direct_loop():
 
 
 def test_psi_chi_principal_mod_one_is_plain_sum():
-    from bdhvar import build_lambda_table
-    lam = build_lambda_table(100).values
+    from bdhvar import lambda_segment
+    lam = lambda_segment(0, 100)
     G = character_group(1)
     support = variance._support(lam[1:101].astype(complex), 1)
     total = G.transform(variance._residue_sums(support, 1))[0]

@@ -73,6 +73,29 @@ def test_config_file_rejects_bad_line(tmp_path):
         cli.load_config_file(str(cfgfile))
 
 
+def error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines()
+            if "error" in line.lower() or "Traceback" in line]
+
+
+def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "latin1.cfg"
+    cfgfile.write_bytes(b"kind = raw_lambda  # caf\xe9\nx_grid = 500\xff\n")
+    assert run_cli(["variance", "--config", str(cfgfile)]) == 2
+    lines = error_lines(capsys)
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert str(cfgfile) in lines[0]
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "v.csv"
+    assert run_cli(["variance", "--kind", "raw_lambda", "--x-grid", "500",
+                    "--out", str(out)]) == 2
+    lines = error_lines(capsys)
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert str(out) in lines[0]
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("x_grid = 300\nkind = raw_lambda\nseed = 5\n",
@@ -281,6 +304,17 @@ def test_ps_count_over_sieve_cap_exits_3(capsys):
     assert run_cli(["ps-count", "--x-grid", "1e4,2e9"]) == 3
     assert time.perf_counter() - started < 10
     assert "cap" in capsys.readouterr().err
+
+
+def test_variance_over_sieve_cap_exits_3(tmp_path, capsys):
+    # refused before any row is computed, the 1e4 row included
+    out = tmp_path / "v.csv"
+    started = time.perf_counter()
+    assert run_cli(["variance", "--x-grid", "1e4,2e9", "--out", str(out)]) == 3
+    assert time.perf_counter() - started < 10
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "cap" in err and "row 1 of" not in err
 
 
 def test_ps_count_requires_x_at_least_3():
@@ -616,3 +650,14 @@ def test_readme_cli_example_runs(tmp_path, argv):
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert out.stat().st_size > 0
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    direct, character, rel = map(float, proc.stdout.splitlines()[0].split())
+    assert character == pytest.approx(direct, rel=1e-12) and rel <= 1e-13

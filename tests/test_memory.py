@@ -44,6 +44,17 @@ def test_ps_count_working_set_at_1e7(tmp_path):
     assert peak <= 12 * MB, peak / MB
 
 
+def test_variance_row_sieves_only_its_window(tmp_path):
+    # X = 4e6, mu = 0.9: the weight lives on 4e5 integers.  A prime table
+    # and a Lambda table over [0, X] beside it peaked at 48.1 MB.
+    code, peak = traced_peak(cli.main, [
+        "variance", "--kind", "raw_lambda", "--x-grid", "4e6", "--mu", "0.9",
+        "--q-rule", "fixed:10", "--allow-out-of-range",
+        "--out", str(tmp_path / "v.csv")])
+    assert code == 0
+    assert peak <= 24 * MB, peak / MB
+
+
 def test_rows_are_made_as_they_are_reached(tmp_path):
     # 10^6 cells, ended by the row budget after the first row.  A list of
     # every cell made up front peaked at 96.7 MB (lemma3) and 42.1 MB

@@ -12,10 +12,8 @@ import pytest
 from dense_characters import dense_table, unit_phases
 
 from bdhvar import (WeightKind, WeightParams, build_weight_table, cli,
-                    factorize, make_tables, variance, variance_report)
+                    factorize, variance, variance_report)
 from bdhvar.characters import CharacterGroup, _local_factors
-
-TABLES = make_tables(2100)
 
 
 def test_transform_matches_value_table():
@@ -110,7 +108,7 @@ def test_conjugated_transform_fails_report_not_routes(monkeypatch, tmp_path,
     monkeypatch.setattr(CharacterGroup, "transform",
                         lambda G, sums: np.conj(real(G, np.conj(sums))))
     params = WeightParams(c=1.5, t=1e-3)
-    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, params, TABLES)
+    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, params)
     assert np.abs(w.values.imag).max() > 0.5     # genuinely complex weights
     rep = variance_report(w, 30)
     assert rep.cross_check_rel <= 1e-10          # Parseval cannot see it
@@ -127,9 +125,8 @@ def test_class_sums_within_recursive_summation_bound():
     # Lambda-like weights Lambda(n) e(t n^c) on (1e5, 2e5]: for a class with
     # k nonzero terms each part is within (k - 1) * 2^-53 * sum |part| of
     # the exactly rounded math.fsum.
-    tables = make_tables(2 * 10**5)
     params = WeightParams(c=1.5, t=1e-5)
-    w = build_weight_table(2e5, 0.5, WeightKind.CLASSIC_EXP, params, tables)
+    w = build_weight_table(2e5, 0.5, WeightKind.CLASSIC_EXP, params)
     assert len(w.values) == 10**5
     rng = np.random.default_rng(2000)
     nz = np.flatnonzero(w.values)

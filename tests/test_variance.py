@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from bdhvar import (MainTerm, ParameterError, WeightKind, WeightParams,
-                    build_weight_table, custom_weight_table,
-                    large_sieve_check, main_term_for, make_tables, normalizer,
-                    ps_config, variance, variance_report)
+                    build_prime_table, build_weight_table, custom_weight_table,
+                    lambda_segment, large_sieve_check, main_term_for,
+                    normalizer, ps_config, variance, variance_report)
 from bdhvar.characters import MAX_MODULUS
 
 
@@ -29,7 +29,7 @@ def naive_variance(w, Q, main):
     return math.fsum(per_q), per_q
 
 
-TABLES = make_tables(2100)
+LAM = lambda_segment(0, 2100)  # Lambda(n) at index n
 
 
 def custom_main(value):
@@ -59,14 +59,14 @@ def check_against_naive(w, Q, main):
 
 
 def test_raw_lambda_matches_naive_rescan():
-    w = build_weight_table(2000.0, 0.3, WeightKind.RAW_LAMBDA, None, TABLES)
+    w = build_weight_table(2000.0, 0.3, WeightKind.RAW_LAMBDA, None)
     main = main_term_for(2000.0, 0.3, WeightKind.RAW_LAMBDA, None)
     check_against_naive(w, 20, main.headline())
 
 
 def test_complex_phase_weight_matches_naive_rescan():
     params = WeightParams(c=1.5, t=3e-4)
-    w = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, params, TABLES)
+    w = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, params)
     main = main_term_for(1500.0, 0.5, WeightKind.CLASSIC_EXP, params)
     check_against_naive(w, 20, main.headline())
 
@@ -101,7 +101,7 @@ def test_routes_agree_on_random_tables():
 
 
 def test_progression_sums_partition_total():
-    w = build_weight_table(1200.0, 0.4, WeightKind.RAW_LAMBDA, None, TABLES)
+    w = build_weight_table(1200.0, 0.4, WeightKind.RAW_LAMBDA, None)
     for q in (1, 2, 7, 12, 30):
         total = sum(residue_sums(w.values, w.n0, q))
         assert total == pytest.approx(fsum_total(w), rel=1e-12)
@@ -132,22 +132,22 @@ def test_class_sums_modulus_one():
 
 def test_zero_frequency_classic_equals_raw():
     params = WeightParams(c=1.5, t=0.0)
-    w1 = build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, params, TABLES)
-    w2 = build_weight_table(1000.0, 0.5, WeightKind.RAW_LAMBDA, None, TABLES)
+    w1 = build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, params)
+    w2 = build_weight_table(1000.0, 0.5, WeightKind.RAW_LAMBDA, None)
     assert np.array_equal(w1.values, w2.values)
 
 
 def test_classic_weight_magnitudes_are_lambda():
     params = WeightParams(c=1.5, t=2e-3)
-    w = build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, params, TABLES)
-    lam = TABLES.lam.values[w.n0:w.n0 + len(w.values)]
+    w = build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, params)
+    lam = LAM[w.n0:w.n0 + len(w.values)]
     assert np.max(np.abs(np.abs(w.values) - lam)) <= 1e-12 * math.log(1000)
 
 
 def test_logp_weight_supported_on_primes():
-    w = build_weight_table(500.0, 0.2, WeightKind.LOGP_ONLY, None, TABLES)
+    w = build_weight_table(500.0, 0.2, WeightKind.LOGP_ONLY, None)
     ns = n_values(w)
-    mask = TABLES.primes.is_prime[ns[0]:ns[-1] + 1]
+    mask = build_prime_table(500).is_prime[ns[0]:ns[-1] + 1]
     assert np.array_equal(w.values != 0, mask)
     assert np.allclose(w.values[mask], np.log(ns[mask].astype(float)))
 
@@ -155,10 +155,10 @@ def test_logp_weight_supported_on_primes():
 def test_ps_weight_support():
     cfg = ps_config("9/10")
     params = WeightParams(ps=cfg)
-    w = build_weight_table(2000.0, 0.25, WeightKind.PS_PLAIN, params, TABLES)
+    w = build_weight_table(2000.0, 0.25, WeightKind.PS_PLAIN, params)
     from bdhvar import ps_array
     members = set(ps_array(w.n0, int(w.X), cfg).tolist())
-    lam = TABLES.lam.values
+    lam = LAM
     for i, n in enumerate(n_values(w).tolist()):
         expect = lam[n] if n in members else 0.0
         assert w.values[i] == expect
@@ -167,8 +167,8 @@ def test_ps_weight_support():
 def test_ps_exp_weight_amplitudes():
     cfg = ps_config("9/10")
     params = WeightParams(c=1.5, t=1e-3, ps=cfg)
-    w = build_weight_table(2000.0, 0.25, WeightKind.PS_EXP, params, TABLES)
-    lam = TABLES.lam.values
+    w = build_weight_table(2000.0, 0.25, WeightKind.PS_EXP, params)
+    lam = LAM
     ns = n_values(w)
     nz = w.values != 0
     expect = lam[ns[nz]] * ns[nz].astype(float) ** 0.1
@@ -177,19 +177,17 @@ def test_ps_exp_weight_amplitudes():
 
 def test_weight_build_validation():
     with pytest.raises(ParameterError):
-        build_weight_table(5000.0, 0.5, WeightKind.RAW_LAMBDA, None, TABLES)
-    with pytest.raises(ParameterError):
         build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP,
-                           WeightParams(c=1.5), TABLES)
+                           WeightParams(c=1.5))
     with pytest.raises(ParameterError):
-        build_weight_table(1000.0, 0.5, WeightKind.PS_PLAIN, None, TABLES)
+        build_weight_table(1000.0, 0.5, WeightKind.PS_PLAIN, None)
     with pytest.raises(ParameterError):
-        build_weight_table(1000.0, 0.5, WeightKind.CUSTOM, None, TABLES)
+        build_weight_table(1000.0, 0.5, WeightKind.CUSTOM, None)
     with pytest.raises(ParameterError):
         custom_weight_table(100.0, 0.5, np.zeros(3, dtype=complex))
     with pytest.raises(ParameterError):
         # (mu X, X] contains no integer here
-        build_weight_table(100.5, 0.999, WeightKind.RAW_LAMBDA, None, TABLES)
+        build_weight_table(100.5, 0.999, WeightKind.RAW_LAMBDA, None)
 
 
 def test_main_terms():
@@ -213,7 +211,7 @@ def test_main_terms():
 # ---------------------------------------------------------------------------
 
 def test_single_modulus_closed_form():
-    w = build_weight_table(300.0, 0.5, WeightKind.RAW_LAMBDA, None, TABLES)
+    w = build_weight_table(300.0, 0.5, WeightKind.RAW_LAMBDA, None)
     main = 150.0 + 0j
     got = variance_report(w, 1, custom_main(main)).direct_variance
     assert got == pytest.approx(abs(fsum_total(w) - main) ** 2, rel=1e-12)
@@ -241,7 +239,7 @@ def test_zero_weights_closed_form():
 
 def test_report_cross_checks_and_ratio():
     params = WeightParams(c=1.5, t=1e-3)
-    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, params, TABLES)
+    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, params)
     rep = variance_report(w, 15, per_q=True)
     assert rep.cross_check_ok
     assert rep.cross_check_rel <= 1e-10
@@ -257,7 +255,7 @@ def test_report_cross_checks_and_ratio():
 def test_report_ps_dual_mains():
     cfg = ps_config("9/10")
     params = WeightParams(ps=cfg)
-    w = build_weight_table(2000.0, 0.5, WeightKind.PS_PLAIN, params, TABLES)
+    w = build_weight_table(2000.0, 0.5, WeightKind.PS_PLAIN, params)
     rep = variance_report(w, 10)
     assert rep.cross_check_ok
     assert rep.direct_alt is not None and rep.character_alt is not None
@@ -345,7 +343,7 @@ def test_oversize_modulus_refused_before_q_loop(monkeypatch):
         raise AssertionError(f"q loop reached q = {q}")
 
     monkeypatch.setattr(variance, "character_group", no_group)
-    w = build_weight_table(1000, 0.5, WeightKind.RAW_LAMBDA, None, TABLES)
+    w = build_weight_table(1000, 0.5, WeightKind.RAW_LAMBDA, None)
     with pytest.raises(ParameterError):
         variance_report(w, MAX_MODULUS + 1)
     with pytest.raises(ParameterError):
