@@ -2,13 +2,13 @@ import math
 
 import numpy as np
 
-from bdhvar import build_prime_table, lambda_segment
+from bdhvar import lambda_segment, primes_segment
 
 X = 10**6
 
-table = build_prime_table(X)
-print(f"primes up to {X:,}: {len(table.primes):,}")
-print(f"last few: {table.primes[-5:].tolist()}")
+primes = primes_segment(2, X)
+print(f"primes up to {X:,}: {len(primes):,}")
+print(f"last few: {primes[-5:].tolist()}")
 
 lam = lambda_segment(0, X)  # lam[n] == Lambda(n)
 psi = math.fsum(lam)

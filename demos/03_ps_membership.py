@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
-from bdhvar import (build_prime_table, ps_array, ps_config,
-                    ps_count_main_term, ps_indicator_array)
+import numpy as np
+
+from bdhvar import (primes_segment, ps_array, ps_config, ps_count_main_term,
+                    ps_indicator_array)
 
 # n belongs to the index set for gamma when [n^gamma, (n+1)^gamma) contains
 # an integer; equivalently n = [k^(1/gamma)] for some k.
@@ -14,13 +16,13 @@ cfg = ps_config("3/4")
 print("gamma = 3/4 members up to 60:", ps_array(1, 60, cfg).tolist())
 
 X = 10**5
-table = build_prime_table(X)
+primes = primes_segment(2, X)
 print(f"\nprime counts inside the index set, up to {X:,}:")
 print(f"{'gamma':>12} {'members':>9} {'primes':>7} {'X^g/log X':>10} {'ratio':>6}")
 for gamma in ("9/10", "2426/2817", "11/12", "0.837"):
     cfg = ps_config(gamma)
     members = ps_array(1, X, cfg)
-    count = int(table.is_prime[members].sum())
+    count = np.intersect1d(members, primes, assume_unique=True).size
     main = ps_count_main_term(X, cfg)
     print(f"{gamma:>12} {len(members):>9,} {count:>7,} {main:>10.1f} "
           f"{count / main:>6.3f}")

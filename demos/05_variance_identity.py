@@ -32,8 +32,7 @@ rng = np.random.default_rng(8)
 vals = rng.normal(size=5000) + 1j * rng.normal(size=5000)
 w2 = custom_weight_table(5000.0, 0.0, vals)
 from bdhvar import MainTerm
-rep2 = variance_report(w2, 40, main=MainTerm(kind=WeightKind.CUSTOM,
-                                             value=100 + 30j))
+rep2 = variance_report(w2, 40, main=MainTerm(value=100 + 30j))
 print("\ncomplex Gaussian noise, X = 5000, Q = 40")
 print(f"  direct {rep2.direct_variance:.6f} vs characters "
       f"{rep2.character_variance:.6f} (gap {rep2.cross_check_rel:.2e})")

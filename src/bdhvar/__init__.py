@@ -8,7 +8,7 @@ Piatetski-Shapiro index sets, and both at once.  Supporting machinery
 oscillatory integrals, a large-sieve checker) is exposed directly.
 """
 
-from .arith import PrimeTable, build_prime_table, factorize, lambda_segment
+from .arith import factorize, lambda_segment, primes_segment
 from .characters import CharacterGroup, character_group
 from .errors import ParameterError, ResourceError
 from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,

@@ -1,53 +1,33 @@
 """Prime sieving and basic multiplicative functions.
 
 Provides:
-    * PrimeTable      -- primality bitmap plus the packed list of primes
     * sieve_segment   -- primality mask of one window [lo, hi]
+    * primes_segment  -- the primes in one window [lo, hi]
     * sieving_primes  -- the primes <= sqrt(limit) that such windows need
     * lambda_segment  -- von Mangoldt values Lambda(n) on one window [lo, hi]
-    * build_prime_table
     * factorize
 
 There is one sieve, the segmented Eratosthenes of `sieve_segment`: the
 primes up to sqrt(limit), found by the same sieve recursively, clear one
-window at a time.  `build_prime_table` fills its bitmap window by window;
-a caller that only scans [2, X] once, such as `ps-count`, sieves each
-window as it reaches it and holds O(window + sqrt X), not the whole table.
-`lambda_segment` sieves only its own window, so a weight on (mu X, X] never
-holds [0, X]; it evaluates log p once per prime and reuses it for every
+window.  Every caller sieves only the window it reads and holds
+O(window + sqrt X), never a table over [0, X]: `ps-count` sieves each block
+as it counts it, and a weight or a prime sum on (mu X, X] sieves only that.
+`lambda_segment` evaluates log p once per prime and reuses it for every
 power of p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, ResourceError
 
-# Window length of the segmented clearing pass.
-_SEGMENT = 1 << 20
 DEFAULT_LIMIT_CAP = 10**9
 # The primes below 37: base primes for every window that ends below 37^2.
 _SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31],
                          dtype=np.int64)
-
-
-@dataclass
-class PrimeTable:
-    """Sieve output up to a fixed limit.
-
-    Attributes:
-        limit: largest integer covered by the table.
-        is_prime: boolean array of length limit+1, is_prime[n] == (n prime).
-        primes: int64 array of the primes <= limit, ascending.
-    """
-
-    limit: int
-    is_prime: np.ndarray
-    primes: np.ndarray
 
 
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray,
@@ -85,27 +65,16 @@ def sieving_primes(limit: int, *, cap: int = DEFAULT_LIMIT_CAP) -> np.ndarray:
     root = math.isqrt(limit)
     if root < 37:
         return _SMALL_PRIMES[_SMALL_PRIMES <= root]
-    return build_prime_table(root).primes
+    return primes_segment(2, root)
 
 
-def build_prime_table(limit: int, *,
-                      cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
-    """Sieve all primes up to limit.
+def primes_segment(lo: int, hi: int) -> np.ndarray:
+    """The primes in [lo, hi], ascending, as int64.
 
-    Args:
-        limit: inclusive upper bound, at least 2.
-        cap: refuse limits above this (memory guard).
-
-    Returns:
-        PrimeTable covering [0, limit].
+    Needs 0 <= lo <= hi + 1 and 2 <= hi <= the sieve cap.
     """
-    base = sieving_primes(limit, cap=cap)
-    is_prime = np.empty(limit + 1, dtype=bool)
-    for lo in range(0, limit + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT - 1, limit)
-        sieve_segment(lo, hi, base, out=is_prime[lo:hi + 1])
-    primes = np.flatnonzero(is_prime).astype(np.int64, copy=False)
-    return PrimeTable(limit=limit, is_prime=is_prime, primes=primes)
+    mask = sieve_segment(lo, hi, sieving_primes(hi))
+    return (np.flatnonzero(mask) + lo).astype(np.int64, copy=False)
 
 
 def lambda_segment(lo: int, hi: int) -> np.ndarray:
@@ -128,16 +97,16 @@ def lambda_segment(lo: int, hi: int) -> np.ndarray:
     return values
 
 
-# Shared table for factorize, grown on demand.
-_factor_table: PrimeTable | None = None
+# The primes factorize divides by: every prime up to the last one held,
+# grown on demand.
+_trial = _SMALL_PRIMES
 
 
 def _trial_primes(up_to: int) -> np.ndarray:
-    global _factor_table
-    need = max(up_to, 64)
-    if _factor_table is None or _factor_table.limit < need:
-        _factor_table = build_prime_table(2 * need)
-    return _factor_table.primes
+    global _trial
+    if _trial[-1] < up_to:
+        _trial = primes_segment(2, 2 * up_to)
+    return _trial
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .arith import build_prime_table, sieve_segment, sieving_primes
+from .arith import sieve_segment, sieving_primes
 from .errors import ParameterError, ResourceError
 from .oscillatory import (ExpWeightParams, check_vaaler_size,
                           main_term_integral, prime_exp_sum, saw_psi,
@@ -105,6 +105,10 @@ class ExperimentConfig:
         if self.output_format not in ("csv", "json"):
             raise ParameterError(f"format must be csv or json, got "
                                  f"{self.output_format!r}")
+        if self.output_path and (Path(self.output_path).is_dir() or
+                                 not Path(self.output_path).parent.is_dir()):
+            raise ParameterError(f"cannot write report {self.output_path}: "
+                                 f"not a file in an existing directory")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if not 1 <= self.n_max <= LARGE_SIEVE_CAP or \
@@ -393,14 +397,15 @@ def cmd_ps_count(cfg: ExperimentConfig) -> int:
 
 
 def cmd_lemma3(cfg: ExperimentConfig) -> int:
-    table = build_prime_table(int(max(cfg.x_grid)))
+    # each row sieves its own window; the cap is checked here, before any row
+    sieving_primes(int(max(cfg.x_grid)))
 
     def row(i):
         X, j = cfg.x_grid[i // cfg.t_count], i % cfg.t_count
         t_cap = X ** (1.0 - cfg.c - cfg.delta)
         t = t_cap * 10.0 ** (-(cfg.t_count - 1 - j) / 2.0)
         params = ExpWeightParams(X=X, mu=cfg.mu, c=cfg.c, t=t)
-        s = prime_exp_sum(params, table.primes)
+        s = prime_exp_sum(params)
         integral = main_term_integral(params)
         diff = abs(s - integral)
         return {

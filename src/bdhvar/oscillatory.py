@@ -40,6 +40,7 @@ from functools import cache
 
 import numpy as np
 
+from .arith import primes_segment
 from .errors import ParameterError, ResourceError
 
 # Absolute-error target for reduced phases.
@@ -330,13 +331,14 @@ def main_term_integral(params: ExpWeightParams) -> complex:
                                 params.t, params.c)
 
 
-def prime_exp_sum(params: ExpWeightParams, primes: np.ndarray) -> complex:
+def prime_exp_sum(params: ExpWeightParams) -> complex:
     """sum of e(t p^c) log p over primes mu X < p <= X, ascending p.
 
-    `primes` is an ascending array covering at least [2, X] (for example
-    PrimeTable.primes).  Accumulation is exactly rounded via math.fsum.
+    Only that window is sieved.  Accumulation is exactly rounded via
+    math.fsum.
     """
-    ps = primes[(primes > params.mu * params.X) & (primes <= params.X)]
+    ps = primes_segment(math.floor(params.mu * params.X) + 1,
+                        math.floor(params.X))
     if ps.size == 0:
         return 0j
     fr = phase_frac_array(params.t, ps, params.c)

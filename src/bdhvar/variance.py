@@ -100,7 +100,6 @@ class MainTerm:
     range-consistent one.  alt_value is None for every other kind.
     """
 
-    kind: WeightKind
     value: complex
     alt_value: Optional[complex] = None
 
@@ -137,14 +136,15 @@ def _ps_mask(n0: int, n1: int, cfg: PSConfig) -> np.ndarray:
     return mask
 
 
-def _twisted(base: np.ndarray, ns: np.ndarray, p: ExpWeightParams) -> np.ndarray:
-    """base(n) e(t n^c), with phases reduced only where base(n) != 0."""
+def _twisted(base: np.ndarray, n0: int, p: ExpWeightParams) -> np.ndarray:
+    """base(n) e(t n^c) for n = n0 + i, with phases reduced only where
+    base(n) != 0."""
     vals = np.zeros(len(base), dtype=np.complex128)
     nz = np.flatnonzero(base)
     if p.t == 0.0:
         vals[nz] = base[nz]
     else:
-        fr = phase_frac_array(p.t, ns[nz], p.c)
+        fr = phase_frac_array(p.t, n0 + nz, p.c)
         vals[nz] = base[nz] * np.exp(2j * np.pi * fr)
     return vals
 
@@ -164,16 +164,16 @@ def build_weight_table(X: float, mu: float, kind: WeightKind,
     """
     params = params or WeightParams()
     n0, n1 = _range_bounds(X, mu)
-    ns = np.arange(n0, n1 + 1, dtype=np.int64)
 
     if kind is WeightKind.RAW_LAMBDA:
         vals = lambda_segment(n0, n1)
     elif kind is WeightKind.LOGP_ONLY:
         mask = sieve_segment(n0, n1, sieving_primes(n1))
-        vals = np.where(mask, np.log(ns.astype(np.float64)), 0.0)
+        vals = np.where(mask, np.log(np.arange(n0, n1 + 1, dtype=np.float64)),
+                        0.0)
     elif kind is WeightKind.CLASSIC_EXP:
         p = _exp_params(X, mu, params)
-        vals = _twisted(lambda_segment(n0, n1), ns, p)
+        vals = _twisted(lambda_segment(n0, n1), n0, p)
     elif kind is WeightKind.PS_PLAIN:
         if params.ps is None:
             raise ParameterError("PS_PLAIN needs params.ps (a PSConfig)")
@@ -183,10 +183,11 @@ def build_weight_table(X: float, mu: float, kind: WeightKind,
         if params.ps is None:
             raise ParameterError("PS_EXP needs params.ps (a PSConfig)")
         p = _exp_params(X, mu, params)
-        amp = ns.astype(np.float64) ** (1.0 - params.ps.gamma)
+        amp = (np.arange(n0, n1 + 1, dtype=np.float64)
+               ** (1.0 - params.ps.gamma))
         base = np.where(_ps_mask(n0, n1, params.ps),
                         lambda_segment(n0, n1) * amp, 0.0)
-        vals = _twisted(base, ns, p)
+        vals = _twisted(base, n0, p)
     elif kind is WeightKind.CUSTOM:
         raise ParameterError("use custom_weight_table for CUSTOM kinds")
     else:
@@ -200,21 +201,21 @@ def main_term_for(X: float, mu: float, kind: WeightKind,
     """The main term matched to a weight kind (see MainTerm for PS_PLAIN)."""
     params = params or WeightParams()
     if kind in (WeightKind.RAW_LAMBDA, WeightKind.LOGP_ONLY):
-        return MainTerm(kind=kind, value=complex((1.0 - mu) * X))
+        return MainTerm(value=complex((1.0 - mu) * X))
     if kind is WeightKind.CLASSIC_EXP:
-        return MainTerm(kind=kind, value=main_term_integral(_exp_params(X, mu, params)))
+        return MainTerm(value=main_term_integral(_exp_params(X, mu, params)))
     if kind is WeightKind.PS_PLAIN:
         if params.ps is None:
             raise ParameterError("PS_PLAIN needs params.ps")
         g = params.ps.gamma
         full = float(X) ** g
-        return MainTerm(kind=kind, value=complex(full),
+        return MainTerm(value=complex(full),
                         alt_value=complex(full - (mu * X) ** g))
     if kind is WeightKind.PS_EXP:
         if params.ps is None:
             raise ParameterError("PS_EXP needs params.ps")
         integral = main_term_integral(_exp_params(X, mu, params))
-        return MainTerm(kind=kind, value=params.ps.gamma * integral)
+        return MainTerm(value=params.ps.gamma * integral)
     raise ParameterError(f"no built-in main term for kind {kind}")
 
 
@@ -307,7 +308,7 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     substantive cross-check, and sampled transform entries are checked
     against a direct evaluation (see `VarianceReport.transform_gap`).
     `main` defaults to `main_term_for` the table's kind; CUSTOM tables
-    need one, e.g. MainTerm(kind=WeightKind.CUSTOM, value=M).
+    need one, e.g. MainTerm(value=M).
     """
     if not 1 <= Q <= MAX_MODULUS:
         raise ParameterError(f"Q must be in [1, {MAX_MODULUS}], got {Q}")

@@ -18,11 +18,12 @@ import pytest
 
 import bdhvar
 from bdhvar import (ExpWeightParams, MainTerm, WeightKind, WeightParams,
-                    build_prime_table, build_weight_table, custom_weight_table,
+                    build_weight_table, custom_weight_table,
                     large_sieve_check, main_term_integral,
                     prime_exp_sum, ps_array, ps_config, ps_count_main_term,
                     ps_indicator_array, saw_psi, vaaler_eval, vaaler_expansion,
                     variance_report)
+from bdhvar.arith import sieve_segment, sieving_primes
 
 _CAPSYS = None
 
@@ -49,8 +50,8 @@ def verdict(num, label, failures, detail=""):
 
 
 @pytest.fixture(scope="module")
-def primes_1e6():
-    return build_prime_table(10**6)
+def is_prime_1e6():
+    return sieve_segment(0, 10**6, sieving_primes(10**6))
 
 
 def test_acceptance_1_route_identity_on_random_tables():
@@ -65,8 +66,7 @@ def test_acceptance_1_route_identity_on_random_tables():
         m = math.floor(X) - math.floor(mu * X)
         vals = rng.normal(size=m) + 1j * rng.normal(size=m)
         w = custom_weight_table(float(X), mu, vals)
-        main = MainTerm(kind=WeightKind.CUSTOM,
-                        value=complex(rng.normal(), rng.normal()) * m / 10)
+        main = MainTerm(value=complex(rng.normal(), rng.normal()) * m / 10)
         rep = variance_report(w, Q, main=main, per_q=True)
         for q, dv, cv in rep.per_q:
             rel = abs(dv - cv) / max(dv, 1.0)
@@ -114,8 +114,7 @@ def test_acceptance_2_bucketing_matches_naive_rescan():
     cases.append(("random", w3, 1.5 - 2.5j))
     for name, w, main in cases:
         want, want_per_q = naive_variance(w, 20, main)
-        rep = variance_report(w, 20, MainTerm(kind=WeightKind.CUSTOM,
-                                              value=main), per_q=True)
+        rep = variance_report(w, 20, MainTerm(value=main), per_q=True)
         got = rep.direct_variance
         if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12):
             failures.append(f"{name}: total {got!r} vs naive {want!r}")
@@ -153,7 +152,7 @@ def test_acceptance_3_ps_generator_vs_indicator():
             f"{elapsed:.1f}s")
 
 
-def test_acceptance_4_ps_prime_count_main_term(primes_1e6):
+def test_acceptance_4_ps_prime_count_main_term(is_prime_1e6):
     """PS prime counts track X^gamma/log X within the next-order band."""
     start = time.perf_counter()
     failures = []
@@ -161,7 +160,7 @@ def test_acceptance_4_ps_prime_count_main_term(primes_1e6):
     errs = []
     for X in (10**4, 10**5, 10**6):
         members = ps_array(1, X, cfg)
-        count = int(primes_1e6.is_prime[members].sum())
+        count = int(is_prime_1e6[members].sum())
         main = ps_count_main_term(float(X), cfg)
         lx = math.log(X)
         err = abs(count - main) * lx * lx / float(X) ** cfg.gamma
@@ -182,13 +181,12 @@ def test_acceptance_5_exp_sum_tracks_integral():
     start = time.perf_counter()
     failures = []
     X, mu, c, delta = 10**5, 0.5, 1.5, 0.05
-    primes = build_prime_table(X).primes
     cap = float(X) ** (1.0 - c - delta)
     worst = 0.0
     for j in range(5):
         t = cap * 10.0 ** (-(4 - j) / 2.0)
         params = ExpWeightParams(X=float(X), mu=mu, c=c, t=t)
-        s = prime_exp_sum(params, primes)
+        s = prime_exp_sum(params)
         integral = main_term_integral(params)
         scaled = abs(s - integral) / X
         worst = max(worst, scaled)

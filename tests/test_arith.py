@@ -6,21 +6,24 @@ import random
 import numpy as np
 import pytest
 
-from bdhvar import (ParameterError, arith, build_prime_table, factorize,
-                    lambda_segment)
+from bdhvar import ParameterError, factorize, lambda_segment, primes_segment
 from bdhvar.arith import sieve_segment, sieving_primes
 from bdhvar.errors import ResourceError
 
 
-def naive_sieve(limit):
-    """Reference sieve, deliberately simple."""
+def naive_flags(limit):
+    """Reference sieve, deliberately simple: flags[n] == (n prime)."""
     flags = [True] * (limit + 1)
     flags[0] = flags[1] = False
     for p in range(2, int(limit ** 0.5) + 1):
         if flags[p]:
             for m in range(p * p, limit + 1, p):
                 flags[m] = False
-    return [n for n in range(limit + 1) if flags[n]]
+    return flags
+
+
+def naive_sieve(limit):
+    return [n for n, flag in enumerate(naive_flags(limit)) if flag]
 
 
 def naive_factor(n):
@@ -40,55 +43,53 @@ def naive_factor(n):
 
 
 def test_sieve_matches_naive_oracle():
-    table = build_prime_table(10**5)
-    assert table.primes.tolist() == naive_sieve(10**5)
+    primes = primes_segment(2, 10**5)
+    assert primes.tolist() == naive_sieve(10**5)
+    assert primes.dtype == np.int64
 
 
 def test_prime_count_at_1e6():
-    assert len(build_prime_table(10**6).primes) == 78498
+    assert len(primes_segment(2, 10**6)) == 78498
 
 
 def test_small_primes():
-    assert build_prime_table(10).primes.tolist() == [2, 3, 5, 7]
+    assert primes_segment(0, 10).tolist() == [2, 3, 5, 7]
+    assert primes_segment(3, 7).tolist() == [3, 5, 7]
+    assert primes_segment(8, 10).tolist() == []
+    assert primes_segment(990, 1000).tolist() == [991, 997]
 
 
 def test_sieve_rejects_bad_limits():
     with pytest.raises(ParameterError):
-        build_prime_table(1)
-    with pytest.raises(ResourceError):
-        build_prime_table(10**7, cap=10**6)
+        primes_segment(0, 1)
+    with pytest.raises(ParameterError):
+        primes_segment(11, 9)
+    with pytest.raises(ResourceError):  # refused before any window is made
+        primes_segment(2 * 10**9 - 10, 2 * 10**9)
 
 
 def test_sieve_segment_matches_table_slices():
-    seg = arith._SEGMENT
-    table = build_prime_table(seg + 5000)
+    seg = 1 << 20
+    flags = np.array(naive_flags(seg + 5000), dtype=bool)
     windows = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 50), (2, 2), (2, 1000),
                # starting or ending at a prime square, and at 37^2, the
                # first square past the built-in small primes
                (49, 100), (25, 49), (121, 169), (961, 1369), (1369, 2000),
                (997 ** 2, 997 ** 2 + 500), (991 ** 2 - 300, 991 ** 2),
-               # at and across a _SEGMENT seam of the table
+               # at and across 2^20
                (seg - 700, seg + 700), (seg - 1, seg), (seg, seg + 4999)]
-    wide = build_prime_table(2000).primes  # more base primes than needed
+    wide = np.array(naive_sieve(2000))  # more base primes than needed
     for lo, hi in windows:
-        expected = table.is_prime[lo:hi + 1]
+        expected = flags[lo:hi + 1]
         base = sieving_primes(max(hi, 2))
         assert np.array_equal(sieve_segment(lo, hi, base), expected), (lo, hi)
         assert np.array_equal(sieve_segment(lo, hi, wide), expected), (lo, hi)
     out = np.zeros(1401, dtype=bool)
     assert sieve_segment(seg - 700, seg + 700, wide, out=out) is out
-    assert np.array_equal(out, table.is_prime[seg - 700:seg + 701])
+    assert np.array_equal(out, flags[seg - 700:seg + 701])
     assert sieve_segment(5, 4, wide).size == 0
     with pytest.raises(ParameterError):
         sieve_segment(-1, 10, wide)
-
-
-def test_table_windows_meet_at_seams(monkeypatch):
-    # 137 windows of 733 integers; 733 is prime, so seams fall everywhere
-    monkeypatch.setattr(arith, "_SEGMENT", 733)
-    table = build_prime_table(10**5)
-    assert table.primes.tolist() == naive_sieve(10**5)
-    assert table.primes.dtype == np.int64
 
 
 def test_sieving_primes_cap_and_roots():

@@ -87,13 +87,19 @@ def test_config_file_not_utf8_is_config_error(tmp_path, capsys):
     assert str(cfgfile) in lines[0]
 
 
-def test_unwritable_out_is_config_error(tmp_path, capsys):
-    out = tmp_path / "missing" / "v.csv"
-    assert run_cli(["variance", "--kind", "raw_lambda", "--x-grid", "500",
-                    "--out", str(out)]) == 2
-    lines = error_lines(capsys)
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert str(out) in lines[0]
+def test_unwritable_out_is_config_error(tmp_path, capsys, monkeypatch):
+    # refused before any row is computed, and no file is made
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "build_weight_table", no_rows)
+    for out in (tmp_path / "missing" / "v.csv", tmp_path):
+        assert run_cli(["variance", "--kind", "raw_lambda", "--x-grid", "500",
+                        "--out", str(out)]) == 2
+        lines = error_lines(capsys)
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert str(out) in lines[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -306,11 +312,12 @@ def test_ps_count_over_sieve_cap_exits_3(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_variance_over_sieve_cap_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["variance", "lemma3"])
+def test_sieve_cap_exits_3_before_any_row(command, tmp_path, capsys):
     # refused before any row is computed, the 1e4 row included
-    out = tmp_path / "v.csv"
+    out = tmp_path / "r.csv"
     started = time.perf_counter()
-    assert run_cli(["variance", "--x-grid", "1e4,2e9", "--out", str(out)]) == 3
+    assert run_cli([command, "--x-grid", "1e4,2e9", "--out", str(out)]) == 3
     assert time.perf_counter() - started < 10
     assert not out.exists()
     err = capsys.readouterr().err

@@ -55,6 +55,17 @@ def test_variance_row_sieves_only_its_window(tmp_path):
     assert peak <= 24 * MB, peak / MB
 
 
+def test_lemma3_row_sieves_only_its_window(tmp_path):
+    # X = 4e6, mu = 0.9: the sum reads the primes of (3.6e6, 4e6].  A prime
+    # table over [0, X] (4 MB of flags and every prime <= X as int64)
+    # peaked at 8.6 MB.
+    code, peak = traced_peak(cli.main, [
+        "lemma3", "--x-grid", "4e6", "--mu", "0.9", "--t-count", "1",
+        "--out", str(tmp_path / "l3.csv")])
+    assert code == 0
+    assert peak <= 5 * MB, peak / MB
+
+
 def test_rows_are_made_as_they_are_reached(tmp_path):
     # 10^6 cells, ended by the row budget after the first row.  A list of
     # every cell made up front peaked at 96.7 MB (lemma3) and 42.1 MB

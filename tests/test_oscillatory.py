@@ -8,9 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from bdhvar import (ExpWeightParams, ParameterError, build_prime_table,
-                    main_term_integral, oscillatory, oscillatory_integral,
-                    phase_frac_array, prime_exp_sum, reduced_phase, saw_psi,
+from bdhvar import (ExpWeightParams, ParameterError, main_term_integral,
+                    oscillatory, oscillatory_integral, phase_frac_array,
+                    prime_exp_sum, primes_segment, reduced_phase, saw_psi,
                     vaaler_eval, vaaler_expansion)
 from bdhvar.errors import ResourceError
 
@@ -230,20 +230,19 @@ def test_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_prime_exp_sum_zero_frequency_is_theta_difference():
-    table = build_prime_table(10**4)
+    primes = primes_segment(2, 10**4)
     p = ExpWeightParams(X=10**4, mu=0.5, c=1.5, t=0.0)
-    got = prime_exp_sum(p, table.primes)
-    ps = table.primes[(table.primes > 5000) & (table.primes <= 10**4)]
+    got = prime_exp_sum(p)
+    ps = primes[(primes > 5000) & (primes <= 10**4)]
     assert got.imag == 0.0
     assert got.real == pytest.approx(math.fsum(np.log(ps)), rel=1e-14)
 
 
 def test_prime_exp_sum_matches_elementwise_route():
-    table = build_prime_table(2000)
     p = ExpWeightParams(X=2000.0, mu=0.25, c=1.5, t=3e-4)
-    got = prime_exp_sum(p, table.primes)
+    got = prime_exp_sum(p)
     acc = 0j
-    for q in table.primes.tolist():
+    for q in primes_segment(2, 2000).tolist():
         if 500 < q <= 2000:
             acc += math.log(q) * cmath.exp(
                 2j * math.pi * reduced_phase(p.t, q, p.c))
@@ -251,9 +250,8 @@ def test_prime_exp_sum_matches_elementwise_route():
 
 
 def test_prime_exp_sum_empty_window():
-    table = build_prime_table(100)
     p = ExpWeightParams(X=4.0, mu=0.8, c=1.5, t=0.1)
-    assert prime_exp_sum(p, table.primes) == 0j
+    assert prime_exp_sum(p) == 0j
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from bdhvar import (MainTerm, ParameterError, WeightKind, WeightParams,
-                    build_prime_table, build_weight_table, custom_weight_table,
+                    build_weight_table, custom_weight_table,
                     lambda_segment, large_sieve_check, main_term_for,
                     normalizer, ps_config, variance, variance_report)
+from bdhvar.arith import sieve_segment, sieving_primes
 from bdhvar.characters import MAX_MODULUS
 
 
@@ -33,7 +34,7 @@ LAM = lambda_segment(0, 2100)  # Lambda(n) at index n
 
 
 def custom_main(value):
-    return MainTerm(kind=WeightKind.CUSTOM, value=complex(value))
+    return MainTerm(value=complex(value))
 
 
 def n_values(w):
@@ -147,7 +148,7 @@ def test_classic_weight_magnitudes_are_lambda():
 def test_logp_weight_supported_on_primes():
     w = build_weight_table(500.0, 0.2, WeightKind.LOGP_ONLY, None)
     ns = n_values(w)
-    mask = build_prime_table(500).is_prime[ns[0]:ns[-1] + 1]
+    mask = sieve_segment(ns[0], ns[-1], sieving_primes(500))
     assert np.array_equal(w.values != 0, mask)
     assert np.allclose(w.values[mask], np.log(ns[mask].astype(float)))
 
