@@ -136,7 +136,8 @@ def _band(x: np.ndarray, m: np.ndarray, exponent: float) -> np.ndarray:
     """Escalation band around x = m^exponent: _GUARD_EPSILON, or the float64
     error bound 8 eps x (1 + exponent log m) where that is larger."""
     cond = x * (1.0 + exponent * np.log(np.maximum(m, 2)))
-    return np.maximum(_GUARD_EPSILON, 8.0 * _F64_EPS * cond)
+    cond *= 8.0 * _F64_EPS
+    return np.maximum(_GUARD_EPSILON, cond, out=cond)
 
 
 def _floor_roots(a: int, b: int, cfg: PSConfig) -> np.ndarray:
@@ -145,8 +146,8 @@ def _floor_roots(a: int, b: int, cfg: PSConfig) -> np.ndarray:
     inv = 1.0 / cfg.gamma
     roots = ks.astype(np.float64) ** inv
     floors = np.floor(roots).astype(np.int64)
-    frac = roots - floors
     band = _band(roots, ks, inv)
+    frac = np.subtract(roots, floors, out=roots)  # roots is not read again
     exponent = inv if cfg.gamma_exact is None else 1 / cfg.gamma_exact
     for i in np.flatnonzero((frac <= band) | (frac >= 1.0 - band)).tolist():
         floors[i] = _pow_floor(int(ks[i]), exponent)[0]
