@@ -19,7 +19,6 @@ from .psprimes import (PSConfig, ps_array, ps_config, ps_count_main_term,
                        ps_indicator_array)
 from .variance import (LargeSieveResult, MainTerm, VarianceReport, WeightKind,
                        WeightParams, WeightTable, build_weight_table,
-                       custom_weight_table, large_sieve_check, main_term_for,
-                       normalizer, variance_report)
+                       custom_weight_table, large_sieve_check, variance_report)
 
 __version__ = "0.1.0"

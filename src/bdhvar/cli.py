@@ -323,7 +323,6 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
     if kind is WeightKind.CUSTOM:
         raise ParameterError("the variance command cannot build CUSTOM weights")
     gamma_f = float(cfg.gamma)
-    needs_ps = kind in (WeightKind.PS_PLAIN, WeightKind.PS_EXP)
     needs_t = kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP)
     # each row sieves its own window; the cap is checked here, before any row
     sieving_primes(int(max(cfg.x_grid)))
@@ -339,10 +338,7 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
             raise ParameterError(
                 "outside the admissible theorem range; rerun with "
                 "--allow-out-of-range to proceed")
-        params = WeightParams(
-            c=cfg.c if needs_t else None,
-            t=t if needs_t else None,
-            ps=ps_config(cfg.gamma) if needs_ps else None)
+        params = WeightParams(c=cfg.c, t=t, ps=ps_config(cfg.gamma))
         w = build_weight_table(X, cfg.mu, kind, params)
         rep = variance_report(w, Q)
         if not rep.cross_check_ok:

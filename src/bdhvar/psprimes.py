@@ -181,18 +181,12 @@ def ps_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
     k_hi = math.ceil(float(hi + 1) ** cfg.gamma) + 2
     out = np.empty(k_hi - k_lo + 1, dtype=np.int64)  # one n per k at most
     m = 0
-    ordered = True
     for k0 in range(k_lo, k_hi + 1, _BLOCK):
         floors = _floor_roots(k0, min(k_hi, k0 + _BLOCK - 1), cfg)
         floors = floors[(floors >= lo) & (floors <= hi)]
-        seam = max(m - 1, 0)  # the previous block's last entry
         out[m:m + floors.size] = floors
         m += floors.size
-        ordered = ordered and bool(np.all(np.diff(out[seam:m]) > 0))
-    out = out[:m]
-    if not ordered:
-        out = np.unique(out)  # k^(1/gamma) has gaps > 1, so this is a no-op
-    return out
+    return out[:m]
 
 
 def ps_indicator_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:

@@ -15,6 +15,10 @@ computes it by two routes from the same residue sums of each q:
       where Psi_chi = sum w(n) chi(n) and delta is 1 only at the principal
       character.
 
+`build_weight_table` is the one place that knows the weight kinds: each
+table carries its kind's main term `main` and the power `scale` = X^e of
+the theorem's bound X^e * Q * log X, which reports divide V(Q) by.
+
 The identity is Parseval over the unit group and holds for arbitrary
 complex weights, so route agreement is a strong end-to-end check; reports
 carry the relative discrepancy and anything above 1e-8 is flagged.
@@ -74,22 +78,6 @@ class WeightParams:
     ps: Optional[PSConfig] = None
 
 
-@dataclass
-class WeightTable:
-    """Complex weights w(n) for integer n in (mu X, X].
-
-    values[i] = w(n0 + i), where n0 = floor(mu X) + 1 is the first integer
-    of the range and the last is floor(X).
-    """
-
-    X: float
-    mu: float
-    kind: WeightKind
-    params: WeightParams
-    n0: int
-    values: np.ndarray
-
-
 @dataclass(frozen=True)
 class MainTerm:
     """Expected per-modulus mass: S_q(a) is compared against value/phi(q).
@@ -107,6 +95,23 @@ class MainTerm:
         return self.alt_value if self.alt_value is not None else self.value
 
 
+@dataclass
+class WeightTable:
+    """Complex weights w(n) for integer n in (mu X, X], with their theorem.
+
+    values[i] = w(n0 + i), where n0 = floor(mu X) + 1 is the first integer
+    of the range and the last is floor(X).  `main` is the kind's main term
+    (None for CUSTOM tables) and `scale` the power X^e of its normaliser
+    X^e * Q * log X.
+    """
+
+    X: float
+    n0: int
+    values: np.ndarray
+    main: Optional[MainTerm]
+    scale: float
+
+
 def custom_weight_table(X: float, mu: float, values: np.ndarray) -> WeightTable:
     """Wrap a caller-supplied complex array as a CUSTOM weight table."""
     n0, n1 = _range_bounds(X, mu)
@@ -114,8 +119,8 @@ def custom_weight_table(X: float, mu: float, values: np.ndarray) -> WeightTable:
     if len(arr) != n1 - n0 + 1:
         raise ParameterError(
             f"need {n1 - n0 + 1} values for (mu X, X], got {len(arr)}")
-    return WeightTable(X=float(X), mu=float(mu), kind=WeightKind.CUSTOM,
-                       params=WeightParams(), n0=n0, values=arr)
+    return WeightTable(X=float(X), n0=n0, values=arr, main=None,
+                       scale=float(X))
 
 
 def _range_bounds(X: float, mu: float) -> tuple[int, int]:
@@ -130,93 +135,60 @@ def _range_bounds(X: float, mu: float) -> tuple[int, int]:
     return n0, n1
 
 
-def _ps_mask(n0: int, n1: int, cfg: PSConfig) -> np.ndarray:
-    mask = np.zeros(n1 - n0 + 1, dtype=bool)
-    mask[ps_array(n0, n1, cfg) - n0] = True
-    return mask
-
-
-def _twisted(base: np.ndarray, n0: int, p: ExpWeightParams) -> np.ndarray:
-    """base(n) e(t n^c) for n = n0 + i, with phases reduced only where
-    base(n) != 0."""
-    vals = np.zeros(len(base), dtype=np.complex128)
-    nz = np.flatnonzero(base)
-    if p.t == 0.0:
-        vals[nz] = base[nz]
-    else:
-        fr = phase_frac_array(p.t, n0 + nz, p.c)
-        vals[nz] = base[nz] * np.exp(2j * np.pi * fr)
-    return vals
-
-
-def _exp_params(X: float, mu: float, params: WeightParams) -> ExpWeightParams:
-    if params.c is None or params.t is None:
-        raise ParameterError("this weight kind needs both c and t")
-    return ExpWeightParams(X=float(X), mu=float(mu), c=float(params.c),
-                           t=float(params.t))
-
-
 def build_weight_table(X: float, mu: float, kind: WeightKind,
                        params: WeightParams | None) -> WeightTable:
-    """Materialise one of the built-in weight kinds on (mu X, X].
+    """Materialise a built-in weight kind on (mu X, X], with its main term
+    and normaliser power X^e (e = 1, gamma for PS_PLAIN, 2 - gamma for
+    PS_EXP).
 
-    Only that window is sieved, from the primes <= sqrt(X).
+    Only that window is sieved, from the primes <= sqrt(X).  The twisted
+    kinds read c and t, the PS kinds read ps; unused parameters are ignored.
     """
     params = params or WeightParams()
     n0, n1 = _range_bounds(X, mu)
+    X = float(X)
+    exp = in_ps = alt = None
+    if kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP):
+        if params.c is None or params.t is None:
+            raise ParameterError(f"{kind} needs both c and t")
+        exp = ExpWeightParams(X=X, mu=float(mu), c=float(params.c),
+                              t=float(params.t))
+    if kind in (WeightKind.PS_PLAIN, WeightKind.PS_EXP):
+        if params.ps is None:
+            raise ParameterError(f"{kind} needs params.ps (a PSConfig)")
+        g = params.ps.gamma
+        in_ps = np.zeros(n1 - n0 + 1, dtype=bool)
+        in_ps[ps_array(n0, n1, params.ps) - n0] = True
 
     if kind is WeightKind.RAW_LAMBDA:
-        vals = lambda_segment(n0, n1)
+        vals, main, scale = lambda_segment(n0, n1), (1.0 - mu) * X, X
     elif kind is WeightKind.LOGP_ONLY:
         mask = sieve_segment(n0, n1, sieving_primes(n1))
         vals = np.where(mask, np.log(np.arange(n0, n1 + 1, dtype=np.float64)),
                         0.0)
+        main, scale = (1.0 - mu) * X, X
     elif kind is WeightKind.CLASSIC_EXP:
-        p = _exp_params(X, mu, params)
-        vals = _twisted(lambda_segment(n0, n1), n0, p)
+        vals, main, scale = lambda_segment(n0, n1), main_term_integral(exp), X
     elif kind is WeightKind.PS_PLAIN:
-        if params.ps is None:
-            raise ParameterError("PS_PLAIN needs params.ps (a PSConfig)")
-        vals = np.where(_ps_mask(n0, n1, params.ps), lambda_segment(n0, n1),
-                        0.0)
+        vals = np.where(in_ps, lambda_segment(n0, n1), 0.0)
+        main = scale = X ** g
+        alt = complex(main - (mu * X) ** g)
     elif kind is WeightKind.PS_EXP:
-        if params.ps is None:
-            raise ParameterError("PS_EXP needs params.ps (a PSConfig)")
-        p = _exp_params(X, mu, params)
-        amp = (np.arange(n0, n1 + 1, dtype=np.float64)
-               ** (1.0 - params.ps.gamma))
-        base = np.where(_ps_mask(n0, n1, params.ps),
-                        lambda_segment(n0, n1) * amp, 0.0)
-        vals = _twisted(base, n0, p)
-    elif kind is WeightKind.CUSTOM:
-        raise ParameterError("use custom_weight_table for CUSTOM kinds")
+        amp = np.arange(n0, n1 + 1, dtype=np.float64) ** (1.0 - g)
+        vals = np.where(in_ps, lambda_segment(n0, n1) * amp, 0.0)
+        main, scale = g * main_term_integral(exp), X ** (2.0 - g)
     else:
-        raise ParameterError(f"unknown weight kind {kind}")
-    return WeightTable(X=float(X), mu=float(mu), kind=kind, params=params,
-                       n0=n0, values=vals.astype(np.complex128, copy=False))
-
-
-def main_term_for(X: float, mu: float, kind: WeightKind,
-                  params: WeightParams | None) -> MainTerm:
-    """The main term matched to a weight kind (see MainTerm for PS_PLAIN)."""
-    params = params or WeightParams()
-    if kind in (WeightKind.RAW_LAMBDA, WeightKind.LOGP_ONLY):
-        return MainTerm(value=complex((1.0 - mu) * X))
-    if kind is WeightKind.CLASSIC_EXP:
-        return MainTerm(value=main_term_integral(_exp_params(X, mu, params)))
-    if kind is WeightKind.PS_PLAIN:
-        if params.ps is None:
-            raise ParameterError("PS_PLAIN needs params.ps")
-        g = params.ps.gamma
-        full = float(X) ** g
-        return MainTerm(value=complex(full),
-                        alt_value=complex(full - (mu * X) ** g))
-    if kind is WeightKind.PS_EXP:
-        if params.ps is None:
-            raise ParameterError("PS_EXP needs params.ps")
-        integral = main_term_integral(_exp_params(X, mu, params))
-        return MainTerm(value=params.ps.gamma * integral)
-    raise ParameterError(f"no built-in main term for kind {kind}")
+        raise ParameterError(f"no built-in weight kind {kind!r}; "
+                             "CUSTOM tables come from custom_weight_table")
+    if exp is not None and exp.t != 0.0:
+        # phases are reduced only where w(n) != 0
+        nz = np.flatnonzero(vals)
+        fr = phase_frac_array(exp.t, n0 + nz, exp.c)
+        vals, base = np.zeros(len(vals), dtype=np.complex128), vals
+        vals[nz] = base[nz] * np.exp(2j * np.pi * fr)
+    vals = vals.astype(np.complex128, copy=False)
+    return WeightTable(X=X, n0=n0, values=vals, scale=scale,
+                       main=MainTerm(value=complex(main), alt_value=alt))
 
 
 # ---------------------------------------------------------------------------
@@ -284,21 +256,6 @@ class VarianceReport:
                 and self.transform_gap <= CROSS_CHECK_TOL)
 
 
-def normalizer(kind: WeightKind, X: float, Q: int,
-               gamma: Optional[float] = None) -> float:
-    """The theorem-scale denominator X^e * Q * log X for the given kind."""
-    lx = math.log(X)
-    if kind is WeightKind.PS_PLAIN:
-        if gamma is None:
-            raise ParameterError("PS normaliser needs gamma")
-        return X ** gamma * Q * lx
-    if kind is WeightKind.PS_EXP:
-        if gamma is None:
-            raise ParameterError("PS normaliser needs gamma")
-        return X ** (2.0 - gamma) * Q * lx
-    return X * Q * lx
-
-
 def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
                     per_q: bool = False) -> VarianceReport:
     """V(Q) by both routes, for each main-term reading, in one pass over q.
@@ -307,13 +264,14 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     character transform versus the direct squared deviations remains the
     substantive cross-check, and sampled transform entries are checked
     against a direct evaluation (see `VarianceReport.transform_gap`).
-    `main` defaults to `main_term_for` the table's kind; CUSTOM tables
-    need one, e.g. MainTerm(value=M).
+    `main` defaults to the table's own `w.main`; CUSTOM tables need one,
+    e.g. MainTerm(value=M).  The ratios divide by w.scale * Q * log X.
     """
     if not 1 <= Q <= MAX_MODULUS:
         raise ParameterError(f"Q must be in [1, {MAX_MODULUS}], got {Q}")
+    main = main or w.main
     if main is None:
-        main = main_term_for(w.X, w.mu, w.kind, w.params)
+        raise ParameterError("a CUSTOM table needs an explicit main term")
     mains = [complex(main.headline())]
     if main.alt_value is not None:
         mains.append(complex(main.value))  # paper-literal variant second
@@ -343,8 +301,7 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     if len(cells) > 1:
         direct_alt, chars_alt = (math.fsum(v) for v in zip(*cells[1]))
 
-    g = w.params.ps.gamma if w.params.ps is not None else None
-    norm = normalizer(w.kind, w.X, Q, g)
+    norm = w.scale * Q * math.log(w.X)
     ratio = direct / norm
     ratio_alt = (direct_alt / norm) if direct_alt is not None else ratio
     break_down = None

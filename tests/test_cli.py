@@ -380,6 +380,7 @@ def test_vaaler_rows(tmp_path):
 def test_bad_subcommand_flags(capsys):
     assert run_cli(["variance", "--x-grid", "1"]) == 2        # X < 2
     assert run_cli(["variance", "--x-grid", "100", "--kind", "martian"]) == 2
+    assert run_cli(["variance", "--x-grid", "100", "--kind", "custom"]) == 2
     assert run_cli(["large-sieve", "--n-max", "0"]) == 2
     assert run_cli(["large-sieve", "--n-max", "9999"]) == 2
     assert run_cli(["vaaler", "--grid-points", "3"]) == 2

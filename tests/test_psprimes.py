@@ -180,6 +180,7 @@ def test_blocked_routes_match_one_pass_and_scalar(monkeypatch, gamma, lo, hi,
     cfg = ps_config(gamma)
     monkeypatch.setattr(psprimes, "_BLOCK", hi + 1)  # one block
     whole = ps_array(lo, hi, cfg)
+    assert np.all(np.diff(whole) > 0)
     whole_mask = ps_indicator_array(lo, hi, cfg)
     monkeypatch.setattr(psprimes, "_BLOCK", block)
     assert ps_array(lo, hi, cfg).tolist() == whole.tolist()

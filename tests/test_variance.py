@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from bdhvar import (MainTerm, ParameterError, WeightKind, WeightParams,
-                    build_weight_table, custom_weight_table,
-                    lambda_segment, large_sieve_check, main_term_for,
-                    normalizer, ps_config, variance, variance_report)
+from bdhvar import (ExpWeightParams, MainTerm, ParameterError, WeightKind,
+                    WeightParams, build_weight_table, custom_weight_table,
+                    lambda_segment, large_sieve_check, main_term_integral,
+                    ps_config, variance, variance_report)
 from bdhvar.arith import sieve_segment, sieving_primes
 from bdhvar.characters import MAX_MODULUS
 
@@ -61,15 +61,17 @@ def check_against_naive(w, Q, main):
 
 def test_raw_lambda_matches_naive_rescan():
     w = build_weight_table(2000.0, 0.3, WeightKind.RAW_LAMBDA, None)
-    main = main_term_for(2000.0, 0.3, WeightKind.RAW_LAMBDA, None)
-    check_against_naive(w, 20, main.headline())
+    assert w.main == MainTerm(value=complex(0.7 * 2000.0))
+    check_against_naive(w, 20, w.main.headline())
 
 
 def test_complex_phase_weight_matches_naive_rescan():
     params = WeightParams(c=1.5, t=3e-4)
     w = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, params)
-    main = main_term_for(1500.0, 0.5, WeightKind.CLASSIC_EXP, params)
-    check_against_naive(w, 20, main.headline())
+    integral = main_term_integral(ExpWeightParams(X=1500.0, mu=0.5, c=1.5,
+                                                  t=3e-4))
+    assert w.main == MainTerm(value=integral)
+    check_against_naive(w, 20, w.main.headline())
 
 
 def test_random_table_matches_naive_rescan():
@@ -182,6 +184,15 @@ def test_weight_build_validation():
                            WeightParams(c=1.5))
     with pytest.raises(ParameterError):
         build_weight_table(1000.0, 0.5, WeightKind.PS_PLAIN, None)
+    cfg = ps_config("9/10")
+    with pytest.raises(ParameterError):
+        build_weight_table(1000.0, 0.5, WeightKind.PS_EXP,
+                           WeightParams(ps=cfg))
+    with pytest.raises(ParameterError):
+        build_weight_table(1000.0, 0.5, WeightKind.PS_EXP,
+                           WeightParams(c=1.5, t=0.0))
+    with pytest.raises(ParameterError):
+        build_weight_table(1000.0, 0.5, "raw_lambda", None)
     with pytest.raises(ParameterError):
         build_weight_table(1000.0, 0.5, WeightKind.CUSTOM, None)
     with pytest.raises(ParameterError):
@@ -192,19 +203,41 @@ def test_weight_build_validation():
 
 
 def test_main_terms():
-    assert main_term_for(1000.0, 0.5, WeightKind.RAW_LAMBDA, None).value == 500.0
+    def table(kind, params):
+        return build_weight_table(1000.0, 0.5, kind, params)
+
+    raw = table(WeightKind.RAW_LAMBDA, None)
+    assert raw.main.value == 500.0 and raw.scale == 1000.0
     p0 = WeightParams(c=1.5, t=0.0)
-    assert main_term_for(1000.0, 0.5, WeightKind.CLASSIC_EXP, p0).value == 500.0
+    assert table(WeightKind.CLASSIC_EXP, p0).main.value == 500.0
     cfg = ps_config("9/10")
-    mt = main_term_for(1000.0, 0.5, WeightKind.PS_PLAIN, WeightParams(ps=cfg))
+    w = table(WeightKind.PS_PLAIN, WeightParams(ps=cfg))
+    mt = w.main
     assert mt.value == pytest.approx(1000.0 ** 0.9)
     assert mt.alt_value == pytest.approx(1000.0 ** 0.9 - 500.0 ** 0.9)
     assert mt.headline() == mt.alt_value
+    assert w.scale == 1000.0 ** 0.9
     pe = WeightParams(c=1.5, t=0.0, ps=cfg)
-    assert main_term_for(1000.0, 0.5, WeightKind.PS_EXP, pe).value == \
-        pytest.approx(0.9 * 500.0)
+    w = table(WeightKind.PS_EXP, pe)
+    assert w.main.value == pytest.approx(0.9 * 500.0)
+    assert w.scale == 1000.0 ** (2.0 - 0.9)
+    custom = custom_weight_table(1000.0, 0.5, np.ones(500, dtype=complex))
+    assert custom.main is None and custom.scale == 1000.0
     with pytest.raises(ParameterError):
-        main_term_for(1000.0, 0.5, WeightKind.CUSTOM, None)
+        variance_report(custom, 3)
+
+
+def test_unused_params_are_ignored():
+    # c and t only twist, ps only restricts: other kinds build as without
+    full = WeightParams(c=1.5, t=1e-3, ps=ps_config("9/10"))
+    for kind, used in [(WeightKind.RAW_LAMBDA, WeightParams()),
+                       (WeightKind.LOGP_ONLY, WeightParams()),
+                       (WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=1e-3)),
+                       (WeightKind.PS_PLAIN, WeightParams(ps=full.ps))]:
+        a = build_weight_table(1000.0, 0.5, kind, full)
+        b = build_weight_table(1000.0, 0.5, kind, used)
+        assert np.array_equal(a.values, b.values), kind
+        assert (a.main, a.scale) == (b.main, b.scale), kind
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +278,7 @@ def test_report_cross_checks_and_ratio():
     assert rep.cross_check_ok
     assert rep.cross_check_rel <= 1e-10
     assert rep.normalized_ratio == pytest.approx(
-        rep.direct_variance / normalizer(WeightKind.CLASSIC_EXP, 2000.0, 15))
+        rep.direct_variance / (2000.0 * 15 * math.log(2000.0)))
     assert rep.ratio_alt == rep.normalized_ratio  # no alternate main here
     assert rep.direct_alt is None
     assert len(rep.per_q) == 15
@@ -261,7 +294,7 @@ def test_report_ps_dual_mains():
     assert rep.cross_check_ok
     assert rep.direct_alt is not None and rep.character_alt is not None
     assert rep.direct_alt != rep.direct_variance
-    norm = normalizer(WeightKind.PS_PLAIN, 2000.0, 10, cfg.gamma)
+    norm = 2000.0 ** cfg.gamma * 10 * math.log(2000.0)
     assert rep.normalized_ratio == pytest.approx(rep.direct_variance / norm)
     assert rep.ratio_alt == pytest.approx(rep.direct_alt / norm)
 
