@@ -42,8 +42,9 @@ from .errors import ParameterError, ResourceError
 from .oscillatory import (ExpWeightParams, check_vaaler_size,
                           main_term_integral, prime_exp_sum, saw_psi,
                           vaaler_eval, vaaler_expansion)
+from . import psprimes
 from .psprimes import (ps_array, ps_config, ps_count_main_term,
-                       ps_indicator_array)
+                       ps_indicator_at)
 from .variance import (WeightKind, WeightParams, build_weight_table,
                        large_sieve_check, variance_report)
 
@@ -364,22 +365,23 @@ def cmd_ps_count(cfg: ExperimentConfig) -> int:
         xi = int(X)
         if xi < 3:
             raise ParameterError(f"ps-count needs X >= 3, got {X}")
-        # Two independent routes, block by block over [2, X] (1 is not
-        # prime): the k-generator, and the floor-difference identity.
+        # Two independent routes over [2, X] (1 is not prime), sieved a
+        # block at a time and counted a window of psprimes._BLOCK n at a
+        # time: the k-generator's members that are prime, and the
+        # floor-difference identity at the primes.
         count = count_ind = 0
         mask = np.empty(_PS_COUNT_BLOCK, dtype=bool)  # one for all blocks
         for lo in range(2, xi + 1, _PS_COUNT_BLOCK):
             hi = min(xi, lo + _PS_COUNT_BLOCK - 1)
             is_prime = sieve_segment(lo, hi, base, out=mask[:hi - lo + 1])
-            # each route's output is freed before the next route runs
-            members = ps_array(lo, hi, pscfg)
-            members -= lo
-            count += int(np.count_nonzero(is_prime[members]))
-            del members
-            ind = ps_indicator_array(lo, hi, pscfg)
-            ind &= is_prime
-            count_ind += int(np.count_nonzero(ind))
-            del ind
+            for a in range(lo, hi + 1, psprimes._BLOCK):
+                b = min(hi, a + psprimes._BLOCK - 1)
+                window = is_prime[a - lo:b - lo + 1]
+                members = ps_array(a, b, pscfg)
+                count += int(np.count_nonzero(window[members - a]))
+                primes = np.flatnonzero(window) + a
+                count_ind += int(np.count_nonzero(
+                    ps_indicator_at(primes, pscfg)))
         if count != count_ind:
             _log(f"PS count mismatch at X={X:g}: generator {count}, "
                  f"indicator {count_ind}")

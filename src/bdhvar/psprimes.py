@@ -11,9 +11,12 @@ which touches only O(X^gamma) values.
 
 Two independent routes, each with its own array kernel, are checked one
 against the other by `ps-count`: the generator (`ps_array`, [k^(1/gamma)]
-by `_floor_roots`) and the indicator (`ps_indicator_array`, ceil(n^gamma)
-by `_ceil_pows`).  Both walk their range in blocks of _BLOCK entries, so
-their working memory is O(_BLOCK) plus the array they return.
+by `_floor_roots`) and the indicator, ceil(n^gamma) by `_ceil_pows`.  The
+indicator has one kernel over given n and two callers: `ps_indicator_array`
+gives the mask of a range, and `ps_indicator_at` membership at any given n
+(`ps-count` asks only at the primes).  Every route works in blocks of
+_BLOCK entries, so its working memory is O(_BLOCK) plus the array it
+returns.
 
 Each kernel decides in float64, then re-decides every entry within `_band`
 of an integer (_GUARD_EPSILON, widened by the float64 error bound) with
@@ -154,9 +157,9 @@ def _floor_roots(a: int, b: int, cfg: PSConfig) -> np.ndarray:
     return floors
 
 
-def _ceil_pows(a: int, b: int, cfg: PSConfig) -> np.ndarray:
-    """ceil(n^gamma) for n = a..b: float64 bulk, exact re-decision in the band."""
-    ns = np.arange(a, b + 1, dtype=np.int64)
+def _ceil_pows(ns: np.ndarray, cfg: PSConfig) -> np.ndarray:
+    """ceil(n^gamma) for each int64 n >= 1 of ns: float64 bulk, exact
+    re-decision in the band."""
     pows = ns.astype(np.float64) ** cfg.gamma
     ceils = np.ceil(pows).astype(np.int64)
     band = _band(pows, ns, cfg.gamma)
@@ -200,8 +203,26 @@ def ps_indicator_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
     out = np.empty(hi - lo + 1, dtype=bool)
     for a in range(lo, hi + 1, _BLOCK):
         b = min(hi, a + _BLOCK - 1)
-        ceils = _ceil_pows(a, b + 1, cfg)  # need n and n+1
+        # need n and n+1
+        ceils = _ceil_pows(np.arange(a, b + 2, dtype=np.int64), cfg)
         np.equal(ceils[1:] - ceils[:-1], 1, out=out[a - lo:b - lo + 1])
+    return out
+
+
+def ps_indicator_at(ns, cfg: PSConfig) -> np.ndarray:
+    """Boolean membership of each n of the 1-d integer array ns, all >= 1.
+
+    The indicator route at given n, in any order: the same identity and
+    kernel as `ps_indicator_array`, over chunks of _BLOCK entries.
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    if ns.ndim != 1 or (ns.size and ns.min() < 1):
+        raise ParameterError("PS membership needs a 1-d array of n >= 1")
+    out = np.empty(ns.size, dtype=bool)
+    for i in range(0, ns.size, _BLOCK):
+        chunk = ns[i:i + _BLOCK]
+        np.equal(_ceil_pows(chunk + 1, cfg) - _ceil_pows(chunk, cfg), 1,
+                 out=out[i:i + chunk.size])
     return out
 
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import bdhvar
-from bdhvar import cli
+from bdhvar import cli, psprimes
 
 
 def run_cli(argv):
@@ -295,13 +295,29 @@ def test_ps_count_csv(tmp_path):
 
 
 def test_ps_count_blocks_do_not_change_counts(tmp_path, monkeypatch):
+    # Sieve blocks of 997 n (each one window), windows of 1000 n in one
+    # block, and windows of 7 n in blocks of 997, so seams fall everywhere.
     argv = ["ps-count", "--x-grid", "1e4,1e5,1e6", "--gamma", "9/10"]
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
     assert run_cli(argv + ["--out", str(whole)]) == 0
-    monkeypatch.setattr(cli, "_PS_COUNT_BLOCK", 997)
-    assert run_cli(argv + ["--out", str(blocked)]) == 0  # routes agree
-    assert blocked.read_bytes() == whole.read_bytes()
     assert [r[2] for r in read_csv(whole)[1:]] == ["473", "3080", "19500"]
+    for block, window in ((997, psprimes._BLOCK), (cli._PS_COUNT_BLOCK, 1000),
+                          (997, 7)):
+        monkeypatch.setattr(cli, "_PS_COUNT_BLOCK", block)
+        monkeypatch.setattr(psprimes, "_BLOCK", window)
+        assert run_cli(argv + ["--out", str(blocked)]) == 0  # routes agree
+        assert blocked.read_bytes() == whole.read_bytes(), (block, window)
+
+
+def test_ps_count_never_builds_a_range_mask(tmp_path, monkeypatch):
+    # The indicator route asks only at the primes, never for a range mask.
+    def refuse(*args):
+        raise AssertionError("ps_indicator_array called")
+
+    monkeypatch.setattr(psprimes, "ps_indicator_array", refuse)
+    monkeypatch.setattr(cli, "ps_indicator_array", refuse, raising=False)
+    assert run_cli(["ps-count", "--x-grid", "1e6", "--gamma", "9/10",
+                    "--out", str(tmp_path / "ps.csv")]) == 0
 
 
 def test_ps_count_over_sieve_cap_exits_3(capsys):

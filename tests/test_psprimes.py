@@ -7,8 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from bdhvar import (ParameterError, ps_array, ps_config, ps_count_main_term,
-                    ps_indicator_array, psprimes)
+from bdhvar import (ParameterError, primes_segment, ps_array, ps_config,
+                    ps_count_main_term, ps_indicator_array, ps_indicator_at,
+                    psprimes)
 
 
 def ps_indicator(n, cfg):
@@ -151,6 +152,10 @@ def test_range_validation():
         ps_array(5, 4, cfg)
     with pytest.raises(ParameterError):
         ps_indicator_array(0, 0, cfg)
+    for bad in ([3, 0, 5], [[4]], [-1]):
+        with pytest.raises(ParameterError):
+            ps_indicator_at(np.array(bad), cfg)
+    assert ps_indicator_at(np.array([], dtype=np.int64), cfg).size == 0
 
 
 def test_count_main_term():
@@ -189,3 +194,24 @@ def test_blocked_routes_match_one_pass_and_scalar(monkeypatch, gamma, lo, hi,
     assert mask.tolist() == [ps_indicator(n, cfg) == 1
                              for n in range(lo, hi + 1)]
     assert (np.flatnonzero(mask) + lo).tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("gamma,lo,hi", BLOCK_RANGES, ids=str)
+def test_indicator_at_given_n_matches_range_and_scalar(monkeypatch, gamma, lo,
+                                                       hi):
+    # The given-n route against the range route at every n of the range
+    # and at its primes only (as ps-count asks), and against the scalar
+    # oracle on the range shuffled with n = 1 added; in one chunk and in
+    # chunks of 7.
+    cfg = ps_config(gamma)
+    ns = np.arange(lo, hi + 1)
+    mask = ps_indicator_array(lo, hi, cfg)
+    primes = primes_segment(lo, hi)
+    shuffled = np.random.default_rng(lo).permutation(np.append(ns, 1))
+    expect = [ps_indicator(n, cfg) == 1 for n in shuffled]
+    for block in (hi + 2, 7):
+        monkeypatch.setattr(psprimes, "_BLOCK", block)
+        at = ps_indicator_at(ns, cfg)
+        assert at.dtype == bool and np.array_equal(at, mask)
+        assert np.array_equal(ps_indicator_at(primes, cfg), mask[primes - lo])
+        assert ps_indicator_at(shuffled, cfg).tolist() == expect
