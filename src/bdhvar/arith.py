@@ -4,7 +4,8 @@ Provides:
     * sieve_segment   -- primality mask of one window [lo, hi]
     * primes_segment  -- the primes in one window [lo, hi]
     * sieving_primes  -- the primes <= sqrt(limit) that such windows need
-    * lambda_segment  -- von Mangoldt values Lambda(n) on one window [lo, hi]
+    * lambda_support  -- the prime powers n of one window [lo, hi] and Lambda(n)
+    * lambda_segment  -- Lambda(n) at every n of one window, scattered from it
     * factorize
 
 There is one sieve, the segmented Eratosthenes of `sieve_segment`: the
@@ -12,8 +13,11 @@ primes up to sqrt(limit), found by the same sieve recursively, clear one
 window.  Every caller sieves only the window it reads and holds
 O(window + sqrt X), never a table over [0, X]: `ps-count` sieves each block
 as it counts it, and a weight or a prime sum on (mu X, X] sieves only that.
-`lambda_segment` evaluates log p once per prime and reuses it for every
-power of p.
+`lambda_support` is the one Lambda loop: it returns Lambda on its support
+only (the window's primes, and the powers p^k >= p^2 of the base primes
+marked in the same mask), evaluating log p once per prime and reusing it
+for every power of p.  Weights are built from that support; the dense
+`lambda_segment` is only a scatter of it.
 """
 
 from __future__ import annotations
@@ -77,23 +81,37 @@ def primes_segment(lo: int, hi: int) -> np.ndarray:
     return (np.flatnonzero(mask) + lo).astype(np.int64, copy=False)
 
 
-def lambda_segment(lo: int, hi: int) -> np.ndarray:
-    """Lambda(lo + i) for the n in [lo, hi], as float64.
+def lambda_support(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n in [lo, hi] with Lambda(n) != 0, ascending (int64), and
+    Lambda(n) there (float64): log p at each prime power n = p^k.
 
-    Lambda(n) is log p when n = p^k for a prime p, else 0.0 (so 0.0 at 0
-    and 1).  Needs 0 <= lo <= hi + 1; hi above the sieve cap is refused.
+    Needs 0 <= lo <= hi + 1; hi above the sieve cap is refused.
     """
     base = sieving_primes(max(hi, 2))
-    idx = np.flatnonzero(sieve_segment(lo, hi, base))
-    values = np.zeros(hi - lo + 1, dtype=np.float64)
-    values[idx] = np.log((lo + idx).astype(np.float64))
+    mask = sieve_segment(lo, hi, base)
     # Higher powers only exist for the base primes p <= sqrt(hi).
+    pows, logs = [], []
     for p, lg in zip(base.tolist(), np.log(base.astype(np.float64)).tolist()):
         pk = p * p
         while pk <= hi:
             if pk >= lo:
-                values[pk - lo] = lg
+                pows.append(pk)
+                logs.append(lg)
             pk *= p
+    mask[np.array(pows, dtype=np.int64) - lo] = True
+    n = np.flatnonzero(mask) + lo
+    lam = np.log(n.astype(np.float64))
+    lam[np.searchsorted(n, pows)] = logs  # log p, not log p^k, at the powers
+    return n, lam
+
+
+def lambda_segment(lo: int, hi: int) -> np.ndarray:
+    """Lambda(lo + i) for the n in [lo, hi], as float64: `lambda_support`
+    scattered into a dense window (0.0 off the prime powers, so at 0 and 1).
+    """
+    n, lam = lambda_support(lo, hi)
+    values = np.zeros(hi - lo + 1, dtype=np.float64)
+    values[n - lo] = lam
     return values
 
 

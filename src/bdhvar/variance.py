@@ -30,9 +30,13 @@ therefore also spot-check a few transform entries per modulus against a
 direct evaluation (`CharacterGroup.check_transform`) and fail the
 cross-check when that gap exceeds the same tolerance.
 
-Accumulation discipline: the weight's nonzero support (n, w(n)) is taken
-once per call, and per-progression sums are float64 `np.bincount` sums
-over it, added one term at a time in ascending n.  For a class with k
+Accumulation discipline: a `WeightTable` is its support, the n where
+w(n) != 0 in ascending order and w(n) there.  The built-in kinds vanish off
+the prime powers, so each is computed only there (from
+`arith.lambda_support`); nothing over (mu X, X] is held but one bool mask
+of the window while it is built (the sieve's, then the PS members').  Per
+q the progression sums are float64 `np.bincount` sums over the support,
+added one term at a time in ascending n.  For a class with k
 support terms, each of the real and imaginary parts is within
 (k - 1) * 2^-53 * (sum of the |parts|) of the exact sum (the standard
 recursive-summation bound); tests hold it against a math.fsum oracle.
@@ -51,7 +55,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import lambda_segment, sieve_segment, sieving_primes
+from .arith import lambda_support, primes_segment
 from .characters import MAX_MODULUS, character_group
 from .errors import ParameterError
 from .oscillatory import ExpWeightParams, main_term_integral, phase_frac_array
@@ -97,29 +101,32 @@ class MainTerm:
 
 @dataclass
 class WeightTable:
-    """Complex weights w(n) for integer n in (mu X, X], with their theorem.
+    """A complex weight w on the integers of (mu X, X], as its support,
+    with its theorem.
 
-    values[i] = w(n0 + i), where n0 = floor(mu X) + 1 is the first integer
-    of the range and the last is floor(X).  `main` is the kind's main term
-    (None for CUSTOM tables) and `scale` the power X^e of its normaliser
-    X^e * Q * log X.
+    n holds, ascending (int64), the n in (mu X, X] where w(n) != 0, and
+    values[i] = w(n[i]) (complex128); w is 0 at every other n of the range.
+    `main` is the kind's main term (None for CUSTOM tables) and `scale` the
+    power X^e of its normaliser X^e * Q * log X.
     """
 
     X: float
-    n0: int
+    n: np.ndarray
     values: np.ndarray
     main: Optional[MainTerm]
     scale: float
 
 
 def custom_weight_table(X: float, mu: float, values: np.ndarray) -> WeightTable:
-    """Wrap a caller-supplied complex array as a CUSTOM weight table."""
+    """A CUSTOM weight table from values[i] = w(floor(mu X) + 1 + i), one
+    value per integer of (mu X, X]; the table keeps their support."""
     n0, n1 = _range_bounds(X, mu)
     arr = np.asarray(values, dtype=np.complex128)
     if len(arr) != n1 - n0 + 1:
         raise ParameterError(
             f"need {n1 - n0 + 1} values for (mu X, X], got {len(arr)}")
-    return WeightTable(X=float(X), n0=n0, values=arr, main=None,
+    idx = np.flatnonzero(arr)
+    return WeightTable(X=float(X), n=n0 + idx, values=arr[idx], main=None,
                        scale=float(X))
 
 
@@ -137,17 +144,18 @@ def _range_bounds(X: float, mu: float) -> tuple[int, int]:
 
 def build_weight_table(X: float, mu: float, kind: WeightKind,
                        params: WeightParams | None) -> WeightTable:
-    """Materialise a built-in weight kind on (mu X, X], with its main term
-    and normaliser power X^e (e = 1, gamma for PS_PLAIN, 2 - gamma for
-    PS_EXP).
+    """Build a built-in weight kind on (mu X, X], with its main term and
+    normaliser power X^e (e = 1, gamma for PS_PLAIN, 2 - gamma for PS_EXP).
 
-    Only that window is sieved, from the primes <= sqrt(X).  The twisted
+    Only that window is sieved, from the primes <= sqrt(X), and each kind
+    is evaluated on its support only: the prime powers (primes for
+    LOGP_ONLY), for the PS kinds those that `ps_array` lists.  The twisted
     kinds read c and t, the PS kinds read ps; unused parameters are ignored.
     """
     params = params or WeightParams()
     n0, n1 = _range_bounds(X, mu)
     X = float(X)
-    exp = in_ps = alt = None
+    exp = ps = alt = None
     if kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP):
         if params.c is None or params.t is None:
             raise ParameterError(f"{kind} needs both c and t")
@@ -156,38 +164,37 @@ def build_weight_table(X: float, mu: float, kind: WeightKind,
     if kind in (WeightKind.PS_PLAIN, WeightKind.PS_EXP):
         if params.ps is None:
             raise ParameterError(f"{kind} needs params.ps (a PSConfig)")
-        g = params.ps.gamma
-        in_ps = np.zeros(n1 - n0 + 1, dtype=bool)
-        in_ps[ps_array(n0, n1, params.ps) - n0] = True
+        ps, g = params.ps, params.ps.gamma
 
-    if kind is WeightKind.RAW_LAMBDA:
-        vals, main, scale = lambda_segment(n0, n1), (1.0 - mu) * X, X
-    elif kind is WeightKind.LOGP_ONLY:
-        mask = sieve_segment(n0, n1, sieving_primes(n1))
-        vals = np.where(mask, np.log(np.arange(n0, n1 + 1, dtype=np.float64)),
-                        0.0)
+    if kind in (WeightKind.RAW_LAMBDA, WeightKind.LOGP_ONLY):
         main, scale = (1.0 - mu) * X, X
     elif kind is WeightKind.CLASSIC_EXP:
-        vals, main, scale = lambda_segment(n0, n1), main_term_integral(exp), X
+        main, scale = main_term_integral(exp), X
     elif kind is WeightKind.PS_PLAIN:
-        vals = np.where(in_ps, lambda_segment(n0, n1), 0.0)
         main = scale = X ** g
         alt = complex(main - (mu * X) ** g)
     elif kind is WeightKind.PS_EXP:
-        amp = np.arange(n0, n1 + 1, dtype=np.float64) ** (1.0 - g)
-        vals = np.where(in_ps, lambda_segment(n0, n1) * amp, 0.0)
         main, scale = g * main_term_integral(exp), X ** (2.0 - g)
     else:
         raise ParameterError(f"no built-in weight kind {kind!r}; "
                              "CUSTOM tables come from custom_weight_table")
+
+    if kind is WeightKind.LOGP_ONLY:
+        n = primes_segment(n0, n1)
+        vals = np.log(n.astype(np.float64))
+    else:
+        n, vals = lambda_support(n0, n1)
+    if ps is not None:
+        keep = np.zeros(n1 - n0 + 1, dtype=bool)  # the window's PS members
+        keep[ps_array(n0, n1, ps) - n0] = True
+        keep = keep[n - n0]
+        n, vals = n[keep], vals[keep]
+    if kind is WeightKind.PS_EXP:
+        vals = vals * n.astype(np.float64) ** (1.0 - g)
     if exp is not None and exp.t != 0.0:
-        # phases are reduced only where w(n) != 0
-        nz = np.flatnonzero(vals)
-        fr = phase_frac_array(exp.t, n0 + nz, exp.c)
-        vals, base = np.zeros(len(vals), dtype=np.complex128), vals
-        vals[nz] = base[nz] * np.exp(2j * np.pi * fr)
-    vals = vals.astype(np.complex128, copy=False)
-    return WeightTable(X=X, n0=n0, values=vals, scale=scale,
+        vals = vals * np.exp(2j * np.pi * phase_frac_array(exp.t, n, exp.c))
+    return WeightTable(X=X, n=n, values=vals.astype(np.complex128, copy=False),
+                       scale=scale,
                        main=MainTerm(value=complex(main), alt_value=alt))
 
 
@@ -195,13 +202,19 @@ def build_weight_table(X: float, mu: float, kind: WeightKind,
 # Accumulation kernels
 # ---------------------------------------------------------------------------
 
+def _terms(n: np.ndarray, w: np.ndarray):
+    """(n, Re w, Im w) for weights w at ascending n, as `_residue_sums`
+    takes them."""
+    # int32 residues reduce about twice as fast as int64 ones
+    small = n.size == 0 or n[-1] < 2**31
+    return (n.astype(np.int32 if small else np.int64),
+            np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag))
+
+
 def _support(values: np.ndarray, n0: int):
     """Nonzero support of values[i] = w(n0 + i): (n, Re w(n), Im w(n))."""
     idx = np.flatnonzero(values)
-    w = values[idx]
-    # int32 residues reduce about twice as fast as int64 ones
-    n = (n0 + idx).astype(np.int32 if n0 + len(values) < 2**31 else np.int64)
-    return n, np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
+    return _terms(n0 + idx, values[idx])
 
 
 def _residue_sums(support, q: int) -> np.ndarray:
@@ -276,7 +289,7 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     if main.alt_value is not None:
         mains.append(complex(main.value))  # paper-literal variant second
 
-    support = _support(w.values, w.n0)
+    support = _terms(w.n, w.values)
     # cells[k][q - 1] = (direct, character) contribution of q for mains[k]
     cells: list[list[tuple[float, float]]] = [[] for _ in mains]
     gaps = []

@@ -81,7 +81,7 @@ def test_acceptance_1_route_identity_on_random_tables():
 
 
 def naive_variance(w, Q, main):
-    ns = w.n0 + np.arange(len(w.values))
+    ns = w.n
     per_q = []
     for q in range(1, Q + 1):
         phi = sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)

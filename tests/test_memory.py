@@ -5,7 +5,8 @@ import tracemalloc
 
 import numpy as np
 
-from bdhvar import (character_group, cli, ps_array, ps_config,
+from bdhvar import (WeightKind, WeightParams, build_weight_table,
+                    character_group, cli, ps_array, ps_config,
                     ps_indicator_array, vaaler_eval, vaaler_expansion)
 from bdhvar.characters import _local_factors
 
@@ -54,6 +55,26 @@ def test_variance_row_sieves_only_its_window(tmp_path):
         "--out", str(tmp_path / "v.csv")])
     assert code == 0
     assert peak <= 24 * MB, peak / MB
+
+
+def test_weight_tables_hold_only_their_support_at_1e7():
+    # (5e6, 1e7] holds 316,194 prime powers, 58,313 of them PS indices for
+    # gamma = 9/10.  A dense complex128 table over the window is 80 MB on
+    # its own; building it peaked at 137.7 MB (classic_exp) and 168.3 MB
+    # (ps_exp).  The support form measured 28.5 and 24.9 MB peak, holding
+    # 7.6 and 1.4 MB (24 bytes a term); the bounds allow about 1.4 times
+    # that.
+    X = 1e7
+    cases = [(WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=X ** -0.8333),
+              40 * MB, 11 * MB),
+             (WeightKind.PS_EXP,
+              WeightParams(c=1.5, t=X ** -0.6333, ps=ps_config("9/10")),
+              35 * MB, 2 * MB)]
+    for kind, params, peak_cap, held_cap in cases:
+        w, peak = traced_peak(build_weight_table, X, 0.5, kind, params)
+        held = w.n.nbytes + w.values.nbytes
+        assert peak <= peak_cap, (kind, peak / MB)
+        assert held <= held_cap, (kind, held / MB)
 
 
 def test_lemma3_row_sieves_only_its_window(tmp_path):

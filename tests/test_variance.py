@@ -8,14 +8,15 @@ import pytest
 from bdhvar import (ExpWeightParams, MainTerm, ParameterError, WeightKind,
                     WeightParams, build_weight_table, custom_weight_table,
                     lambda_segment, large_sieve_check, main_term_integral,
-                    ps_config, variance, variance_report)
+                    phase_frac_array, ps_array, ps_config, variance,
+                    variance_report)
 from bdhvar.arith import sieve_segment, sieving_primes
 from bdhvar.characters import MAX_MODULUS
 
 
 def naive_variance(w, Q, main):
     """Literal per-(q, a) rescan of the defining double sum."""
-    ns = w.n0 + np.arange(len(w.values))
+    ns = w.n
     per_q = []
     for q in range(1, Q + 1):
         phi = sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
@@ -37,10 +38,6 @@ def custom_main(value):
     return MainTerm(value=complex(value))
 
 
-def n_values(w):
-    return w.n0 + np.arange(len(w.values), dtype=np.int64)
-
-
 def fsum_total(w):
     return complex(math.fsum(w.values.real), math.fsum(w.values.imag))
 
@@ -48,6 +45,11 @@ def fsum_total(w):
 def residue_sums(vals, n0, q):
     """The class sums mod q of vals[i] = w(n0 + i), by the report's kernel."""
     return variance._residue_sums(variance._support(vals, n0), q)
+
+
+def table_sums(w, q):
+    """The class sums mod q of a weight table, as variance_report takes it."""
+    return variance._residue_sums(variance._terms(w.n, w.values), q)
 
 
 def check_against_naive(w, Q, main):
@@ -106,7 +108,7 @@ def test_routes_agree_on_random_tables():
 def test_progression_sums_partition_total():
     w = build_weight_table(1200.0, 0.4, WeightKind.RAW_LAMBDA, None)
     for q in (1, 2, 7, 12, 30):
-        total = sum(residue_sums(w.values, w.n0, q))
+        total = sum(table_sums(w, q))
         assert total == pytest.approx(fsum_total(w), rel=1e-12)
 
 
@@ -137,45 +139,122 @@ def test_zero_frequency_classic_equals_raw():
     params = WeightParams(c=1.5, t=0.0)
     w1 = build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, params)
     w2 = build_weight_table(1000.0, 0.5, WeightKind.RAW_LAMBDA, None)
+    assert np.array_equal(w1.n, w2.n)
     assert np.array_equal(w1.values, w2.values)
 
 
 def test_classic_weight_magnitudes_are_lambda():
     params = WeightParams(c=1.5, t=2e-3)
     w = build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, params)
-    lam = LAM[w.n0:w.n0 + len(w.values)]
+    assert np.array_equal(w.n, np.flatnonzero(LAM[501:1001]) + 501)
+    lam = LAM[w.n]
     assert np.max(np.abs(np.abs(w.values) - lam)) <= 1e-12 * math.log(1000)
 
 
 def test_logp_weight_supported_on_primes():
     w = build_weight_table(500.0, 0.2, WeightKind.LOGP_ONLY, None)
-    ns = n_values(w)
-    mask = sieve_segment(ns[0], ns[-1], sieving_primes(500))
-    assert np.array_equal(w.values != 0, mask)
-    assert np.allclose(w.values[mask], np.log(ns[mask].astype(float)))
+    mask = sieve_segment(101, 500, sieving_primes(500))
+    assert np.array_equal(w.n, np.flatnonzero(mask) + 101)
+    assert np.allclose(w.values, np.log(w.n.astype(float)))
 
 
 def test_ps_weight_support():
     cfg = ps_config("9/10")
     params = WeightParams(ps=cfg)
     w = build_weight_table(2000.0, 0.25, WeightKind.PS_PLAIN, params)
-    from bdhvar import ps_array
-    members = set(ps_array(w.n0, int(w.X), cfg).tolist())
-    lam = LAM
-    for i, n in enumerate(n_values(w).tolist()):
-        expect = lam[n] if n in members else 0.0
-        assert w.values[i] == expect
+    members = set(ps_array(501, int(w.X), cfg).tolist())
+    got = dict(zip(w.n.tolist(), w.values.tolist()))
+    assert len(got) == w.n.size
+    for n in range(501, 2001):
+        expect = LAM[n] if n in members else 0.0
+        assert got.get(n, 0.0) == expect
 
 
 def test_ps_exp_weight_amplitudes():
     cfg = ps_config("9/10")
     params = WeightParams(c=1.5, t=1e-3, ps=cfg)
     w = build_weight_table(2000.0, 0.25, WeightKind.PS_EXP, params)
-    lam = LAM
-    ns = n_values(w)
-    nz = w.values != 0
-    expect = lam[ns[nz]] * ns[nz].astype(float) ** 0.1
-    assert np.max(np.abs(np.abs(w.values[nz]) - expect)) <= 1e-9
+    expect = LAM[w.n] * w.n.astype(float) ** 0.1
+    assert np.all(expect > 0)
+    assert np.max(np.abs(np.abs(w.values) - expect)) <= 1e-9
+
+
+def dense_reference(X, mu, kind, params):
+    """(n0, values) with values[i] = w(n0 + i) at every n of (mu X, X],
+    built from the dense lambda_segment window and then masked, phased and
+    scaled the way a table over the whole window would be."""
+    n0, n1 = math.floor(mu * X) + 1, math.floor(X)
+    ns = np.arange(n0, n1 + 1)
+    vals = lambda_segment(n0, n1)
+    if kind is WeightKind.LOGP_ONLY:
+        vals = np.where(sieve_segment(n0, n1, sieving_primes(n1)),
+                        np.log(ns.astype(np.float64)), 0.0)
+    if kind in (WeightKind.PS_PLAIN, WeightKind.PS_EXP):
+        vals = np.where(np.isin(ns, ps_array(n0, n1, params.ps)), vals, 0.0)
+    if kind is WeightKind.PS_EXP:
+        vals = vals * ns.astype(np.float64) ** (1.0 - params.ps.gamma)
+    if kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP) and params.t:
+        nz = np.flatnonzero(vals)
+        twisted = np.zeros(len(vals), dtype=np.complex128)
+        twisted[nz] = vals[nz] * np.exp(
+            2j * np.pi * phase_frac_array(params.t, ns[nz], params.c))
+        vals = twisted
+    return n0, vals.astype(np.complex128)
+
+
+BUILT_IN = [
+    (WeightKind.RAW_LAMBDA, None),
+    (WeightKind.LOGP_ONLY, None),
+    (WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=3e-4)),
+    (WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=0.0)),
+    (WeightKind.PS_PLAIN, WeightParams(ps=ps_config("9/10"))),
+    (WeightKind.PS_EXP, WeightParams(c=1.5, t=1e-3, ps=ps_config("9/10"))),
+]
+
+
+@pytest.mark.parametrize("X, mu", [
+    (100.0, 0.0),        # n = 1, 4, 8 and 9 are in range
+    (100.0, 0.005),      # the same n, for the twisted kinds too
+    (128.0, 0.9375),     # (120, 128]: from 11^2 to 2^7
+    (100.0, 0.995),      # {100}: no prime power
+    (2.0e4, 0.3),
+])
+def test_support_table_equals_dense_reference(X, mu):
+    for kind, params in BUILT_IN:
+        if mu == 0.0 and kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP):
+            continue  # their main-term integral needs mu > 0
+        w = build_weight_table(X, mu, kind, params)
+        n0, ref = dense_reference(X, mu, kind, params)
+        assert w.n.dtype == np.int64 and w.values.dtype == np.complex128
+        assert np.array_equal(w.n, np.flatnonzero(ref) + n0), kind
+        assert w.values.tobytes() == ref[w.n - n0].tobytes(), kind
+
+
+def test_window_without_prime_powers_reports_main_term_only():
+    # (99.5, 100] holds only n = 100, so each q contributes |M|^2 / phi(q)
+    Q = 7
+    inv_phi = math.fsum(1.0 / sum(1 for a in range(1, q + 1)
+                                  if math.gcd(a, q) == 1)
+                        for q in range(1, Q + 1))
+    for kind, params in BUILT_IN:
+        w = build_weight_table(100.0, 0.995, kind, params)
+        assert w.n.size == w.values.size == 0, kind
+        rep = variance_report(w, Q)
+        want = abs(w.main.headline()) ** 2 * inv_phi
+        assert rep.direct_variance == pytest.approx(want, rel=1e-12), kind
+        assert rep.character_variance == pytest.approx(want, rel=1e-10), kind
+        assert rep.cross_check_ok, kind
+
+
+def test_residue_index_type_follows_largest_n():
+    one = np.ones(1, dtype=complex)
+    for top, dtype in ((2**31 - 1, np.int32), (2**31, np.int64)):
+        n = np.array([5, top], dtype=np.int64)
+        terms = variance._terms(n, np.ones(2, dtype=complex))
+        assert terms[0].dtype == dtype and terms[0][-1] == top
+        assert variance._residue_sums(terms, 7).sum() == pytest.approx(2.0)
+    empty = variance._terms(np.zeros(0, dtype=np.int64), one[:0])
+    assert np.array_equal(variance._residue_sums(empty, 5), np.zeros(5))
 
 
 def test_weight_build_validation():
@@ -236,6 +315,7 @@ def test_unused_params_are_ignored():
                        (WeightKind.PS_PLAIN, WeightParams(ps=full.ps))]:
         a = build_weight_table(1000.0, 0.5, kind, full)
         b = build_weight_table(1000.0, 0.5, kind, used)
+        assert np.array_equal(a.n, b.n), kind
         assert np.array_equal(a.values, b.values), kind
         assert (a.main, a.scale) == (b.main, b.scale), kind
 
