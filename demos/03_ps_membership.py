@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 
 from bdhvar import (primes_segment, ps_array, ps_config, ps_count_main_term,
-                    ps_indicator_array)
+                    ps_indicator_at)
 
 # n belongs to the index set for gamma when [n^gamma, (n+1)^gamma) contains
 # an integer; equivalently n = [k^(1/gamma)] for some k.
@@ -31,8 +31,8 @@ for gamma in ("9/10", "2426/2817", "11/12", "0.837"):
 # computation of the same set and must agree index by index
 cfg = ps_config("9/10")
 gen = set(ps_array(1, X, cfg).tolist())
-mask = ps_indicator_array(1, X, cfg)
-ind = {n + 1 for n in mask.nonzero()[0].tolist()}
+ns = np.arange(1, X + 1)
+ind = set(ns[ps_indicator_at(ns, cfg)].tolist())
 print(f"\ngenerator vs indicator routes agree: {gen == ind}")
 print(f"member count vs (X+1)^gamma - 1: {len(gen)} vs "
       f"{(X + 1) ** cfg.gamma - 1:.2f}")

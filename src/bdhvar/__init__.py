@@ -8,7 +8,7 @@ Piatetski-Shapiro index sets, and both at once.  Supporting machinery
 oscillatory integrals, a large-sieve checker) is exposed directly.
 """
 
-from .arith import factorize, lambda_segment, primes_segment
+from .arith import factorize, lambda_support, primes_segment
 from .characters import CharacterGroup, character_group
 from .errors import ParameterError, ResourceError
 from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
@@ -16,7 +16,7 @@ from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
                           prime_exp_sum, reduced_phase, saw_psi,
                           vaaler_eval, vaaler_expansion)
 from .psprimes import (PSConfig, ps_array, ps_config, ps_count_main_term,
-                       ps_indicator_array, ps_indicator_at)
+                       ps_indicator_at)
 from .variance import (LargeSieveResult, MainTerm, VarianceReport, WeightKind,
                        WeightParams, WeightTable, build_weight_table,
                        custom_weight_table, large_sieve_check, variance_report)

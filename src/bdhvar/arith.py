@@ -5,7 +5,6 @@ Provides:
     * primes_segment  -- the primes in one window [lo, hi]
     * sieving_primes  -- the primes <= sqrt(limit) that such windows need
     * lambda_support  -- the prime powers n of one window [lo, hi] and Lambda(n)
-    * lambda_segment  -- Lambda(n) at every n of one window, scattered from it
     * factorize
 
 There is one sieve, the segmented Eratosthenes of `sieve_segment`: the
@@ -16,8 +15,7 @@ as it counts it, and a weight or a prime sum on (mu X, X] sieves only that.
 `lambda_support` is the one Lambda loop: it returns Lambda on its support
 only (the window's primes, and the powers p^k >= p^2 of the base primes
 marked in the same mask), evaluating log p once per prime and reusing it
-for every power of p.  Weights are built from that support; the dense
-`lambda_segment` is only a scatter of it.
+for every power of p.  Weights are built from that support.
 """
 
 from __future__ import annotations
@@ -57,15 +55,16 @@ def sieve_segment(lo: int, hi: int, base_primes: np.ndarray,
     return out
 
 
-def sieving_primes(limit: int, *, cap: int = DEFAULT_LIMIT_CAP) -> np.ndarray:
+def sieving_primes(limit: int) -> np.ndarray:
     """The primes <= isqrt(limit), the base of any window up to limit >= 2.
 
-    Limits above cap are refused (memory and time guard).
+    Limits above DEFAULT_LIMIT_CAP are refused (memory and time guard).
     """
     if limit < 2:
         raise ParameterError(f"sieve limit must be >= 2, got {limit}")
-    if limit > cap:
-        raise ResourceError(f"sieve limit {limit} exceeds cap {cap}")
+    if limit > DEFAULT_LIMIT_CAP:
+        raise ResourceError(
+            f"sieve limit {limit} exceeds cap {DEFAULT_LIMIT_CAP}")
     root = math.isqrt(limit)
     if root < 37:
         return _SMALL_PRIMES[_SMALL_PRIMES <= root]
@@ -103,16 +102,6 @@ def lambda_support(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     lam = np.log(n.astype(np.float64))
     lam[np.searchsorted(n, pows)] = logs  # log p, not log p^k, at the powers
     return n, lam
-
-
-def lambda_segment(lo: int, hi: int) -> np.ndarray:
-    """Lambda(lo + i) for the n in [lo, hi], as float64: `lambda_support`
-    scattered into a dense window (0.0 off the prime powers, so at 0 and 1).
-    """
-    n, lam = lambda_support(lo, hi)
-    values = np.zeros(hi - lo + 1, dtype=np.float64)
-    values[n - lo] = lam
-    return values
 
 
 # The primes factorize divides by: every prime up to the last one held,

@@ -55,10 +55,10 @@ EXIT_CROSS_CHECK = 4
 
 LARGE_SIEVE_CAP = 500
 # ps-count sieves and counts [2, X] in blocks of this many n, so its working
-# memory is O(block + sqrt X), whatever X is.  The allocator hands each PS
-# route call's temporaries back to the OS when it returns, so fewer, larger
-# blocks fault fewer fresh pages: at X = 1e7, 2^21 takes 10K minor faults
-# and 2^20 takes 24K.
+# memory is O(block + sqrt X), whatever X is.  The routes run per window of
+# psprimes._BLOCK n whatever the block, which sets only how often
+# sieve_segment's Python loop over the base primes runs: at X = 1e8 on 2
+# cores, 2^21 took 0.9-1.05 s, 2^18 1.0-1.1 s and 2^16 1.7-1.8 s.
 _PS_COUNT_BLOCK = 1 << 21
 
 

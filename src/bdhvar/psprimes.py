@@ -11,12 +11,11 @@ which touches only O(X^gamma) values.
 
 Two independent routes, each with its own array kernel, are checked one
 against the other by `ps-count`: the generator (`ps_array`, [k^(1/gamma)]
-by `_floor_roots`) and the indicator, ceil(n^gamma) by `_ceil_pows`.  The
-indicator has one kernel over given n and two callers: `ps_indicator_array`
-gives the mask of a range, and `ps_indicator_at` membership at any given n
-(`ps-count` asks only at the primes).  Every route works in blocks of
-_BLOCK entries, so its working memory is O(_BLOCK) plus the array it
-returns.
+by `_floor_roots`) and the indicator (`ps_indicator_at`, membership at any
+given n from ceil(n^gamma) by `_ceil_pows`; `ps-count` asks it only at the
+primes, and the PS weights only at the prime powers).  Every route works
+in blocks of _BLOCK entries, so its working memory is O(_BLOCK) plus the
+array it returns.
 
 Each kernel decides in float64, then re-decides every entry within `_band`
 of an integer (_GUARD_EPSILON, widened by the float64 error bound) with
@@ -39,7 +38,7 @@ from .errors import ParameterError, ResourceError
 _F64_EPS = float(np.finfo(np.float64).eps)
 _SNAP_DENOMINATOR = 64
 _SNAP_TOL = 1e-15
-# Both array routes walk their range in blocks of this many entries, so their
+# Both routes walk their input in blocks of this many entries, so their
 # working memory is O(_BLOCK) plus the array they return.
 _BLOCK = 1 << 16
 # Distance to integrality below which a boundary decision escalates, and the
@@ -192,28 +191,12 @@ def ps_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
     return out[:m]
 
 
-def ps_indicator_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
-    """Boolean membership mask for lo..hi (index i <-> n = lo + i).
-
-    Independent of ps_array, and the cross-check route against it: the
-    ceil-difference identity over blocks of _BLOCK n, by `_ceil_pows`.
-    """
-    if lo < 1 or hi < lo:
-        raise ParameterError(f"bad PS range [{lo}, {hi}]")
-    out = np.empty(hi - lo + 1, dtype=bool)
-    for a in range(lo, hi + 1, _BLOCK):
-        b = min(hi, a + _BLOCK - 1)
-        # need n and n+1
-        ceils = _ceil_pows(np.arange(a, b + 2, dtype=np.int64), cfg)
-        np.equal(ceils[1:] - ceils[:-1], 1, out=out[a - lo:b - lo + 1])
-    return out
-
-
 def ps_indicator_at(ns, cfg: PSConfig) -> np.ndarray:
     """Boolean membership of each n of the 1-d integer array ns, all >= 1.
 
-    The indicator route at given n, in any order: the same identity and
-    kernel as `ps_indicator_array`, over chunks of _BLOCK entries.
+    Independent of ps_array, and the cross-check route against it: the
+    ceil-difference identity by `_ceil_pows`, over chunks of _BLOCK entries;
+    ns may come in any order.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if ns.ndim != 1 or (ns.size and ns.min() < 1):

@@ -33,17 +33,18 @@ cross-check when that gap exceeds the same tolerance.
 Accumulation discipline: a `WeightTable` is its support, the n where
 w(n) != 0 in ascending order and w(n) there.  The built-in kinds vanish off
 the prime powers, so each is computed only there (from
-`arith.lambda_support`); nothing over (mu X, X] is held but one bool mask
-of the window while it is built (the sieve's, then the PS members').  Per
-q the progression sums are float64 `np.bincount` sums over the support,
-added one term at a time in ascending n.  For a class with k
-support terms, each of the real and imaginary parts is within
-(k - 1) * 2^-53 * (sum of the |parts|) of the exact sum (the standard
-recursive-summation bound); tests hold it against a math.fsum oracle.
-The character side is `CharacterGroup.transform`, an FFT over the
-discrete-log grid (relative error about 1e-15 against a dense evaluation of
-every character in the tests).  All per-q squared deviations and
-the cross-q total go through math.fsum, in ascending q.
+`arith.lambda_support`, for the PS kinds kept where the indicator
+`psprimes.ps_indicator_at` holds); nothing over (mu X, X] is held but the
+sieve's bool mask of the window while it is built.  Per q the progression
+sums are float64 `np.bincount` sums over the support, added one term at a
+time in ascending n.  For a class with k support terms, each of the real
+and imaginary parts is within (k - 1) * 2^-53 * (sum of the |parts|) of
+the exact sum (the standard recursive-summation bound); tests hold it
+against a math.fsum oracle.  The character side is
+`CharacterGroup.transform`, an FFT over the discrete-log grid (relative
+error about 1e-15 against a dense evaluation of every character in the
+tests).  All per-q squared deviations and the cross-q total go through
+math.fsum, in ascending q.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .arith import lambda_support, primes_segment
 from .characters import MAX_MODULUS, character_group
 from .errors import ParameterError
 from .oscillatory import ExpWeightParams, main_term_integral, phase_frac_array
-from .psprimes import PSConfig, ps_array
+from .psprimes import PSConfig, ps_indicator_at
 
 CROSS_CHECK_TOL = 1e-8
 
@@ -149,8 +150,8 @@ def build_weight_table(X: float, mu: float, kind: WeightKind,
 
     Only that window is sieved, from the primes <= sqrt(X), and each kind
     is evaluated on its support only: the prime powers (primes for
-    LOGP_ONLY), for the PS kinds those that `ps_array` lists.  The twisted
-    kinds read c and t, the PS kinds read ps; unused parameters are ignored.
+    LOGP_ONLY), for the PS kinds those that `ps_indicator_at` keeps.  The
+    twisted kinds read c and t, the PS kinds ps; unused ones are ignored.
     """
     params = params or WeightParams()
     n0, n1 = _range_bounds(X, mu)
@@ -185,9 +186,7 @@ def build_weight_table(X: float, mu: float, kind: WeightKind,
     else:
         n, vals = lambda_support(n0, n1)
     if ps is not None:
-        keep = np.zeros(n1 - n0 + 1, dtype=bool)  # the window's PS members
-        keep[ps_array(n0, n1, ps) - n0] = True
-        keep = keep[n - n0]
+        keep = ps_indicator_at(n, ps)
         n, vals = n[keep], vals[keep]
     if kind is WeightKind.PS_EXP:
         vals = vals * n.astype(np.float64) ** (1.0 - g)

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from bdhvar import ParameterError, factorize, lambda_segment, primes_segment
-from bdhvar.arith import sieve_segment, sieving_primes
+from bdhvar import ParameterError, factorize, lambda_support, primes_segment
+from bdhvar.arith import DEFAULT_LIMIT_CAP, sieve_segment, sieving_primes
 from bdhvar.errors import ResourceError
 
 
@@ -20,6 +20,14 @@ def naive_flags(limit):
             for m in range(p * p, limit + 1, p):
                 flags[m] = False
     return flags
+
+
+def lambda_table(N):
+    """Lambda(n) at index n for 0 <= n <= N: lambda_support scattered."""
+    n, lam = lambda_support(0, N)
+    out = np.zeros(N + 1)
+    out[n] = lam
+    return out
 
 
 def naive_sieve(limit):
@@ -99,14 +107,15 @@ def test_sieving_primes_cap_and_roots():
     assert sieving_primes(10**6).tolist() == naive_sieve(1000)
     with pytest.raises(ParameterError):
         sieving_primes(1)
+    assert sieving_primes(DEFAULT_LIMIT_CAP)[-1] == 31607  # isqrt: 31622
     with pytest.raises(ResourceError):
-        sieving_primes(10**7, cap=10**6)
+        sieving_primes(DEFAULT_LIMIT_CAP + 1)
 
 
 def test_lambda_divisor_sum_identity():
     # sum of Lambda(d) over d | n equals log n
     N = 10**4
-    lam = lambda_segment(0, N)
+    lam = lambda_table(N)
     acc = np.zeros(N + 1)
     for d in range(1, N + 1):
         if lam[d] != 0.0:
@@ -116,7 +125,7 @@ def test_lambda_divisor_sum_identity():
 
 
 def test_lambda_small_values():
-    lam = lambda_segment(0, 100)
+    lam = lambda_table(100)
     assert lam[0] == 0.0 and lam[1] == 0.0
     assert lam[2] == pytest.approx(math.log(2))
     assert lam[8] == pytest.approx(math.log(2))
@@ -127,12 +136,12 @@ def test_lambda_small_values():
 
 def test_chebyshev_psi_near_x():
     X = 10**6
-    psi = math.fsum(lambda_segment(0, X))
+    psi = math.fsum(lambda_table(X))
     assert abs(psi - X) <= 0.005 * X
 
 
 def test_von_mangoldt_spot_values():
-    lam = lambda_segment(0, 10**4)
+    lam = lambda_table(10**4)
     assert lam[1] == 0.0
     assert lam[8] == pytest.approx(math.log(2))
     assert lam[97] == pytest.approx(math.log(97))
@@ -147,16 +156,16 @@ def naive_lambda(n):
 
 
 def test_von_mangoldt_agrees_with_table():
-    lam = lambda_segment(0, 2000)
+    lam = lambda_table(2000)
     for n in range(1, 2001):
         assert naive_lambda(n) == pytest.approx(lam[n], abs=1e-12)
 
 
-def test_lambda_segment_windows_match_full_range():
+def test_lambda_support_windows_match_full_range():
     # windows that start or end inside a run of prime powers: at 0, 1 and 2,
     # at p^k and at p^k - 1, one point wide, and empty
     N = 5000
-    full = lambda_segment(0, N)
+    full_n, full_lam = lambda_support(0, N)
     powers = [p ** k for p in (2, 3, 5, 7, 11, 67) for k in range(2, 13)
               if p ** k <= N]
     windows = [(lo, hi) for lo in (0, 1, 2) for hi in (lo - 1, lo, 10, N)]
@@ -165,14 +174,18 @@ def test_lambda_segment_windows_match_full_range():
     windows += [(n, n) for n in (3, 4, 6, 97, 4096, 4999)]
     windows += [(pk - 1, pk + 1) for pk in powers] + [(1369, 2000)]
     for lo, hi in windows:
-        seg = lambda_segment(lo, hi)
-        assert seg.dtype == np.float64 and seg.size == hi - lo + 1
-        assert np.array_equal(seg.view(np.uint64),
-                              full[lo:hi + 1].view(np.uint64)), (lo, hi)
-        for n, value in zip(range(lo, hi + 1), seg.tolist()):
-            assert value == pytest.approx(naive_lambda(n), abs=1e-12), n
+        n, lam = lambda_support(lo, hi)
+        assert n.dtype == np.int64 and lam.dtype == np.float64
+        inside = (full_n >= lo) & (full_n <= hi)
+        assert np.array_equal(n, full_n[inside]), (lo, hi)
+        assert np.array_equal(lam.view(np.uint64),
+                              full_lam[inside].view(np.uint64)), (lo, hi)
+        got = dict(zip(n.tolist(), lam.tolist()))
+        for m in range(lo, hi + 1):
+            assert got.get(m, 0.0) == pytest.approx(naive_lambda(m),
+                                                    abs=1e-12), m
     with pytest.raises(ResourceError):
-        lambda_segment(2 * 10**9, 2 * 10**9)
+        lambda_support(2 * 10**9, 2 * 10**9)
 
 
 def test_factorize_matches_naive():

@@ -188,10 +188,10 @@ def test_psi_chi_matches_direct_loop():
 
 
 def test_psi_chi_principal_mod_one_is_plain_sum():
-    from bdhvar import lambda_segment
-    lam = lambda_segment(0, 100)
+    from bdhvar import lambda_support
+    n, lam = lambda_support(1, 100)
     G = character_group(1)
-    support = variance._support(lam[1:101].astype(complex), 1)
+    support = variance._terms(n, lam.astype(complex))
     total = G.transform(variance._residue_sums(support, 1))[0]
     assert total.real == pytest.approx(94.0453112293574, abs=1e-9)
     assert total.imag == 0.0

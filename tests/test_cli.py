@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import bdhvar
-from bdhvar import cli, psprimes
+from bdhvar import cli, primes_segment, psprimes
 
 
 def run_cli(argv):
@@ -309,15 +309,21 @@ def test_ps_count_blocks_do_not_change_counts(tmp_path, monkeypatch):
         assert blocked.read_bytes() == whole.read_bytes(), (block, window)
 
 
-def test_ps_count_never_builds_a_range_mask(tmp_path, monkeypatch):
-    # The indicator route asks only at the primes, never for a range mask.
-    def refuse(*args):
-        raise AssertionError("ps_indicator_array called")
+def test_ps_count_asks_the_indicator_at_primes_only(tmp_path, monkeypatch):
+    # The indicator route is asked at every prime <= X and at nothing else.
+    asked = []
 
-    monkeypatch.setattr(psprimes, "ps_indicator_array", refuse)
-    monkeypatch.setattr(cli, "ps_indicator_array", refuse, raising=False)
+    def record(ns, cfg):
+        asked.append(np.array(ns, dtype=np.int64))
+        return psprimes.ps_indicator_at(ns, cfg)
+
+    monkeypatch.setattr(cli, "ps_indicator_at", record)
     assert run_cli(["ps-count", "--x-grid", "1e6", "--gamma", "9/10",
                     "--out", str(tmp_path / "ps.csv")]) == 0
+    asked = np.concatenate(asked)
+    primes = primes_segment(2, 10**6)
+    assert np.all(np.isin(asked, primes))
+    assert primes.size == 78_498 and np.array_equal(np.sort(asked), primes)
 
 
 def test_ps_count_over_sieve_cap_exits_3(capsys):

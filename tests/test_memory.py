@@ -7,7 +7,7 @@ import numpy as np
 
 from bdhvar import (WeightKind, WeightParams, build_weight_table,
                     character_group, cli, ps_array, ps_config,
-                    ps_indicator_array, vaaler_eval, vaaler_expansion)
+                    ps_indicator_at, vaaler_eval, vaaler_expansion)
 from bdhvar.characters import _local_factors
 
 MB = 10**6
@@ -25,9 +25,11 @@ def traced_peak(fn, *args):
 
 def test_ps_routes_working_set_at_1e7():
     # The mask alone is 10 MB and the generator's output 16 MB; one pass
-    # over the whole range peaked at 570 MB and 132 MB.
+    # over the whole range peaked at 570 MB and 132 MB.  The indicator's
+    # input n is built before tracing.
     cfg = ps_config("9/10")
-    mask, mask_peak = traced_peak(ps_indicator_array, 2, 10**7, cfg)
+    ns = np.arange(2, 10**7 + 1)
+    mask, mask_peak = traced_peak(ps_indicator_at, ns, cfg)
     assert mask_peak <= 32 * MB, mask_peak / MB
     members, array_peak = traced_peak(ps_array, 1, 10**7, cfg)
     assert array_peak <= 64 * MB, array_peak / MB
@@ -62,14 +64,15 @@ def test_weight_tables_hold_only_their_support_at_1e7():
     # gamma = 9/10.  A dense complex128 table over the window is 80 MB on
     # its own; building it peaked at 137.7 MB (classic_exp) and 168.3 MB
     # (ps_exp).  The support form measured 28.5 and 24.9 MB peak, holding
-    # 7.6 and 1.4 MB (24 bytes a term); the bounds allow about 1.4 times
-    # that.
+    # 7.6 and 1.4 MB (24 bytes a term), and 12.6 MB peak for ps_exp once
+    # its support was kept by the indicator rather than a mask of the
+    # generator's members; the bounds allow about 1.4 times that.
     X = 1e7
     cases = [(WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=X ** -0.8333),
               40 * MB, 11 * MB),
              (WeightKind.PS_EXP,
               WeightParams(c=1.5, t=X ** -0.6333, ps=ps_config("9/10")),
-              35 * MB, 2 * MB)]
+              18 * MB, 2 * MB)]
     for kind, params, peak_cap, held_cap in cases:
         w, peak = traced_peak(build_weight_table, X, 0.5, kind, params)
         held = w.n.nbytes + w.values.nbytes

@@ -8,13 +8,18 @@ import numpy as np
 import pytest
 
 from bdhvar import (ParameterError, primes_segment, ps_array, ps_config,
-                    ps_count_main_term, ps_indicator_array, ps_indicator_at,
-                    psprimes)
+                    ps_count_main_term, ps_indicator_at, psprimes)
 
 
 def ps_indicator(n, cfg):
-    """Membership of one n by the indicator route on the range [n, n]."""
-    return int(ps_indicator_array(n, n, cfg)[0])
+    """Membership of one n by the indicator route, asked for n alone."""
+    return int(ps_indicator_at(np.array([n]), cfg)[0])
+
+
+def indicator_mask(lo, hi, cfg):
+    """Membership mask of lo..hi (index i <-> n = lo + i) by the indicator
+    route at every n of the range."""
+    return ps_indicator_at(np.arange(lo, hi + 1), cfg)
 
 
 def int_root(m, k):
@@ -82,7 +87,7 @@ def test_both_routes_match_exact_oracle(gamma):
     lo, hi = 1, 2000
     expect = oracle_members_rational(lo, hi, gamma)
     assert ps_array(lo, hi, cfg).tolist() == expect
-    mask = ps_indicator_array(lo, hi, cfg)
+    mask = indicator_mask(lo, hi, cfg)
     assert np.flatnonzero(mask).tolist() == [n - lo for n in expect]
 
 
@@ -99,7 +104,7 @@ def test_unsnapped_float_gamma_matches_mpmath_oracle():
         if known is not None:
             assert expect == known
         assert ps_array(1, hi, cfg).tolist() == expect
-        mask = ps_indicator_array(1, hi, cfg)
+        mask = indicator_mask(1, hi, cfg)
         assert np.flatnonzero(mask).tolist() == [n - 1 for n in expect]
 
 
@@ -114,7 +119,7 @@ def test_square_set_frozen():
 
 def test_indicator_agrees_pointwise_with_array_route():
     cfg = ps_config(Fraction(9, 10))
-    mask = ps_indicator_array(1, 500, cfg)
+    mask = indicator_mask(1, 500, cfg)
     for n in range(1, 501):
         assert ps_indicator(n, cfg) == int(mask[n - 1])
 
@@ -150,8 +155,6 @@ def test_range_validation():
         ps_array(0, 10, cfg)
     with pytest.raises(ParameterError):
         ps_array(5, 4, cfg)
-    with pytest.raises(ParameterError):
-        ps_indicator_array(0, 0, cfg)
     for bad in ([3, 0, 5], [[4]], [-1]):
         with pytest.raises(ParameterError):
             ps_indicator_at(np.array(bad), cfg)
@@ -186,10 +189,10 @@ def test_blocked_routes_match_one_pass_and_scalar(monkeypatch, gamma, lo, hi,
     monkeypatch.setattr(psprimes, "_BLOCK", hi + 1)  # one block
     whole = ps_array(lo, hi, cfg)
     assert np.all(np.diff(whole) > 0)
-    whole_mask = ps_indicator_array(lo, hi, cfg)
+    whole_mask = indicator_mask(lo, hi, cfg)
     monkeypatch.setattr(psprimes, "_BLOCK", block)
     assert ps_array(lo, hi, cfg).tolist() == whole.tolist()
-    mask = ps_indicator_array(lo, hi, cfg)
+    mask = indicator_mask(lo, hi, cfg)
     assert mask.dtype == bool and np.array_equal(mask, whole_mask)
     assert mask.tolist() == [ps_indicator(n, cfg) == 1
                              for n in range(lo, hi + 1)]
@@ -199,13 +202,13 @@ def test_blocked_routes_match_one_pass_and_scalar(monkeypatch, gamma, lo, hi,
 @pytest.mark.parametrize("gamma,lo,hi", BLOCK_RANGES, ids=str)
 def test_indicator_at_given_n_matches_range_and_scalar(monkeypatch, gamma, lo,
                                                        hi):
-    # The given-n route against the range route at every n of the range
-    # and at its primes only (as ps-count asks), and against the scalar
-    # oracle on the range shuffled with n = 1 added; in one chunk and in
-    # chunks of 7.
+    # The given-n route against the generator's mask of the range at every
+    # n of the range and at its primes only (as ps-count asks), and against
+    # the scalar oracle on the range shuffled with n = 1 added; in one chunk
+    # and in chunks of 7.
     cfg = ps_config(gamma)
     ns = np.arange(lo, hi + 1)
-    mask = ps_indicator_array(lo, hi, cfg)
+    mask = np.isin(ns, ps_array(lo, hi, cfg))
     primes = primes_segment(lo, hi)
     shuffled = np.random.default_rng(lo).permutation(np.append(ns, 1))
     expect = [ps_indicator(n, cfg) == 1 for n in shuffled]

@@ -7,7 +7,7 @@ import pytest
 
 from bdhvar import (ExpWeightParams, MainTerm, ParameterError, WeightKind,
                     WeightParams, build_weight_table, custom_weight_table,
-                    lambda_segment, large_sieve_check, main_term_integral,
+                    lambda_support, large_sieve_check, main_term_integral,
                     phase_frac_array, ps_array, ps_config, variance,
                     variance_report)
 from bdhvar.arith import sieve_segment, sieving_primes
@@ -31,7 +31,15 @@ def naive_variance(w, Q, main):
     return math.fsum(per_q), per_q
 
 
-LAM = lambda_segment(0, 2100)  # Lambda(n) at index n
+def dense_lambda(lo, hi):
+    """Lambda(lo + i) for the n of [lo, hi]: lambda_support scattered."""
+    n, lam = lambda_support(lo, hi)
+    out = np.zeros(hi - lo + 1)
+    out[n - lo] = lam
+    return out
+
+
+LAM = dense_lambda(0, 2100)  # Lambda(n) at index n
 
 
 def custom_main(value):
@@ -181,11 +189,12 @@ def test_ps_exp_weight_amplitudes():
 
 def dense_reference(X, mu, kind, params):
     """(n0, values) with values[i] = w(n0 + i) at every n of (mu X, X],
-    built from the dense lambda_segment window and then masked, phased and
-    scaled the way a table over the whole window would be."""
+    built from Lambda scattered over the whole window and then masked (the
+    PS kinds by the generator route `ps_array`), phased and scaled the way
+    a table over the whole window would be."""
     n0, n1 = math.floor(mu * X) + 1, math.floor(X)
     ns = np.arange(n0, n1 + 1)
-    vals = lambda_segment(n0, n1)
+    vals = dense_lambda(n0, n1)
     if kind is WeightKind.LOGP_ONLY:
         vals = np.where(sieve_segment(n0, n1, sieving_primes(n1)),
                         np.log(ns.astype(np.float64)), 0.0)
@@ -209,6 +218,12 @@ BUILT_IN = [
     (WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=0.0)),
     (WeightKind.PS_PLAIN, WeightParams(ps=ps_config("9/10"))),
     (WeightKind.PS_EXP, WeightParams(c=1.5, t=1e-3, ps=ps_config("9/10"))),
+    (WeightKind.PS_PLAIN, WeightParams(ps=ps_config("2426/2817"))),
+    (WeightKind.PS_EXP, WeightParams(c=1.5, t=1e-3,
+                                     ps=ps_config("2426/2817"))),
+    # not snapped to a rational: its guard-band entries would go to mpmath
+    (WeightKind.PS_PLAIN, WeightParams(ps=ps_config(0.837))),
+    (WeightKind.PS_EXP, WeightParams(c=1.5, t=1e-3, ps=ps_config(0.837))),
 ]
 
 
