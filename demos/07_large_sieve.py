@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 
-from bdhvar import large_sieve_check
+from bdhvar import (WeightKind, WeightParams, build_weight_table,
+                    large_sieve_check)
 
 # The large sieve bounds sum_{q<=Q} (q/phi q) sum*_chi |sum a_n chi(n)|^2
 # by (N + Q^2) ||a||^2 over arbitrary coefficients.  Random Gaussian
@@ -28,3 +31,19 @@ coeffs = np.zeros(120, dtype=complex)
 coeffs[::7] = 1.0
 res = large_sieve_check(0, 120, 35, coeffs)
 print(f"mass on 1 mod 7, N = 120, Q = 35: ratio {res.ratio:.4f}")
+
+# The paper's path to V(Q) ends in this inequality, so run it on a theorem
+# weight too: Lambda(n) e(t n^c) at the t cap X^(2/3 - c - delta), as
+# dense coefficients over (mu X, X], with Q = X / log^2 X.
+MU, C, DELTA = 0.5, 1.5, 0.05
+print("classic_exp at the t cap:")
+for X in (10**4, 3 * 10**4, 10**5):
+    t = X ** (2 / 3 - C - DELTA) * (1 - 1e-9)
+    w = build_weight_table(float(X), MU, WeightKind.CLASSIC_EXP,
+                           WeightParams(c=C, t=t))
+    n0 = math.floor(MU * X) + 1
+    coeffs = np.zeros(X - n0 + 1, dtype=complex)
+    coeffs[w.n - n0] = w.values
+    Q = math.floor(X / math.log(X) ** 2)
+    res = large_sieve_check(n0 - 1, len(coeffs), Q, coeffs)
+    print(f"  X = {X:>6}, Q = {Q:>3}: ratio {res.ratio:.4f}")

@@ -139,17 +139,17 @@ def phase_frac_array(t: float, ns: np.ndarray, c: float) -> np.ndarray:
     xs = np.asarray(ns).astype(np.float64)
     if xs.size and not xs.min() > 0:  # a NaN n fails this too
         raise ParameterError("phase reduction needs n > 0")
-    mags = abs(t) * xs ** c
-    out = np.empty(xs.shape, dtype=np.float64)
-    lo = mags <= _TIER1_MAX
-    v = t * xs[lo] ** c
-    out[lo] = v - np.floor(v)
-    mid = ~lo & (mags <= _TIER2_MAX)
+    out = np.asarray(xs ** c)  # in place from here: a 0-d n stays an array
+    out *= t  # t n^c, and |t n^c| = |t| n^c exactly
+    lo, hi = np.abs(out) <= _TIER1_MAX, np.abs(out) > _TIER2_MAX
+    np.subtract(out, np.floor(out), out=out, where=lo)
+    mid = ~(lo | hi)
     if np.any(mid):
-        w = np.longdouble(t) * xs[mid].astype(np.longdouble) ** np.longdouble(c)
-        out[mid] = (w - np.floor(w)).astype(np.float64)
-    hi = np.flatnonzero(mags > _TIER2_MAX)
-    for i in hi.tolist():
+        w = xs[mid].astype(np.longdouble) ** np.longdouble(c)
+        w *= np.longdouble(t)
+        w -= np.floor(w)
+        out[mid] = w
+    for i in np.flatnonzero(hi).tolist():
         out.flat[i] = _phase_frac_mp(t, float(xs.flat[i]), c)
     return out
 

@@ -45,6 +45,10 @@ against a math.fsum oracle.  The character side is
 error about 1e-15 against a dense evaluation of every character in the
 tests).  All per-q squared deviations and the cross-q total go through
 math.fsum, in ascending q.
+
+One loop over q, `_transformed_sums`, feeds both reports: `variance_report`
+takes every q <= Q, `large_sieve_check` the q != 2 (mod 4), the only moduli
+with primitive characters.
 """
 
 from __future__ import annotations
@@ -210,12 +214,6 @@ def _terms(n: np.ndarray, w: np.ndarray):
             np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag))
 
 
-def _support(values: np.ndarray, n0: int):
-    """Nonzero support of values[i] = w(n0 + i): (n, Re w(n), Im w(n))."""
-    idx = np.flatnonzero(values)
-    return _terms(n0 + idx, values[idx])
-
-
 def _residue_sums(support, q: int) -> np.ndarray:
     """out[r] = sum of w(n) over the support with n == r (mod q)."""
     n, re, im = support
@@ -228,6 +226,16 @@ def _residue_sums(support, q: int) -> np.ndarray:
 
 def _sq_abs_sum(z: np.ndarray) -> float:
     return math.fsum((z.real * z.real + z.imag * z.imag).tolist())
+
+
+def _transformed_sums(n: np.ndarray, w: np.ndarray, moduli):
+    """(G, sums, psi) for each q of ascending `moduli`: the group, the
+    residue sums of the weights w at ascending n, and their transform."""
+    support = _terms(n, w)
+    for q in moduli:
+        G = character_group(q)
+        sums = _residue_sums(support, q)
+        yield G, sums, G.transform(sums)
 
 
 # ---------------------------------------------------------------------------
@@ -288,19 +296,15 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     if main.alt_value is not None:
         mains.append(complex(main.value))  # paper-literal variant second
 
-    support = _terms(w.n, w.values)
     # cells[k][q - 1] = (direct, character) contribution of q for mains[k]
     cells: list[list[tuple[float, float]]] = [[] for _ in mains]
     gaps = []
-    for q in range(1, Q + 1):
-        sums = _residue_sums(support, q)
-        G = character_group(q)
-        mask = G.coprime
-        phi = int(mask.sum())
+    for G, sums, psi in _transformed_sums(w.n, w.values, range(1, Q + 1)):
+        unit_sums = sums[G.coprime]
+        phi = len(unit_sums)
         if G.phi != phi:
-            raise AssertionError(f"phi mismatch at q={q}: {G.phi} != {phi}")
-        psi = G.transform(sums)
-        unit_sums = sums[mask]
+            raise AssertionError(
+                f"phi mismatch at q={G.modulus}: {G.phi} != {phi}")
         for mv, col in zip(mains, cells):
             dev = unit_sums - mv / phi
             shifted = psi.copy()
@@ -357,16 +361,10 @@ def large_sieve_check(M: int, N: int, Q: int,
     norm2 = _sq_abs_sum(arr)
     bound = (N + Q * Q) * norm2
 
-    support = _support(arr, M + 1)
-    parts = []
-    for q in range(1, Q + 1):
-        G = character_group(q)
-        prim = G.primitive_mask()
-        if not prim.any():
-            parts.append(0.0)
-            continue
-        psi = G.transform(_residue_sums(support, q))[prim]
-        parts.append(q / G.phi * _sq_abs_sum(psi))
-    lhs = math.fsum(parts)
+    moduli = (q for q in range(1, Q + 1) if q % 4 != 2)  # with primitive chi
+    idx = np.flatnonzero(arr)
+    lhs = math.fsum(
+        G.modulus / G.phi * _sq_abs_sum(psi[G.primitive_mask()])
+        for G, _, psi in _transformed_sums(M + 1 + idx, arr[idx], moduli))
     ratio = lhs / bound if bound > 0 else 0.0
     return LargeSieveResult(lhs=lhs, bound=bound, ratio=ratio)

@@ -64,12 +64,13 @@ def test_weight_tables_hold_only_their_support_at_1e7():
     # gamma = 9/10.  A dense complex128 table over the window is 80 MB on
     # its own; building it peaked at 137.7 MB (classic_exp) and 168.3 MB
     # (ps_exp).  The support form measured 28.5 and 24.9 MB peak, holding
-    # 7.6 and 1.4 MB (24 bytes a term), and 12.6 MB peak for ps_exp once
-    # its support was kept by the indicator rather than a mask of the
-    # generator's members; the bounds allow about 1.4 times that.
+    # 7.6 and 1.4 MB (24 bytes a term), 12.6 MB peak for ps_exp once its
+    # support was kept by the indicator rather than a mask of the
+    # generator's members, and 21.2 MB for classic_exp once its phases
+    # were reduced in place; the bounds allow about 1.4 times that.
     X = 1e7
     cases = [(WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=X ** -0.8333),
-              40 * MB, 11 * MB),
+              30 * MB, 11 * MB),
              (WeightKind.PS_EXP,
               WeightParams(c=1.5, t=X ** -0.6333, ps=ps_config("9/10")),
               18 * MB, 2 * MB)]

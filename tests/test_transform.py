@@ -48,6 +48,9 @@ def test_primitive_mask_matches_conductors():
             phases = unit_phases(G, n[G.coprime[n]])
             want &= np.any(phases != 0, axis=1)
         assert np.array_equal(G.primitive_mask(), want), q
+        # the premise of the large sieve's moduli: q == 2 (mod 4) alone
+        # has no primitive character
+        assert G.primitive_mask().any() == (q % 4 != 2), q
 
 
 def test_primitive_mask_is_cached_and_read_only():

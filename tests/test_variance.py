@@ -11,7 +11,7 @@ from bdhvar import (ExpWeightParams, MainTerm, ParameterError, WeightKind,
                     phase_frac_array, ps_array, ps_config, variance,
                     variance_report)
 from bdhvar.arith import sieve_segment, sieving_primes
-from bdhvar.characters import MAX_MODULUS
+from bdhvar.characters import MAX_MODULUS, character_group
 
 
 def naive_variance(w, Q, main):
@@ -52,7 +52,8 @@ def fsum_total(w):
 
 def residue_sums(vals, n0, q):
     """The class sums mod q of vals[i] = w(n0 + i), by the report's kernel."""
-    return variance._residue_sums(variance._support(vals, n0), q)
+    idx = np.flatnonzero(vals)
+    return variance._residue_sums(variance._terms(n0 + idx, vals[idx]), q)
 
 
 def table_sums(w, q):
@@ -454,6 +455,40 @@ def test_large_sieve_random_trials_below_bound():
         coeffs = rng.normal(size=N) + 1j * rng.normal(size=N)
         res = large_sieve_check(M, N, Q, coeffs)
         assert res.ratio <= 1.0 + 1e-9
+
+
+def test_large_sieve_on_classic_exp_weight_at_theorem_q():
+    # the proof's path on a theorem weight: classic_exp at the t cap
+    # X^(2/3 - c - delta), its table scattered into dense coefficients over
+    # (mu X, X], and Q = floor(X / log^2 X)
+    X, mu, c, delta = 10**5, 0.5, 1.5, 0.05
+    t = X ** (2 / 3 - c - delta) * (1 - 1e-9)
+    w = build_weight_table(float(X), mu, WeightKind.CLASSIC_EXP,
+                           WeightParams(c=c, t=t))
+    n0 = math.floor(mu * X) + 1
+    coeffs = np.zeros(X - n0 + 1, dtype=complex)
+    coeffs[w.n - n0] = w.values
+    Q = math.floor(X / math.log(X) ** 2)
+    assert Q == 754
+    res = large_sieve_check(n0 - 1, len(coeffs), Q, coeffs)
+    assert 0 < res.ratio <= 1 + 1e-9
+
+
+def test_large_sieve_builds_no_group_without_primitive_characters(
+        monkeypatch):
+    # q == 2 (mod 4) has no primitive character, so its group is skipped
+    seen = []
+
+    def recording_group(q):
+        seen.append(q)
+        return character_group(q)
+
+    monkeypatch.setattr(variance, "character_group", recording_group)
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
+    res = large_sieve_check(3, 40, 30, coeffs)
+    assert seen == [q for q in range(1, 31) if q % 4 != 2]
+    assert 0 < res.ratio <= 1.0
 
 
 def test_large_sieve_validation():
