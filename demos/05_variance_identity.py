@@ -8,15 +8,16 @@ For any complex weight w on (mu X, X] and any main term M,
 Parseval over the unit group -- no approximation involved, so the two
 routes must agree to rounding error.  That agreement is the package's
 standing cross-check; this script shows it on a real weight and on noise.
+A built-in weight carries its own main term; a custom table has none, so
+its report takes M as an argument.
 """
 
 import numpy as np
 
-from bdhvar import (WeightKind, WeightParams, build_weight_table,
-                    custom_weight_table, variance_report)
+from bdhvar import (WeightKind, build_weight_table, custom_weight_table,
+                    variance_report)
 
-params = WeightParams(c=1.5, t=2e-4)
-w = build_weight_table(20000.0, 0.5, WeightKind.CLASSIC_EXP, params)
+w = build_weight_table(20000.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=2e-4)
 rep = variance_report(w, 40, per_q=True)
 print("weight Lambda(n) e(t n^1.5), X = 20000, Q = 40")
 print(f"  direct route    : {rep.direct_variance:.6f}")
@@ -31,8 +32,7 @@ for q, dv, cv in rep.per_q[:5]:
 rng = np.random.default_rng(8)
 vals = rng.normal(size=5000) + 1j * rng.normal(size=5000)
 w2 = custom_weight_table(5000.0, 0.0, vals)
-from bdhvar import MainTerm
-rep2 = variance_report(w2, 40, main=MainTerm(value=100 + 30j))
+rep2 = variance_report(w2, 40, main=100 + 30j)
 print("\ncomplex Gaussian noise, X = 5000, Q = 40")
 print(f"  direct {rep2.direct_variance:.6f} vs characters "
       f"{rep2.character_variance:.6f} (gap {rep2.cross_check_rel:.2e})")

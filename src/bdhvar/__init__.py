@@ -13,12 +13,12 @@ from .characters import CharacterGroup, character_group
 from .errors import ParameterError, ResourceError
 from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
                           oscillatory_integral, phase_frac_array,
-                          prime_exp_sum, reduced_phase, saw_psi,
-                          vaaler_eval, vaaler_expansion)
+                          prime_exp_sum, saw_psi, vaaler_eval,
+                          vaaler_expansion)
 from .psprimes import (PSConfig, ps_array, ps_config, ps_count_main_term,
                        ps_indicator_at)
-from .variance import (LargeSieveResult, MainTerm, VarianceReport, WeightKind,
-                       WeightParams, WeightTable, build_weight_table,
-                       custom_weight_table, large_sieve_check, variance_report)
+from .variance import (LargeSieveResult, VarianceReport, WeightKind,
+                       WeightTable, build_weight_table, custom_weight_table,
+                       large_sieve_check, variance_report)
 
 __version__ = "0.1.0"

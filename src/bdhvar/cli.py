@@ -7,6 +7,9 @@ A report's columns are its rows' keys; `run_rows` adds `seed` and `wall_ms`,
 fixed at 0 so that reruns compare (wall time goes to stderr only).
 `threads` is accepted (>= 1) so that existing command lines and config files
 keep working, but it has no effect: every run is one thread.
+This module names no weight kind: `--kind` takes a `variance.WeightKind`
+value, and which kinds read t, their theorem ranges and their weights all
+come from `variance`.
 
 The flags are generated from the ExperimentConfig fields, whose names are
 also the config file keys: `--x-grid` sets x_grid, and so on, except that
@@ -45,8 +48,9 @@ from .oscillatory import (ExpWeightParams, check_vaaler_size,
 from . import psprimes
 from .psprimes import (ps_array, ps_config, ps_count_main_term,
                        ps_indicator_at)
-from .variance import (WeightKind, WeightParams, build_weight_table,
-                       large_sieve_check, variance_report)
+from .variance import (TWISTED_KINDS, WeightKind, build_weight_table,
+                       large_sieve_check, theorem_range_warnings,
+                       variance_report)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -215,32 +219,6 @@ def eval_t_rule(rule: str, X: float, delta: float) -> float:
             f"t_rule {rule!r} gives no t at X = {X:g}: {exc}") from exc
 
 
-def theorem_range_warnings(kind: WeightKind, X: float, Q: int, t: float,
-                           c: float, gamma: float, a: float,
-                           delta: float) -> list[str]:
-    """Q- and t-range checks for the three theorem-style weightings."""
-    lx = math.log(X)
-    warns: list[str] = []
-    if kind is WeightKind.CLASSIC_EXP:
-        lo, hi = X / lx ** a, X
-        t_cap = X ** (2.0 / 3.0 - c - delta)
-    elif kind is WeightKind.PS_PLAIN:
-        lo, hi = X ** gamma / lx ** 2, X ** gamma
-        t_cap = None
-    elif kind is WeightKind.PS_EXP:
-        lo, hi = X ** gamma / lx ** a, X ** gamma
-        t_cap = X ** ((4.0 * gamma - 3.0 * c - 1.0) / 3.0 - delta)
-    else:
-        return warns
-    if not (lo - 1.0 <= Q <= hi):
-        warns.append(f"Q = {Q} outside the admissible range "
-                     f"[{lo:.6g}, {hi:.6g}] at X = {X:g}")
-    if t_cap is not None and abs(t) > t_cap * (1.0 + 1e-12):
-        warns.append(f"|t| = {abs(t):.6g} above the admissible cap "
-                     f"{t_cap:.6g} at X = {X:g}")
-    return warns
-
-
 # ---------------------------------------------------------------------------
 # Serialisation
 # ---------------------------------------------------------------------------
@@ -321,10 +299,8 @@ def run_rows(cfg: ExperimentConfig, name: str, cells: Sequence,
 
 def cmd_variance(cfg: ExperimentConfig) -> int:
     kind = WeightKind(cfg.kind)
-    if kind is WeightKind.CUSTOM:
-        raise ParameterError("the variance command cannot build CUSTOM weights")
     gamma_f = float(cfg.gamma)
-    needs_t = kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP)
+    needs_t = kind in TWISTED_KINDS
     # each row sieves its own window; the cap is checked here, before any row
     sieving_primes(int(max(cfg.x_grid)))
 
@@ -339,8 +315,8 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
             raise ParameterError(
                 "outside the admissible theorem range; rerun with "
                 "--allow-out-of-range to proceed")
-        params = WeightParams(c=cfg.c, t=t, ps=ps_config(cfg.gamma))
-        w = build_weight_table(X, cfg.mu, kind, params)
+        w = build_weight_table(X, cfg.mu, kind, c=cfg.c, t=t,
+                               ps=ps_config(cfg.gamma))
         rep = variance_report(w, Q)
         if not rep.cross_check_ok:
             _log(f"cross-check FAILED at X={X:g}: rel={rep.cross_check_rel:.3e}"
@@ -430,7 +406,7 @@ def cmd_large_sieve(cfg: ExperimentConfig) -> int:
         q = int(rng.integers(1, cfg.q_max + 1))
         m = int(rng.integers(0, cfg.n_max + 1))
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ratio = large_sieve_check(m, n, q, coeffs).ratio
+        ratio = large_sieve_check(m, q, coeffs).ratio
         worst = max(worst, ratio)
         ok = ratio <= 1.0 + 1e-9
         if not ok:

@@ -113,27 +113,12 @@ def _phase_frac_mp(t: float, n: float, c: float) -> float:
         return float(val - mpmath.floor(val))
 
 
-def reduced_phase(t: float, n: float, c: float) -> float:
-    """frac(t * n^c) with absolute error <= 1e-10 (circularly, mod 1).
+def phase_frac_array(t: float, ns: np.ndarray, c: float) -> np.ndarray:
+    """frac(t * n^c) for each n of ns (an array, or a scalar as a 0-d
+    array), with absolute error <= 1e-10 (circularly, mod 1).
 
     Escalates through long-double and mpmath tiers as |t| n^c grows.
     """
-    if n <= 0:
-        raise ParameterError(f"reduced_phase needs n > 0, got {n}")
-    if not (math.isfinite(t) and math.isfinite(c)):
-        raise ParameterError("t and c must be finite")
-    mag = abs(t) * float(n) ** c
-    if mag <= _TIER1_MAX:
-        v = t * float(n) ** c
-        return v - math.floor(v)
-    if mag <= _TIER2_MAX:
-        v = np.longdouble(t) * np.longdouble(n) ** np.longdouble(c)
-        return float(v - np.floor(v))
-    return _phase_frac_mp(t, n, c)
-
-
-def phase_frac_array(t: float, ns: np.ndarray, c: float) -> np.ndarray:
-    """Vectorised reduced_phase over an array of n values."""
     if not (math.isfinite(t) and math.isfinite(c)):
         raise ParameterError("t and c must be finite")
     xs = np.asarray(ns).astype(np.float64)
@@ -247,7 +232,7 @@ def oscillatory_integral(a: float, b: float, t: float, c: float) -> complex:
     closed form (1/c) z^(-1/c) Gamma(1/c, z a^c, z b^c), z = -2*pi*i*t, the
     relative error is below 1e-11 (tests hold it there up to X = 1e8, 2.6e7
     periods, and at 3.7e9 periods).  An endpoint phase |t| y^c past the
-    extended-precision budget of `reduced_phase` raises ResourceError.
+    extended-precision budget of `phase_frac_array` raises ResourceError.
     """
     if not 0 < a <= b:
         raise ParameterError(f"need 0 < a <= b, got [{a}, {b}]")
@@ -284,7 +269,7 @@ def _endpoint_series(y: float, t: float, c: float) -> complex:
         term *= (k - alpha) / (iw * u)
         total += term
         k += 1
-    return cmath.exp(2j * math.pi * reduced_phase(t, y, c)) * total
+    return cmath.exp(2j * math.pi * float(phase_frac_array(t, y, c))) * total
 
 
 @cache

@@ -15,9 +15,12 @@ computes it by two routes from the same residue sums of each q:
       where Psi_chi = sum w(n) chi(n) and delta is 1 only at the principal
       character.
 
-`build_weight_table` is the one place that knows the weight kinds: each
-table carries its kind's main term `main` and the power `scale` = X^e of
-the theorem's bound X^e * Q * log X, which reports divide V(Q) by.
+This module is the one place that knows the weight kinds.
+`build_weight_table` gives each table its kind's main-term readings `mains`
+and the power `scale` = X^e of the theorem's bound X^e * Q * log X, which
+reports divide V(Q) by; `theorem_range_warnings` holds a row to its
+theorem's Q-range and t-cap; `TWISTED_KINDS` names the kinds that read c
+and t.
 
 The identity is Parseval over the unit group and holds for arbitrary
 complex weights, so route agreement is a strong end-to-end check; reports
@@ -75,33 +78,10 @@ class WeightKind(enum.Enum):
     PS_EXP = "ps_exp"              # Lambda(n) n^(1-gamma) [PS] e(t n^c)
     RAW_LAMBDA = "raw_lambda"      # Lambda(n)
     LOGP_ONLY = "logp_only"        # log p at primes, 0 elsewhere
-    CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class WeightParams:
-    """Optional knobs consumed by the weight kinds that need them."""
-
-    c: Optional[float] = None
-    t: Optional[float] = None
-    ps: Optional[PSConfig] = None
-
-
-@dataclass(frozen=True)
-class MainTerm:
-    """Expected per-modulus mass: S_q(a) is compared against value/phi(q).
-
-    For PS_PLAIN two readings coexist: `value` is X^gamma and `alt_value`
-    is X^gamma - (mu X)^gamma, the variant consistent with the summation
-    range.  Reports compute both; the headline ratio uses the
-    range-consistent one.  alt_value is None for every other kind.
-    """
-
-    value: complex
-    alt_value: Optional[complex] = None
-
-    def headline(self) -> complex:
-        return self.alt_value if self.alt_value is not None else self.value
+# The kinds twisted by e(t n^c), the only ones that read c and t.
+TWISTED_KINDS = frozenset({WeightKind.CLASSIC_EXP, WeightKind.PS_EXP})
 
 
 @dataclass
@@ -111,27 +91,31 @@ class WeightTable:
 
     n holds, ascending (int64), the n in (mu X, X] where w(n) != 0, and
     values[i] = w(n[i]) (complex128); w is 0 at every other n of the range.
-    `main` is the kind's main term (None for CUSTOM tables) and `scale` the
-    power X^e of its normaliser X^e * Q * log X.
+    `mains` holds the kind's main-term readings in report order: for
+    PS_PLAIN X^gamma - (mu X)^gamma, the reading consistent with the
+    summation range, then the paper-literal X^gamma; one for every other
+    kind; none for custom tables.  `scale` is the power X^e of the
+    normaliser X^e * Q * log X.
     """
 
     X: float
     n: np.ndarray
     values: np.ndarray
-    main: Optional[MainTerm]
+    mains: tuple[complex, ...]
     scale: float
 
 
 def custom_weight_table(X: float, mu: float, values: np.ndarray) -> WeightTable:
-    """A CUSTOM weight table from values[i] = w(floor(mu X) + 1 + i), one
-    value per integer of (mu X, X]; the table keeps their support."""
+    """A custom weight table from values[i] = w(floor(mu X) + 1 + i), one
+    value per integer of (mu X, X]; the table keeps their support and has
+    no main term."""
     n0, n1 = _range_bounds(X, mu)
     arr = np.asarray(values, dtype=np.complex128)
     if len(arr) != n1 - n0 + 1:
         raise ParameterError(
             f"need {n1 - n0 + 1} values for (mu X, X], got {len(arr)}")
     idx = np.flatnonzero(arr)
-    return WeightTable(X=float(X), n=n0 + idx, values=arr[idx], main=None,
+    return WeightTable(X=float(X), n=n0 + idx, values=arr[idx], mains=(),
                        scale=float(X))
 
 
@@ -147,42 +131,44 @@ def _range_bounds(X: float, mu: float) -> tuple[int, int]:
     return n0, n1
 
 
-def build_weight_table(X: float, mu: float, kind: WeightKind,
-                       params: WeightParams | None) -> WeightTable:
-    """Build a built-in weight kind on (mu X, X], with its main term and
-    normaliser power X^e (e = 1, gamma for PS_PLAIN, 2 - gamma for PS_EXP).
+def build_weight_table(X: float, mu: float, kind: WeightKind, *,
+                       c: float | None = None, t: float | None = None,
+                       ps: PSConfig | None = None) -> WeightTable:
+    """Build a built-in weight kind on (mu X, X], with its main-term
+    readings and normaliser power X^e (e = 1, gamma for PS_PLAIN, 2 - gamma
+    for PS_EXP).
 
     Only that window is sieved, from the primes <= sqrt(X), and each kind
     is evaluated on its support only: the prime powers (primes for
     LOGP_ONLY), for the PS kinds those that `ps_indicator_at` keeps.  The
     twisted kinds read c and t, the PS kinds ps; unused ones are ignored.
     """
-    params = params or WeightParams()
     n0, n1 = _range_bounds(X, mu)
     X = float(X)
-    exp = ps = alt = None
-    if kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP):
-        if params.c is None or params.t is None:
+    exp = None
+    if kind in TWISTED_KINDS:
+        if c is None or t is None:
             raise ParameterError(f"{kind} needs both c and t")
-        exp = ExpWeightParams(X=X, mu=float(mu), c=float(params.c),
-                              t=float(params.t))
+        exp = ExpWeightParams(X=X, mu=float(mu), c=float(c), t=float(t))
     if kind in (WeightKind.PS_PLAIN, WeightKind.PS_EXP):
-        if params.ps is None:
-            raise ParameterError(f"{kind} needs params.ps (a PSConfig)")
-        ps, g = params.ps, params.ps.gamma
+        if ps is None:
+            raise ParameterError(f"{kind} needs ps (a PSConfig)")
+        g = ps.gamma
+    else:
+        ps = None  # only the PS kinds read it
 
     if kind in (WeightKind.RAW_LAMBDA, WeightKind.LOGP_ONLY):
-        main, scale = (1.0 - mu) * X, X
+        mains, scale = ((1.0 - mu) * X,), X
     elif kind is WeightKind.CLASSIC_EXP:
-        main, scale = main_term_integral(exp), X
+        mains, scale = (main_term_integral(exp),), X
     elif kind is WeightKind.PS_PLAIN:
-        main = scale = X ** g
-        alt = complex(main - (mu * X) ** g)
+        scale = X ** g
+        mains = (scale - (mu * X) ** g, scale)
     elif kind is WeightKind.PS_EXP:
-        main, scale = g * main_term_integral(exp), X ** (2.0 - g)
+        mains, scale = (g * main_term_integral(exp),), X ** (2.0 - g)
     else:
         raise ParameterError(f"no built-in weight kind {kind!r}; "
-                             "CUSTOM tables come from custom_weight_table")
+                             "custom tables come from custom_weight_table")
 
     if kind is WeightKind.LOGP_ONLY:
         n = primes_segment(n0, n1)
@@ -197,8 +183,33 @@ def build_weight_table(X: float, mu: float, kind: WeightKind,
     if exp is not None and exp.t != 0.0:
         vals = vals * np.exp(2j * np.pi * phase_frac_array(exp.t, n, exp.c))
     return WeightTable(X=X, n=n, values=vals.astype(np.complex128, copy=False),
-                       scale=scale,
-                       main=MainTerm(value=complex(main), alt_value=alt))
+                       mains=tuple(complex(m) for m in mains), scale=scale)
+
+
+def theorem_range_warnings(kind: WeightKind, X: float, Q: int, t: float,
+                           c: float, gamma: float, a: float,
+                           delta: float) -> list[str]:
+    """Q- and t-range checks for the three theorem-style weightings."""
+    lx = math.log(X)
+    warns: list[str] = []
+    if kind is WeightKind.CLASSIC_EXP:
+        lo, hi = X / lx ** a, X
+        t_cap = X ** (2.0 / 3.0 - c - delta)
+    elif kind is WeightKind.PS_PLAIN:
+        lo, hi = X ** gamma / lx ** 2, X ** gamma
+        t_cap = None
+    elif kind is WeightKind.PS_EXP:
+        lo, hi = X ** gamma / lx ** a, X ** gamma
+        t_cap = X ** ((4.0 * gamma - 3.0 * c - 1.0) / 3.0 - delta)
+    else:
+        return warns
+    if not (lo - 1.0 <= Q <= hi):
+        warns.append(f"Q = {Q} outside the admissible range "
+                     f"[{lo:.6g}, {hi:.6g}] at X = {X:g}")
+    if t_cap is not None and abs(t) > t_cap * (1.0 + 1e-12):
+        warns.append(f"|t| = {abs(t):.6g} above the admissible cap "
+                     f"{t_cap:.6g} at X = {X:g}")
+    return warns
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +257,10 @@ def _transformed_sums(n: np.ndarray, w: np.ndarray, moduli):
 class VarianceReport:
     """Both variance routes plus normalisations for one (X, Q) cell.
 
-    direct_variance / character_variance use the headline main term
-    (range-consistent for PS_PLAIN); direct_alt / character_alt hold the
-    paper-literal X^gamma variant when one exists.  transform_gap is the
-    worst `CharacterGroup.check_transform` gap over all q.
+    direct_variance / character_variance use the first main-term reading
+    (range-consistent for PS_PLAIN); direct_alt / character_alt use the
+    second, the paper-literal X^gamma, when there is one.  transform_gap is
+    the worst `CharacterGroup.check_transform` gap over all q.
     """
 
     direct_variance: float
@@ -276,7 +287,7 @@ class VarianceReport:
                 and self.transform_gap <= CROSS_CHECK_TOL)
 
 
-def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
+def variance_report(w: WeightTable, Q: int, main: complex | None = None, *,
                     per_q: bool = False) -> VarianceReport:
     """V(Q) by both routes, for each main-term reading, in one pass over q.
 
@@ -284,17 +295,15 @@ def variance_report(w: WeightTable, Q: int, main: MainTerm | None = None, *,
     character transform versus the direct squared deviations remains the
     substantive cross-check, and sampled transform entries are checked
     against a direct evaluation (see `VarianceReport.transform_gap`).
-    `main` defaults to the table's own `w.main`; CUSTOM tables need one,
-    e.g. MainTerm(value=M).  The ratios divide by w.scale * Q * log X.
+    A given `main` is the one reading; otherwise the table's own `w.mains`
+    are read, and a custom table, which has none, needs one.  The ratios
+    divide by w.scale * Q * log X.
     """
     if not 1 <= Q <= MAX_MODULUS:
         raise ParameterError(f"Q must be in [1, {MAX_MODULUS}], got {Q}")
-    main = main or w.main
-    if main is None:
-        raise ParameterError("a CUSTOM table needs an explicit main term")
-    mains = [complex(main.headline())]
-    if main.alt_value is not None:
-        mains.append(complex(main.value))  # paper-literal variant second
+    mains = [complex(m) for m in ((main,) if main is not None else w.mains)]
+    if not mains:
+        raise ParameterError("a custom table needs an explicit main term")
 
     # cells[k][q - 1] = (direct, character) contribution of q for mains[k]
     cells: list[list[tuple[float, float]]] = [[] for _ in mains]
@@ -341,23 +350,23 @@ class LargeSieveResult:
     ratio: float
 
 
-def large_sieve_check(M: int, N: int, Q: int,
-                      coeffs: np.ndarray) -> LargeSieveResult:
+def large_sieve_check(M: int, Q: int, coeffs: np.ndarray) -> LargeSieveResult:
     """Primitive-character large-sieve quotient.
 
     lhs   = sum_{q <= Q} (q/phi(q)) sum*_{chi mod q} |sum a_n chi(n)|^2
     bound = (N + Q^2) * sum |a_n|^2,
 
-    with n running over M+1 .. M+N and sum* over primitive characters.
-    The returned ratio lhs/bound never exceeds 1 (up to rounding); it is 0
-    for all-zero coefficients.
+    with a_n = coeffs[n - M - 1] for n running over M+1 .. M+N, N =
+    len(coeffs), and sum* over primitive characters.  The returned ratio
+    lhs/bound never exceeds 1 (up to rounding); it is 0 for all-zero
+    coefficients.
     """
-    if N < 1 or not 1 <= Q <= MAX_MODULUS or M < 0:
-        raise ParameterError(f"need N >= 1, 1 <= Q <= {MAX_MODULUS} and "
-                             f"M >= 0, got N={N} Q={Q} M={M}")
     arr = np.asarray(coeffs, dtype=np.complex128)
-    if len(arr) != N:
-        raise ParameterError(f"expected {N} coefficients, got {len(arr)}")
+    N = arr.size
+    if arr.ndim != 1 or N < 1 or not 1 <= Q <= MAX_MODULUS or M < 0:
+        raise ParameterError(f"need 1-D coeffs of length N >= 1, "
+                             f"1 <= Q <= {MAX_MODULUS} and M >= 0, got "
+                             f"shape {arr.shape} Q={Q} M={M}")
     norm2 = _sq_abs_sum(arr)
     bound = (N + Q * Q) * norm2
 

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import bdhvar
-from bdhvar import (ExpWeightParams, MainTerm, WeightKind, WeightParams,
-                    build_weight_table, custom_weight_table,
+from bdhvar import (ExpWeightParams, WeightKind, build_weight_table,
+                    custom_weight_table,
                     large_sieve_check, main_term_integral,
                     prime_exp_sum, ps_array, ps_config, ps_count_main_term,
                     ps_indicator_at, saw_psi, vaaler_eval, vaaler_expansion,
@@ -66,7 +66,7 @@ def test_acceptance_1_route_identity_on_random_tables():
         m = math.floor(X) - math.floor(mu * X)
         vals = rng.normal(size=m) + 1j * rng.normal(size=m)
         w = custom_weight_table(float(X), mu, vals)
-        main = MainTerm(value=complex(rng.normal(), rng.normal()) * m / 10)
+        main = complex(rng.normal(), rng.normal()) * m / 10
         rep = variance_report(w, Q, main=main, per_q=True)
         for q, dv, cv in rep.per_q:
             rel = abs(dv - cv) / max(dv, 1.0)
@@ -102,10 +102,10 @@ def test_acceptance_2_bucketing_matches_naive_rescan():
     failures = []
     rng = np.random.default_rng(5150)
     cases = []
-    w1 = build_weight_table(2000.0, 0.3, WeightKind.RAW_LAMBDA, None)
+    w1 = build_weight_table(2000.0, 0.3, WeightKind.RAW_LAMBDA)
     cases.append(("raw", w1, complex((1 - 0.3) * 2000.0)))
-    p2 = WeightParams(c=1.5, t=3e-4)
-    w2 = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, p2)
+    w2 = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5,
+                            t=3e-4)
     cases.append(("phase", w2, complex(main_term_integral(
         ExpWeightParams(X=1500.0, mu=0.5, c=1.5, t=3e-4)))))
     m = 2000 - 600
@@ -114,7 +114,7 @@ def test_acceptance_2_bucketing_matches_naive_rescan():
     cases.append(("random", w3, 1.5 - 2.5j))
     for name, w, main in cases:
         want, want_per_q = naive_variance(w, 20, main)
-        rep = variance_report(w, 20, MainTerm(value=main), per_q=True)
+        rep = variance_report(w, 20, main, per_q=True)
         got = rep.direct_variance
         if not math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12):
             failures.append(f"{name}: total {got!r} vs naive {want!r}")
@@ -211,7 +211,7 @@ def test_acceptance_6_large_sieve_never_exceeds_bound():
         q = int(rng.integers(1, 201))
         m = int(rng.integers(0, 201))
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        res = large_sieve_check(m, n, q, coeffs)
+        res = large_sieve_check(m, q, coeffs)
         worst = max(worst, res.ratio)
         if res.ratio > 1.0 + 1e-9:
             failures.append(f"trial {trial} (N={n}, Q={q}): "
@@ -262,9 +262,8 @@ def test_acceptance_8_classic_weight_variance_trend():
         Q = math.floor(X / math.log(X) ** 2)
         for key in ratios:
             t = 0.0 if key == 0.0 else float(X) ** (2.0 / 3.0 - c - delta)
-            params = WeightParams(c=c, t=t)
             w = build_weight_table(float(X), mu, WeightKind.CLASSIC_EXP,
-                                   params)
+                                   c=c, t=t)
             rep = variance_report(w, Q)
             if not rep.cross_check_ok:
                 failures.append(f"X={X:g} t={t:g}: cross-check "
@@ -296,8 +295,7 @@ def test_acceptance_9_ps_weight_variance_trends():
     plain, plain_alt, twisted = [], [], []
     for X in xs:
         Q = math.floor(float(X) ** g / math.log(X) ** 2)
-        w = build_weight_table(float(X), mu, WeightKind.PS_PLAIN,
-                               WeightParams(ps=cfg))
+        w = build_weight_table(float(X), mu, WeightKind.PS_PLAIN, ps=cfg)
         rep = variance_report(w, Q)
         if not rep.cross_check_ok:
             failures.append(f"PS_PLAIN X={X:g}: cross-check "
@@ -308,8 +306,8 @@ def test_acceptance_9_ps_weight_variance_trends():
         plain_alt.append(rep.ratio_alt)
 
         t = float(X) ** ((4.0 * g - 3.0 * c - 1.0) / 3.0 - delta)
-        w2 = build_weight_table(float(X), mu, WeightKind.PS_EXP,
-                                WeightParams(c=c, t=t, ps=cfg))
+        w2 = build_weight_table(float(X), mu, WeightKind.PS_EXP, c=c, t=t,
+                                ps=cfg)
         rep2 = variance_report(w2, Q)
         if not rep2.cross_check_ok:
             failures.append(f"PS_EXP X={X:g}: cross-check "
@@ -344,8 +342,7 @@ def test_theorem_scale_classic_row_at_x_3e5():
     for X in (10**4, 3 * 10**5):
         Q = math.floor(X / math.log(X) ** 2)
         t = float(X) ** (2.0 / 3.0 - c - delta) * (1.0 - 1e-9)
-        w = build_weight_table(float(X), mu, WeightKind.CLASSIC_EXP,
-                               WeightParams(c=c, t=t))
+        w = build_weight_table(float(X), mu, WeightKind.CLASSIC_EXP, c=c, t=t)
         rep = variance_report(w, Q)
         if rep.cross_check_rel > 1e-10:
             failures.append(f"X={X:g}: route gap {rep.cross_check_rel:.2e}")

@@ -404,7 +404,10 @@ def test_vaaler_rows(tmp_path):
 def test_bad_subcommand_flags(capsys):
     assert run_cli(["variance", "--x-grid", "1"]) == 2        # X < 2
     assert run_cli(["variance", "--x-grid", "100", "--kind", "martian"]) == 2
+    # custom tables come only from custom_weight_table: no such kind
+    capsys.readouterr()
     assert run_cli(["variance", "--x-grid", "100", "--kind", "custom"]) == 2
+    assert "unknown kind 'custom'" in capsys.readouterr().err
     assert run_cli(["large-sieve", "--n-max", "0"]) == 2
     assert run_cli(["large-sieve", "--n-max", "9999"]) == 2
     assert run_cli(["vaaler", "--grid-points", "3"]) == 2
@@ -583,6 +586,18 @@ def test_public_names_are_used_by_package_or_demos():
     public = {name for name, value in vars(bdhvar).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert sorted(public - used) == []
+
+
+def test_cli_names_no_weight_kind_member():
+    # variance is the one module that knows the weight kinds: the CLI takes
+    # a kind by its value and leaves every per-kind decision to variance,
+    # so it reads no WeightKind.<member> (bare or as variance.WeightKind)
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    named = [node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and (getattr(node.value, "id", None) == "WeightKind"
+                  or getattr(node.value, "attr", None) == "WeightKind")]
+    assert named == []
 
 
 # The targets of perfbench/child.py's PATCHES that no longer resolve; each

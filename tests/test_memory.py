@@ -5,9 +5,9 @@ import tracemalloc
 
 import numpy as np
 
-from bdhvar import (WeightKind, WeightParams, build_weight_table,
-                    character_group, cli, ps_array, ps_config,
-                    ps_indicator_at, vaaler_eval, vaaler_expansion)
+from bdhvar import (WeightKind, build_weight_table, character_group, cli,
+                    ps_array, ps_config, ps_indicator_at, vaaler_eval,
+                    vaaler_expansion)
 from bdhvar.characters import _local_factors
 
 MB = 10**6
@@ -69,13 +69,14 @@ def test_weight_tables_hold_only_their_support_at_1e7():
     # generator's members, and 21.2 MB for classic_exp once its phases
     # were reduced in place; the bounds allow about 1.4 times that.
     X = 1e7
-    cases = [(WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=X ** -0.8333),
+    cases = [(WeightKind.CLASSIC_EXP, dict(c=1.5, t=X ** -0.8333),
               30 * MB, 11 * MB),
              (WeightKind.PS_EXP,
-              WeightParams(c=1.5, t=X ** -0.6333, ps=ps_config("9/10")),
+              dict(c=1.5, t=X ** -0.6333, ps=ps_config("9/10")),
               18 * MB, 2 * MB)]
     for kind, params, peak_cap, held_cap in cases:
-        w, peak = traced_peak(build_weight_table, X, 0.5, kind, params)
+        w, peak = traced_peak(lambda: build_weight_table(X, 0.5, kind,
+                                                         **params))
         held = w.n.nbytes + w.values.nbytes
         assert peak <= peak_cap, (kind, peak / MB)
         assert held <= held_cap, (kind, held / MB)

@@ -10,8 +10,8 @@ import pytest
 
 from bdhvar import (ExpWeightParams, ParameterError, main_term_integral,
                     oscillatory, oscillatory_integral, phase_frac_array,
-                    prime_exp_sum, primes_segment, reduced_phase, saw_psi,
-                    vaaler_eval, vaaler_expansion)
+                    prime_exp_sum, primes_segment, saw_psi, vaaler_eval,
+                    vaaler_expansion)
 from bdhvar.errors import ResourceError
 
 
@@ -47,9 +47,11 @@ def test_saw_psi_values():
 # ---------------------------------------------------------------------------
 
 def test_reduced_phase_exact_case():
-    # t n^c = 10^6 up to the binary rounding of 1e-3
-    f = reduced_phase(1e-3, 1e6, 1.5)
-    assert circ_dist(f, 0.0) <= 1e-10
+    # t n^c = 10^6 up to the binary rounding of 1e-3; a scalar n gives a
+    # 0-d array, the one-phase form the endpoint series reads
+    f = phase_frac_array(1e-3, 1e6, 1.5)
+    assert f.shape == ()
+    assert circ_dist(float(f), 0.0) <= 1e-10
 
 
 def test_reduced_phase_random_triples_all_tiers():
@@ -58,7 +60,7 @@ def test_reduced_phase_random_triples_all_tiers():
         t = float(rng.choice([-1, 1])) * 10.0 ** float(rng.uniform(-6, 6))
         n = int(rng.integers(1, 10**6))
         c = float(rng.uniform(1.01, 2.99))
-        got = reduced_phase(t, n, c)
+        got = float(phase_frac_array(t, n, c))
         assert 0.0 <= got < 1.0
         assert circ_dist(got, mp_frac(t, n, c)) <= 1e-10, (t, n, c)
 
@@ -68,7 +70,8 @@ def test_reduced_phase_tier_boundaries():
     cases = [(1e-3, 100, 1.5), (1.0, 10**4, 1.5), (1e3, 10**6, 1.5),
              (1e8, 10**6, 2.5)]
     for t, n, c in cases:
-        assert circ_dist(reduced_phase(t, n, c), mp_frac(t, n, c)) <= 1e-10
+        got = float(phase_frac_array(t, n, c))
+        assert circ_dist(got, mp_frac(t, n, c)) <= 1e-10
 
 
 def test_phase_frac_array_matches_scalar():
@@ -77,16 +80,17 @@ def test_phase_frac_array_matches_scalar():
     for t, c in [(3e-4, 1.5), (2.0, 1.2), (1e4, 2.5)]:
         arr = phase_frac_array(t, ns, c)
         for i, n in enumerate(ns.tolist()):
-            assert circ_dist(arr[i], reduced_phase(t, n, c)) <= 1e-10
+            one = float(phase_frac_array(t, n, c))
+            assert circ_dist(arr[i], one) <= 1e-10
 
 
 def test_reduced_phase_validation_and_budget():
     with pytest.raises(ParameterError):
-        reduced_phase(1.0, 0, 1.5)
+        phase_frac_array(1.0, 0, 1.5)
     with pytest.raises(ParameterError):
-        reduced_phase(float("inf"), 3, 1.5)
+        phase_frac_array(float("inf"), 3, 1.5)
     with pytest.raises(ResourceError):
-        reduced_phase(1e50, 1e6, 2.5)
+        phase_frac_array(1e50, 1e6, 2.5)
     # The array route checks the same things; a NaN t or n would otherwise
     # match none of its three tiers and leave its output uninitialised.
     ns = np.arange(1, 2000)
@@ -245,7 +249,7 @@ def test_prime_exp_sum_matches_elementwise_route():
     for q in primes_segment(2, 2000).tolist():
         if 500 < q <= 2000:
             acc += math.log(q) * cmath.exp(
-                2j * math.pi * reduced_phase(p.t, q, p.c))
+                2j * math.pi * float(phase_frac_array(p.t, q, p.c)))
     assert abs(got - acc) <= 1e-9
 
 

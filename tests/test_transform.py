@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from dense_characters import dense_table, unit_phases
 
-from bdhvar import (WeightKind, WeightParams, build_weight_table, cli,
-                    factorize, variance, variance_report)
+from bdhvar import (WeightKind, build_weight_table, cli, factorize, variance,
+                    variance_report)
 from bdhvar.characters import CharacterGroup, _local_factors
 
 
@@ -110,8 +110,7 @@ def test_conjugated_transform_fails_report_not_routes(monkeypatch, tmp_path,
     real = CharacterGroup.transform
     monkeypatch.setattr(CharacterGroup, "transform",
                         lambda G, sums: np.conj(real(G, np.conj(sums))))
-    params = WeightParams(c=1.5, t=1e-3)
-    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, params)
+    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=1e-3)
     assert np.abs(w.values.imag).max() > 0.5     # genuinely complex weights
     rep = variance_report(w, 30)
     assert rep.cross_check_rel <= 1e-10          # Parseval cannot see it
@@ -128,8 +127,7 @@ def test_class_sums_within_recursive_summation_bound():
     # Lambda-like weights Lambda(n) e(t n^c) on (1e5, 2e5]: for a class with
     # k nonzero terms each part is within (k - 1) * 2^-53 * sum |part| of
     # the exactly rounded math.fsum.
-    params = WeightParams(c=1.5, t=1e-5)
-    w = build_weight_table(2e5, 0.5, WeightKind.CLASSIC_EXP, params)
+    w = build_weight_table(2e5, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=1e-5)
     n, vals = w.n, w.values
     assert 10**5 < n[0] and n[-1] <= 2 * 10**5 and np.all(np.diff(n) > 0)
     assert np.all(vals != 0)

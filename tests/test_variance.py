@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from bdhvar import (ExpWeightParams, MainTerm, ParameterError, WeightKind,
-                    WeightParams, build_weight_table, custom_weight_table,
-                    lambda_support, large_sieve_check, main_term_integral,
-                    phase_frac_array, ps_array, ps_config, variance,
-                    variance_report)
+from bdhvar import (ExpWeightParams, ParameterError, WeightKind,
+                    build_weight_table, custom_weight_table, lambda_support,
+                    large_sieve_check, main_term_integral, phase_frac_array,
+                    ps_array, ps_config, variance, variance_report)
 from bdhvar.arith import sieve_segment, sieving_primes
 from bdhvar.characters import MAX_MODULUS, character_group
 
@@ -42,10 +41,6 @@ def dense_lambda(lo, hi):
 LAM = dense_lambda(0, 2100)  # Lambda(n) at index n
 
 
-def custom_main(value):
-    return MainTerm(value=complex(value))
-
-
 def fsum_total(w):
     return complex(math.fsum(w.values.real), math.fsum(w.values.imag))
 
@@ -63,7 +58,7 @@ def table_sums(w, q):
 
 def check_against_naive(w, Q, main):
     want, want_per_q = naive_variance(w, Q, complex(main))
-    rep = variance_report(w, Q, custom_main(main), per_q=True)
+    rep = variance_report(w, Q, main, per_q=True)
     assert rep.direct_variance == pytest.approx(want, rel=1e-12, abs=1e-12)
     for (q, gv, _), wv in zip(rep.per_q, want_per_q):
         assert gv == pytest.approx(wv, rel=1e-12, abs=1e-12), q
@@ -71,18 +66,17 @@ def check_against_naive(w, Q, main):
 
 
 def test_raw_lambda_matches_naive_rescan():
-    w = build_weight_table(2000.0, 0.3, WeightKind.RAW_LAMBDA, None)
-    assert w.main == MainTerm(value=complex(0.7 * 2000.0))
-    check_against_naive(w, 20, w.main.headline())
+    w = build_weight_table(2000.0, 0.3, WeightKind.RAW_LAMBDA)
+    assert w.mains == (complex(0.7 * 2000.0),)
+    check_against_naive(w, 20, w.mains[0])
 
 
 def test_complex_phase_weight_matches_naive_rescan():
-    params = WeightParams(c=1.5, t=3e-4)
-    w = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, params)
+    w = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=3e-4)
     integral = main_term_integral(ExpWeightParams(X=1500.0, mu=0.5, c=1.5,
                                                   t=3e-4))
-    assert w.main == MainTerm(value=integral)
-    check_against_naive(w, 20, w.main.headline())
+    assert w.mains == (integral,)
+    check_against_naive(w, 20, w.mains[0])
 
 
 def test_random_table_matches_naive_rescan():
@@ -104,7 +98,7 @@ def test_routes_agree_on_random_tables():
         w = custom_weight_table(X, mu, vals)
         main = complex(rng.normal(), rng.normal())
         Q = int(rng.integers(1, 40))
-        rep = variance_report(w, Q, custom_main(main), per_q=True)
+        rep = variance_report(w, Q, main, per_q=True)
         d, c = rep.direct_variance, rep.character_variance
         assert c == pytest.approx(d, rel=1e-10, abs=1e-10)
         for q, dv, cv in rep.per_q:
@@ -115,7 +109,7 @@ def test_routes_agree_on_random_tables():
 
 
 def test_progression_sums_partition_total():
-    w = build_weight_table(1200.0, 0.4, WeightKind.RAW_LAMBDA, None)
+    w = build_weight_table(1200.0, 0.4, WeightKind.RAW_LAMBDA)
     for q in (1, 2, 7, 12, 30):
         total = sum(table_sums(w, q))
         assert total == pytest.approx(fsum_total(w), rel=1e-12)
@@ -145,23 +139,21 @@ def test_class_sums_modulus_one():
 # ---------------------------------------------------------------------------
 
 def test_zero_frequency_classic_equals_raw():
-    params = WeightParams(c=1.5, t=0.0)
-    w1 = build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, params)
-    w2 = build_weight_table(1000.0, 0.5, WeightKind.RAW_LAMBDA, None)
+    w1 = build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=0.0)
+    w2 = build_weight_table(1000.0, 0.5, WeightKind.RAW_LAMBDA)
     assert np.array_equal(w1.n, w2.n)
     assert np.array_equal(w1.values, w2.values)
 
 
 def test_classic_weight_magnitudes_are_lambda():
-    params = WeightParams(c=1.5, t=2e-3)
-    w = build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, params)
+    w = build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=2e-3)
     assert np.array_equal(w.n, np.flatnonzero(LAM[501:1001]) + 501)
     lam = LAM[w.n]
     assert np.max(np.abs(np.abs(w.values) - lam)) <= 1e-12 * math.log(1000)
 
 
 def test_logp_weight_supported_on_primes():
-    w = build_weight_table(500.0, 0.2, WeightKind.LOGP_ONLY, None)
+    w = build_weight_table(500.0, 0.2, WeightKind.LOGP_ONLY)
     mask = sieve_segment(101, 500, sieving_primes(500))
     assert np.array_equal(w.n, np.flatnonzero(mask) + 101)
     assert np.allclose(w.values, np.log(w.n.astype(float)))
@@ -169,8 +161,7 @@ def test_logp_weight_supported_on_primes():
 
 def test_ps_weight_support():
     cfg = ps_config("9/10")
-    params = WeightParams(ps=cfg)
-    w = build_weight_table(2000.0, 0.25, WeightKind.PS_PLAIN, params)
+    w = build_weight_table(2000.0, 0.25, WeightKind.PS_PLAIN, ps=cfg)
     members = set(ps_array(501, int(w.X), cfg).tolist())
     got = dict(zip(w.n.tolist(), w.values.tolist()))
     assert len(got) == w.n.size
@@ -181,8 +172,8 @@ def test_ps_weight_support():
 
 def test_ps_exp_weight_amplitudes():
     cfg = ps_config("9/10")
-    params = WeightParams(c=1.5, t=1e-3, ps=cfg)
-    w = build_weight_table(2000.0, 0.25, WeightKind.PS_EXP, params)
+    w = build_weight_table(2000.0, 0.25, WeightKind.PS_EXP, c=1.5, t=1e-3,
+                           ps=cfg)
     expect = LAM[w.n] * w.n.astype(float) ** 0.1
     assert np.all(expect > 0)
     assert np.max(np.abs(np.abs(w.values) - expect)) <= 1e-9
@@ -200,31 +191,32 @@ def dense_reference(X, mu, kind, params):
         vals = np.where(sieve_segment(n0, n1, sieving_primes(n1)),
                         np.log(ns.astype(np.float64)), 0.0)
     if kind in (WeightKind.PS_PLAIN, WeightKind.PS_EXP):
-        vals = np.where(np.isin(ns, ps_array(n0, n1, params.ps)), vals, 0.0)
+        vals = np.where(np.isin(ns, ps_array(n0, n1, params["ps"])), vals,
+                        0.0)
     if kind is WeightKind.PS_EXP:
-        vals = vals * ns.astype(np.float64) ** (1.0 - params.ps.gamma)
-    if kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP) and params.t:
+        vals = vals * ns.astype(np.float64) ** (1.0 - params["ps"].gamma)
+    if kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP) and params["t"]:
         nz = np.flatnonzero(vals)
         twisted = np.zeros(len(vals), dtype=np.complex128)
         twisted[nz] = vals[nz] * np.exp(
-            2j * np.pi * phase_frac_array(params.t, ns[nz], params.c))
+            2j * np.pi * phase_frac_array(params["t"], ns[nz], params["c"]))
         vals = twisted
     return n0, vals.astype(np.complex128)
 
 
+# (kind, the keyword arguments of its build)
 BUILT_IN = [
-    (WeightKind.RAW_LAMBDA, None),
-    (WeightKind.LOGP_ONLY, None),
-    (WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=3e-4)),
-    (WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=0.0)),
-    (WeightKind.PS_PLAIN, WeightParams(ps=ps_config("9/10"))),
-    (WeightKind.PS_EXP, WeightParams(c=1.5, t=1e-3, ps=ps_config("9/10"))),
-    (WeightKind.PS_PLAIN, WeightParams(ps=ps_config("2426/2817"))),
-    (WeightKind.PS_EXP, WeightParams(c=1.5, t=1e-3,
-                                     ps=ps_config("2426/2817"))),
+    (WeightKind.RAW_LAMBDA, {}),
+    (WeightKind.LOGP_ONLY, {}),
+    (WeightKind.CLASSIC_EXP, dict(c=1.5, t=3e-4)),
+    (WeightKind.CLASSIC_EXP, dict(c=1.5, t=0.0)),
+    (WeightKind.PS_PLAIN, dict(ps=ps_config("9/10"))),
+    (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, ps=ps_config("9/10"))),
+    (WeightKind.PS_PLAIN, dict(ps=ps_config("2426/2817"))),
+    (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, ps=ps_config("2426/2817"))),
     # not snapped to a rational: its guard-band entries would go to mpmath
-    (WeightKind.PS_PLAIN, WeightParams(ps=ps_config(0.837))),
-    (WeightKind.PS_EXP, WeightParams(c=1.5, t=1e-3, ps=ps_config(0.837))),
+    (WeightKind.PS_PLAIN, dict(ps=ps_config(0.837))),
+    (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, ps=ps_config(0.837))),
 ]
 
 
@@ -239,7 +231,7 @@ def test_support_table_equals_dense_reference(X, mu):
     for kind, params in BUILT_IN:
         if mu == 0.0 and kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP):
             continue  # their main-term integral needs mu > 0
-        w = build_weight_table(X, mu, kind, params)
+        w = build_weight_table(X, mu, kind, **params)
         n0, ref = dense_reference(X, mu, kind, params)
         assert w.n.dtype == np.int64 and w.values.dtype == np.complex128
         assert np.array_equal(w.n, np.flatnonzero(ref) + n0), kind
@@ -253,10 +245,10 @@ def test_window_without_prime_powers_reports_main_term_only():
                                   if math.gcd(a, q) == 1)
                         for q in range(1, Q + 1))
     for kind, params in BUILT_IN:
-        w = build_weight_table(100.0, 0.995, kind, params)
+        w = build_weight_table(100.0, 0.995, kind, **params)
         assert w.n.size == w.values.size == 0, kind
         rep = variance_report(w, Q)
-        want = abs(w.main.headline()) ** 2 * inv_phi
+        want = abs(w.mains[0]) ** 2 * inv_phi
         assert rep.direct_variance == pytest.approx(want, rel=1e-12), kind
         assert rep.character_variance == pytest.approx(want, rel=1e-10), kind
         assert rep.cross_check_ok, kind
@@ -275,65 +267,60 @@ def test_residue_index_type_follows_largest_n():
 
 def test_weight_build_validation():
     with pytest.raises(ParameterError):
-        build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP,
-                           WeightParams(c=1.5))
+        build_weight_table(1000.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5)
     with pytest.raises(ParameterError):
-        build_weight_table(1000.0, 0.5, WeightKind.PS_PLAIN, None)
+        build_weight_table(1000.0, 0.5, WeightKind.PS_PLAIN)
     cfg = ps_config("9/10")
     with pytest.raises(ParameterError):
-        build_weight_table(1000.0, 0.5, WeightKind.PS_EXP,
-                           WeightParams(ps=cfg))
+        build_weight_table(1000.0, 0.5, WeightKind.PS_EXP, ps=cfg)
     with pytest.raises(ParameterError):
-        build_weight_table(1000.0, 0.5, WeightKind.PS_EXP,
-                           WeightParams(c=1.5, t=0.0))
-    with pytest.raises(ParameterError):
-        build_weight_table(1000.0, 0.5, "raw_lambda", None)
-    with pytest.raises(ParameterError):
-        build_weight_table(1000.0, 0.5, WeightKind.CUSTOM, None)
+        build_weight_table(1000.0, 0.5, WeightKind.PS_EXP, c=1.5, t=0.0)
+    # a kind that is no WeightKind member: refused, not an AttributeError
+    for kind in ("raw_lambda", "custom", None):
+        with pytest.raises(ParameterError):
+            build_weight_table(1000.0, 0.5, kind, c=1.5, t=0.0,
+                               ps=ps_config("9/10"))
     with pytest.raises(ParameterError):
         custom_weight_table(100.0, 0.5, np.zeros(3, dtype=complex))
     with pytest.raises(ParameterError):
         # (mu X, X] contains no integer here
-        build_weight_table(100.5, 0.999, WeightKind.RAW_LAMBDA, None)
+        build_weight_table(100.5, 0.999, WeightKind.RAW_LAMBDA)
 
 
 def test_main_terms():
-    def table(kind, params):
-        return build_weight_table(1000.0, 0.5, kind, params)
+    def table(kind, **params):
+        return build_weight_table(1000.0, 0.5, kind, **params)
 
-    raw = table(WeightKind.RAW_LAMBDA, None)
-    assert raw.main.value == 500.0 and raw.scale == 1000.0
-    p0 = WeightParams(c=1.5, t=0.0)
-    assert table(WeightKind.CLASSIC_EXP, p0).main.value == 500.0
+    raw = table(WeightKind.RAW_LAMBDA)
+    assert raw.mains == (500.0,) and raw.scale == 1000.0
+    assert table(WeightKind.CLASSIC_EXP, c=1.5, t=0.0).mains == (500.0,)
     cfg = ps_config("9/10")
-    w = table(WeightKind.PS_PLAIN, WeightParams(ps=cfg))
-    mt = w.main
-    assert mt.value == pytest.approx(1000.0 ** 0.9)
-    assert mt.alt_value == pytest.approx(1000.0 ** 0.9 - 500.0 ** 0.9)
-    assert mt.headline() == mt.alt_value
+    w = table(WeightKind.PS_PLAIN, ps=cfg)
+    # the range-consistent reading first, then the paper-literal X^gamma
+    assert w.mains == pytest.approx((1000.0 ** 0.9 - 500.0 ** 0.9,
+                                     1000.0 ** 0.9))
     assert w.scale == 1000.0 ** 0.9
-    pe = WeightParams(c=1.5, t=0.0, ps=cfg)
-    w = table(WeightKind.PS_EXP, pe)
-    assert w.main.value == pytest.approx(0.9 * 500.0)
+    w = table(WeightKind.PS_EXP, c=1.5, t=0.0, ps=cfg)
+    assert w.mains == pytest.approx((0.9 * 500.0,))
     assert w.scale == 1000.0 ** (2.0 - 0.9)
     custom = custom_weight_table(1000.0, 0.5, np.ones(500, dtype=complex))
-    assert custom.main is None and custom.scale == 1000.0
+    assert custom.mains == () and custom.scale == 1000.0
     with pytest.raises(ParameterError):
         variance_report(custom, 3)
 
 
 def test_unused_params_are_ignored():
     # c and t only twist, ps only restricts: other kinds build as without
-    full = WeightParams(c=1.5, t=1e-3, ps=ps_config("9/10"))
-    for kind, used in [(WeightKind.RAW_LAMBDA, WeightParams()),
-                       (WeightKind.LOGP_ONLY, WeightParams()),
-                       (WeightKind.CLASSIC_EXP, WeightParams(c=1.5, t=1e-3)),
-                       (WeightKind.PS_PLAIN, WeightParams(ps=full.ps))]:
-        a = build_weight_table(1000.0, 0.5, kind, full)
-        b = build_weight_table(1000.0, 0.5, kind, used)
+    full = dict(c=1.5, t=1e-3, ps=ps_config("9/10"))
+    for kind, used in [(WeightKind.RAW_LAMBDA, {}),
+                       (WeightKind.LOGP_ONLY, {}),
+                       (WeightKind.CLASSIC_EXP, dict(c=1.5, t=1e-3)),
+                       (WeightKind.PS_PLAIN, dict(ps=full["ps"]))]:
+        a = build_weight_table(1000.0, 0.5, kind, **full)
+        b = build_weight_table(1000.0, 0.5, kind, **used)
         assert np.array_equal(a.n, b.n), kind
         assert np.array_equal(a.values, b.values), kind
-        assert (a.main, a.scale) == (b.main, b.scale), kind
+        assert (a.mains, a.scale) == (b.mains, b.scale), kind
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +328,9 @@ def test_unused_params_are_ignored():
 # ---------------------------------------------------------------------------
 
 def test_single_modulus_closed_form():
-    w = build_weight_table(300.0, 0.5, WeightKind.RAW_LAMBDA, None)
+    w = build_weight_table(300.0, 0.5, WeightKind.RAW_LAMBDA)
     main = 150.0 + 0j
-    got = variance_report(w, 1, custom_main(main)).direct_variance
+    got = variance_report(w, 1, main).direct_variance
     assert got == pytest.approx(abs(fsum_total(w) - main) ** 2, rel=1e-12)
 
 
@@ -357,10 +344,10 @@ def test_zero_weights_closed_form():
         return sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
 
     want = abs(main) ** 2 * math.fsum(1.0 / phi(q) for q in range(1, Q + 1))
-    rep = variance_report(w, Q, custom_main(main))
+    rep = variance_report(w, Q, main)
     assert rep.direct_variance == pytest.approx(want, rel=1e-12)
     assert rep.character_variance == pytest.approx(want, rel=1e-10)
-    assert variance_report(w, Q, custom_main(0.0)).direct_variance == 0.0
+    assert variance_report(w, Q, 0.0).direct_variance == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +355,7 @@ def test_zero_weights_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_report_cross_checks_and_ratio():
-    params = WeightParams(c=1.5, t=1e-3)
-    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, params)
+    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=1e-3)
     rep = variance_report(w, 15, per_q=True)
     assert rep.cross_check_ok
     assert rep.cross_check_rel <= 1e-10
@@ -384,8 +370,7 @@ def test_report_cross_checks_and_ratio():
 
 def test_report_ps_dual_mains():
     cfg = ps_config("9/10")
-    params = WeightParams(ps=cfg)
-    w = build_weight_table(2000.0, 0.5, WeightKind.PS_PLAIN, params)
+    w = build_weight_table(2000.0, 0.5, WeightKind.PS_PLAIN, ps=cfg)
     rep = variance_report(w, 10)
     assert rep.cross_check_ok
     assert rep.direct_alt is not None and rep.character_alt is not None
@@ -423,7 +408,7 @@ def test_large_sieve_single_coefficient_closed_form():
     n_val = M + 1 + pos
     coeffs = np.zeros(N, dtype=complex)
     coeffs[pos] = 2.0 - 1.0j
-    res = large_sieve_check(M, N, Q, coeffs)
+    res = large_sieve_check(M, Q, coeffs)
     want = 0.0
     for q in range(1, Q + 1):
         if math.gcd(n_val, q) != 1:
@@ -437,12 +422,12 @@ def test_large_sieve_single_coefficient_closed_form():
 
 
 def test_large_sieve_minimal_case():
-    res = large_sieve_check(0, 1, 1, np.ones(1, dtype=complex))
+    res = large_sieve_check(0, 1, np.ones(1, dtype=complex))
     assert res.ratio == pytest.approx(0.5)
 
 
 def test_large_sieve_zero_coefficients():
-    res = large_sieve_check(3, 8, 5, np.zeros(8, dtype=complex))
+    res = large_sieve_check(3, 5, np.zeros(8, dtype=complex))
     assert res.lhs == 0.0 and res.ratio == 0.0
 
 
@@ -453,7 +438,7 @@ def test_large_sieve_random_trials_below_bound():
         Q = int(rng.integers(1, 60))
         M = int(rng.integers(0, 50))
         coeffs = rng.normal(size=N) + 1j * rng.normal(size=N)
-        res = large_sieve_check(M, N, Q, coeffs)
+        res = large_sieve_check(M, Q, coeffs)
         assert res.ratio <= 1.0 + 1e-9
 
 
@@ -463,14 +448,13 @@ def test_large_sieve_on_classic_exp_weight_at_theorem_q():
     # (mu X, X], and Q = floor(X / log^2 X)
     X, mu, c, delta = 10**5, 0.5, 1.5, 0.05
     t = X ** (2 / 3 - c - delta) * (1 - 1e-9)
-    w = build_weight_table(float(X), mu, WeightKind.CLASSIC_EXP,
-                           WeightParams(c=c, t=t))
+    w = build_weight_table(float(X), mu, WeightKind.CLASSIC_EXP, c=c, t=t)
     n0 = math.floor(mu * X) + 1
     coeffs = np.zeros(X - n0 + 1, dtype=complex)
     coeffs[w.n - n0] = w.values
     Q = math.floor(X / math.log(X) ** 2)
     assert Q == 754
-    res = large_sieve_check(n0 - 1, len(coeffs), Q, coeffs)
+    res = large_sieve_check(n0 - 1, Q, coeffs)
     assert 0 < res.ratio <= 1 + 1e-9
 
 
@@ -486,18 +470,20 @@ def test_large_sieve_builds_no_group_without_primitive_characters(
     monkeypatch.setattr(variance, "character_group", recording_group)
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=40) + 1j * rng.normal(size=40)
-    res = large_sieve_check(3, 40, 30, coeffs)
+    res = large_sieve_check(3, 30, coeffs)
     assert seen == [q for q in range(1, 31) if q % 4 != 2]
     assert 0 < res.ratio <= 1.0
 
 
 def test_large_sieve_validation():
     with pytest.raises(ParameterError):
-        large_sieve_check(0, 0, 3, np.zeros(0))
+        large_sieve_check(0, 3, np.zeros(0))  # N = len(coeffs) = 0
     with pytest.raises(ParameterError):
-        large_sieve_check(0, 3, 0, np.zeros(3))
+        large_sieve_check(0, 0, np.zeros(3))
     with pytest.raises(ParameterError):
-        large_sieve_check(0, 3, 2, np.zeros(4))
+        large_sieve_check(-1, 3, np.zeros(3))
+    with pytest.raises(ParameterError):
+        large_sieve_check(0, 3, np.zeros((2, 2)))
 
 
 def test_oversize_modulus_refused_before_q_loop(monkeypatch):
@@ -507,8 +493,8 @@ def test_oversize_modulus_refused_before_q_loop(monkeypatch):
         raise AssertionError(f"q loop reached q = {q}")
 
     monkeypatch.setattr(variance, "character_group", no_group)
-    w = build_weight_table(1000, 0.5, WeightKind.RAW_LAMBDA, None)
+    w = build_weight_table(1000, 0.5, WeightKind.RAW_LAMBDA)
     with pytest.raises(ParameterError):
         variance_report(w, MAX_MODULUS + 1)
     with pytest.raises(ParameterError):
-        large_sieve_check(0, 3, MAX_MODULUS + 1, np.ones(3))
+        large_sieve_check(0, MAX_MODULUS + 1, np.ones(3))
