@@ -24,7 +24,7 @@ for X in XS:
     for t in (0.0, float(X) ** (2 / 3 - C - DELTA)):
         w = build_weight_table(float(X), MU, WeightKind.CLASSIC_EXP, c=C, t=t)
         rep = variance_report(w, Q)
-        print(f"{X:>8} {Q:>5} {t:>10.3e} {rep.normalized_ratio:>8.3f} "
+        print(f"{X:>8} {Q:>5} {t:>10.3e} {rep.ratios[0]:>8.3f} "
               f"{rep.cross_check_rel:>9.1e}")
 
 print("\nPS-restricted Lambda, normaliser X^g Q log X (g = 9/10)")
@@ -33,7 +33,7 @@ for X in XS:
     Q = math.floor(float(X) ** gamma.gamma / math.log(X) ** 2)
     w = build_weight_table(float(X), MU, WeightKind.PS_PLAIN, ps=gamma)
     rep = variance_report(w, Q)
-    print(f"{X:>8} {Q:>5} {rep.normalized_ratio:>8.3f} {rep.ratio_alt:>15.3f}")
+    print(f"{X:>8} {Q:>5} {rep.ratios[0]:>8.3f} {rep.ratios[1]:>15.3f}")
 
 print("\nPS-restricted n^(1-g) Lambda(n) e(t n^c), normaliser X^(2-g) Q log X")
 print(f"{'X':>8} {'Q':>5} {'t':>10} {'ratio':>8}")
@@ -43,4 +43,4 @@ for X in XS:
     w = build_weight_table(float(X), MU, WeightKind.PS_EXP, c=C, t=t,
                            ps=gamma)
     rep = variance_report(w, Q)
-    print(f"{X:>8} {Q:>5} {t:>10.3e} {rep.normalized_ratio:>8.3f}")
+    print(f"{X:>8} {Q:>5} {t:>10.3e} {rep.ratios[0]:>8.3f}")

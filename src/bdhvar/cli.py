@@ -324,9 +324,8 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
         return {
             "X": float(X), "Q": Q, "mu": cfg.mu, "kind": cfg.kind,
             "gamma": cfg.gamma, "c": cfg.c, "t": t,
-            "direct": rep.direct_variance,
-            "character": rep.character_variance,
-            "ratio": rep.normalized_ratio, "ratio_alt": rep.ratio_alt,
+            "direct": rep.direct[0], "character": rep.character[0],
+            "ratio": rep.ratios[0], "ratio_alt": rep.ratios[-1],
         }, rep.cross_check_ok
 
     return run_rows(cfg, "variance", cfg.x_grid, row)

@@ -26,7 +26,8 @@ sum_k (-1)^k g^(k)(U) e(tU) / (2*pi*i*t)^(k+1) at each endpoint U (DLMF
 one sign and decreases, so the remainder after K terms is at most
 |2*pi*t|^-K |g^(K-1)(U)|, and summing stops below 2^-60 of the endpoint's
 sum.  Against the closed form (1/c) z^(-1/c) Gamma(1/c, z a^c, z b^c),
-z = -2*pi*i*t, the relative error stays below 1e-11.
+z = -2*pi*i*t, the relative error stays below 1e-11, except on a short
+range far out (see `oscillatory_integral`).
 
 mpmath is imported on first use, by the phase tier that needs it.
 """
@@ -231,8 +232,12 @@ def oscillatory_integral(a: float, b: float, t: float, c: float) -> complex:
     Each call costs O(1), whatever the number of periods.  Against the
     closed form (1/c) z^(-1/c) Gamma(1/c, z a^c, z b^c), z = -2*pi*i*t, the
     relative error is below 1e-11 (tests hold it there up to X = 1e8, 2.6e7
-    periods, and at 3.7e9 periods).  An endpoint phase |t| y^c past the
-    extended-precision budget of `phase_frac_array` raises ResourceError.
+    periods, and at 3.7e9 periods), except on a short range far out: all
+    panels, whose float64 nodes y shift each phase by up to c |t| y^c 2^-53
+    periods.  At t = 1e-3, c = 1.5 that is 4.2e-9 on [1e7, 1e7 + 2] and
+    7.1e-6 on [1e9, 1e9 + 0.2] (`main_term_integral`: mu near 1).  An
+    endpoint phase |t| y^c past the extended-precision budget of
+    `phase_frac_array` raises ResourceError.
     """
     if not 0 < a <= b:
         raise ParameterError(f"need 0 < a <= b, got [{a}, {b}]")

@@ -18,9 +18,9 @@ computes it by two routes from the same residue sums of each q:
 This module is the one place that knows the weight kinds.
 `build_weight_table` gives each table its kind's main-term readings `mains`
 and the power `scale` = X^e of the theorem's bound X^e * Q * log X, which
-reports divide V(Q) by; `theorem_range_warnings` holds a row to its
-theorem's Q-range and t-cap; `TWISTED_KINDS` names the kinds that read c
-and t.
+reports divide V(Q) by, one result per reading; `theorem_range_warnings`
+holds a row to its theorem's Q-range and t-cap; `TWISTED_KINDS` names the
+kinds that read c and t.
 
 The identity is Parseval over the unit group and holds for arbitrary
 complex weights, so route agreement is a strong end-to-end check; reports
@@ -59,7 +59,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -94,8 +93,8 @@ class WeightTable:
     `mains` holds the kind's main-term readings in report order: for
     PS_PLAIN X^gamma - (mu X)^gamma, the reading consistent with the
     summation range, then the paper-literal X^gamma; one for every other
-    kind; none for custom tables.  `scale` is the power X^e of the
-    normaliser X^e * Q * log X.
+    kind, and for a custom table the one it was given.  `scale` is the
+    power X^e of the normaliser X^e * Q * log X.
     """
 
     X: float
@@ -105,18 +104,19 @@ class WeightTable:
     scale: float
 
 
-def custom_weight_table(X: float, mu: float, values: np.ndarray) -> WeightTable:
+def custom_weight_table(X: float, mu: float, values: np.ndarray,
+                        main: complex) -> WeightTable:
     """A custom weight table from values[i] = w(floor(mu X) + 1 + i), one
-    value per integer of (mu X, X]; the table keeps their support and has
-    no main term."""
+    value per integer of (mu X, X]; the table keeps their support and reads
+    the one main term `main`."""
     n0, n1 = _range_bounds(X, mu)
     arr = np.asarray(values, dtype=np.complex128)
     if len(arr) != n1 - n0 + 1:
         raise ParameterError(
             f"need {n1 - n0 + 1} values for (mu X, X], got {len(arr)}")
     idx = np.flatnonzero(arr)
-    return WeightTable(X=float(X), n=n0 + idx, values=arr[idx], mains=(),
-                       scale=float(X))
+    return WeightTable(X=float(X), n=n0 + idx, values=arr[idx],
+                       mains=(complex(main),), scale=float(X))
 
 
 def _range_bounds(X: float, mu: float) -> tuple[int, int]:
@@ -257,29 +257,22 @@ def _transformed_sums(n: np.ndarray, w: np.ndarray, moduli):
 class VarianceReport:
     """Both variance routes plus normalisations for one (X, Q) cell.
 
-    direct_variance / character_variance use the first main-term reading
-    (range-consistent for PS_PLAIN); direct_alt / character_alt use the
-    second, the paper-literal X^gamma, when there is one.  transform_gap is
+    direct, character and ratios hold one entry per reading of `mains`, in
+    order (range-consistent first for PS_PLAIN); per_q[q - 1] = (direct,
+    character) is the contribution of q under the first.  transform_gap is
     the worst `CharacterGroup.check_transform` gap over all q.
     """
 
-    direct_variance: float
-    character_variance: float
-    normalized_ratio: float
-    ratio_alt: float
-    direct_alt: Optional[float]
-    character_alt: Optional[float]
-    per_q: Optional[list]
+    direct: tuple[float, ...]
+    character: tuple[float, ...]
+    ratios: tuple[float, ...]
+    per_q: list[tuple[float, float]]
     transform_gap: float
 
     @property
     def cross_check_rel(self) -> float:
-        rel = abs(self.direct_variance - self.character_variance) / \
-            max(self.direct_variance, 1.0)
-        if self.direct_alt is not None and self.character_alt is not None:
-            rel = max(rel, abs(self.direct_alt - self.character_alt) /
-                      max(self.direct_alt, 1.0))
-        return rel
+        return max(abs(d - c) / max(d, 1.0)
+                   for d, c in zip(self.direct, self.character))
 
     @property
     def cross_check_ok(self) -> bool:
@@ -287,26 +280,23 @@ class VarianceReport:
                 and self.transform_gap <= CROSS_CHECK_TOL)
 
 
-def variance_report(w: WeightTable, Q: int, main: complex | None = None, *,
-                    per_q: bool = False) -> VarianceReport:
-    """V(Q) by both routes, for each main-term reading, in one pass over q.
+def variance_report(w: WeightTable, Q: int) -> VarianceReport:
+    """V(Q) by both routes, for each of `w.mains`, in one pass over q.
 
     Per q the residue sums are computed once and fed to both routes; the
     character transform versus the direct squared deviations remains the
     substantive cross-check, and sampled transform entries are checked
     against a direct evaluation (see `VarianceReport.transform_gap`).
-    A given `main` is the one reading; otherwise the table's own `w.mains`
-    are read, and a custom table, which has none, needs one.  The ratios
-    divide by w.scale * Q * log X.
+    Another reading is another table, `dataclasses.replace(w, mains=(m,))`.
+    The ratios divide by w.scale * Q * log X.
     """
     if not 1 <= Q <= MAX_MODULUS:
         raise ParameterError(f"Q must be in [1, {MAX_MODULUS}], got {Q}")
-    mains = [complex(m) for m in ((main,) if main is not None else w.mains)]
-    if not mains:
-        raise ParameterError("a custom table needs an explicit main term")
+    if not w.mains:
+        raise ParameterError("the table has no main-term reading")
 
     # cells[k][q - 1] = (direct, character) contribution of q for mains[k]
-    cells: list[list[tuple[float, float]]] = [[] for _ in mains]
+    cells: list[list[tuple[float, float]]] = [[] for _ in w.mains]
     gaps = []
     for G, sums, psi in _transformed_sums(w.n, w.values, range(1, Q + 1)):
         unit_sums = sums[G.coprime]
@@ -314,29 +304,20 @@ def variance_report(w: WeightTable, Q: int, main: complex | None = None, *,
         if G.phi != phi:
             raise AssertionError(
                 f"phi mismatch at q={G.modulus}: {G.phi} != {phi}")
-        for mv, col in zip(mains, cells):
+        for mv, col in zip(w.mains, cells):
             dev = unit_sums - mv / phi
             shifted = psi.copy()
             shifted[0] -= mv  # principal character sits at index 0
             col.append((_sq_abs_sum(dev), _sq_abs_sum(shifted) / phi))
         gaps.append(G.check_transform(sums, psi))
 
-    direct, chars = (math.fsum(v) for v in zip(*cells[0]))
-    direct_alt = chars_alt = None
-    if len(cells) > 1:
-        direct_alt, chars_alt = (math.fsum(v) for v in zip(*cells[1]))
-
+    # one (direct, character) total per reading
+    direct, chars = zip(*(map(math.fsum, zip(*col)) for col in cells))
     norm = w.scale * Q * math.log(w.X)
-    ratio = direct / norm
-    ratio_alt = (direct_alt / norm) if direct_alt is not None else ratio
-    break_down = None
-    if per_q:
-        break_down = [(q, d, c) for q, (d, c) in enumerate(cells[0], start=1)]
     return VarianceReport(
-        direct_variance=direct, character_variance=chars,
-        normalized_ratio=ratio, ratio_alt=ratio_alt,
-        direct_alt=direct_alt, character_alt=chars_alt,
-        per_q=break_down, transform_gap=max(gaps))
+        direct=direct, character=chars,
+        ratios=tuple(d / norm for d in direct),
+        per_q=cells[0], transform_gap=max(gaps))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import sys
 import textwrap
 import time
 import types
+import typing
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -252,9 +253,9 @@ def test_budget_partial(tmp_path, capsys, command, fmt):
 def test_variance_reports_cross_check_failures(tmp_path, monkeypatch, capsys):
     real = cli.variance_report
 
-    def broken(w, Q, **kw):
-        rep = real(w, Q, **kw)
-        rep.character_variance = rep.direct_variance + 1e6
+    def broken(w, Q):
+        rep = real(w, Q)
+        rep.character = (rep.direct[0] + 1e6,)
         return rep
 
     monkeypatch.setattr(cli, "variance_report", broken)
@@ -613,33 +614,69 @@ KNOWN_MISSING_TRACE_TARGETS = {
 }
 
 
-def test_benchmark_trace_targets_stay_functions():
-    # The benchmark's child wraps each PATCHES target at run time, so a
-    # target that stops being a plain function (a cached attribute, say)
-    # breaks traced runs, and one that vanishes zeroes its metric.  Read the
-    # targets without importing the child, resolve them as its install()
-    # does, and hold the missing ones to the known set.
+def benchmark_trace_patches():
+    """perfbench/child.py's PATCHES, read without importing the child, as
+    (target, hook name or None, the resolved function or None), plus the
+    child's module-level function definitions by name."""
     child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
     tree = ast.parse(child.read_text(encoding="utf-8"))
     patches, = [node.value for node in tree.body
                 if isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets]
                 == ["PATCHES"]]
-    missing = []
+    entries = []
     for entry in patches.elts:
         target = entry.elts[0].value
+        # resolve as the child's install() does
         module, _, path = target.partition(":")
         *owners, attr = path.split(".")
         owner = importlib.import_module(module)
         for part in owners:
             owner = getattr(owner, part, None)
-        fn = getattr(owner, attr, None)
+        entries.append((target, getattr(entry.elts[2], "id", None),
+                        getattr(owner, attr, None)))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    return entries, defs
+
+
+def test_benchmark_trace_targets_stay_functions():
+    # The benchmark's child wraps each PATCHES target at run time, so a
+    # target that stops being a plain function (a cached attribute, say)
+    # breaks traced runs, and one that vanishes zeroes its metric.  Hold the
+    # missing ones to the known set.
+    entries, _ = benchmark_trace_patches()
+    missing = []
+    for target, _, fn in entries:
         if fn is None:
             missing.append(target)
         else:
             assert isinstance(fn, types.FunctionType), target
-    assert len(patches.elts) > len(missing)
+    assert len(entries) > len(missing)
     assert set(missing) <= KNOWN_MISSING_TRACE_TARGETS
+
+
+def test_benchmark_trace_hooks_read_existing_attributes():
+    # A hook reads attributes of what its target returns (its third
+    # parameter).  Renaming one breaks traced runs only, so hold each read
+    # to the target's return annotation: a dataclass field or attribute.
+    entries, defs = benchmark_trace_patches()
+    checked = 0
+    for target, hook, fn in entries:
+        if hook is None or fn is None:
+            continue
+        result = defs[hook].args.args[2].arg
+        reads = {node.attr for node in ast.walk(defs[hook])
+                 if isinstance(node, ast.Attribute)
+                 and getattr(node.value, "id", None) == result}
+        if not reads:
+            continue
+        returned = typing.get_type_hints(fn)["return"]
+        fields = getattr(returned, "__dataclass_fields__", {})
+        for attr in reads:
+            assert attr in fields or hasattr(returned, attr), (target, attr)
+        checked += 1
+    assert checked >= 1
 
 
 def test_cli_import_leaves_mpmath_unloaded():

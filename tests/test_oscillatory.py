@@ -313,6 +313,18 @@ def test_integral_at_1e8_is_fast_and_exact():
     assert elapsed < 0.1
 
 
+@pytest.mark.parametrize("a, b, bound", [(1e7, 1e7 + 2.0, 1e-8),
+                                         (1e9, 1e9 + 0.2, 1e-5)])
+def test_integral_short_range_far_out_within_stated_limit(a, b, bound):
+    # about 9.5 periods, so all panels; float64 node values of y carry a
+    # phase error that grows with |t| b^c (4.2e-9 and 7.1e-6 measured)
+    t, c = 1e-3, 1.5
+    periods = abs(t) * (b ** c - a ** c)
+    assert periods <= oscillatory._SERIES_START / (2 * math.pi)
+    want = gamma_oracle(a, b, t, c)
+    assert abs(oscillatory_integral(a, b, t, c) - want) <= bound * abs(want)
+
+
 @pytest.mark.parametrize("t", [1e-3, -1e-3, 0.37])
 def test_integral_around_series_start(t):
     c = 1.5

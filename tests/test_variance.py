@@ -1,5 +1,6 @@
 """Progression-variance routes vs. naive rescans and closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -56,19 +57,19 @@ def table_sums(w, q):
     return variance._residue_sums(variance._terms(w.n, w.values), q)
 
 
-def check_against_naive(w, Q, main):
-    want, want_per_q = naive_variance(w, Q, complex(main))
-    rep = variance_report(w, Q, main, per_q=True)
-    assert rep.direct_variance == pytest.approx(want, rel=1e-12, abs=1e-12)
-    for (q, gv, _), wv in zip(rep.per_q, want_per_q):
+def check_against_naive(w, Q):
+    want, want_per_q = naive_variance(w, Q, w.mains[0])
+    rep = variance_report(w, Q)
+    assert rep.direct[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for q, ((gv, _), wv) in enumerate(zip(rep.per_q, want_per_q), start=1):
         assert gv == pytest.approx(wv, rel=1e-12, abs=1e-12), q
-    assert rep.character_variance == pytest.approx(want, rel=1e-10, abs=1e-10)
+    assert rep.character[0] == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_raw_lambda_matches_naive_rescan():
     w = build_weight_table(2000.0, 0.3, WeightKind.RAW_LAMBDA)
     assert w.mains == (complex(0.7 * 2000.0),)
-    check_against_naive(w, 20, w.mains[0])
+    check_against_naive(w, 20)
 
 
 def test_complex_phase_weight_matches_naive_rescan():
@@ -76,15 +77,15 @@ def test_complex_phase_weight_matches_naive_rescan():
     integral = main_term_integral(ExpWeightParams(X=1500.0, mu=0.5, c=1.5,
                                                   t=3e-4))
     assert w.mains == (integral,)
-    check_against_naive(w, 20, w.mains[0])
+    check_against_naive(w, 20)
 
 
 def test_random_table_matches_naive_rescan():
     rng = np.random.default_rng(99)
     n = 420
     vals = rng.normal(size=n) + 1j * rng.normal(size=n)
-    w = custom_weight_table(600.0, 0.3, vals)
-    check_against_naive(w, 15, 2.5 - 1.0j)
+    w = custom_weight_table(600.0, 0.3, vals, 2.5 - 1.0j)
+    check_against_naive(w, 15)
 
 
 def test_routes_agree_on_random_tables():
@@ -95,13 +96,13 @@ def test_routes_agree_on_random_tables():
         mu = float(rng.uniform(0.0, 0.6))
         m = math.floor(X) - math.floor(mu * X)
         vals = rng.normal(size=m) + 1j * rng.normal(size=m)
-        w = custom_weight_table(X, mu, vals)
         main = complex(rng.normal(), rng.normal())
+        w = custom_weight_table(X, mu, vals, main)
         Q = int(rng.integers(1, 40))
-        rep = variance_report(w, Q, main, per_q=True)
-        d, c = rep.direct_variance, rep.character_variance
+        rep = variance_report(w, Q)
+        (d,), (c,) = rep.direct, rep.character
         assert c == pytest.approx(d, rel=1e-10, abs=1e-10)
-        for q, dv, cv in rep.per_q:
+        for q, (dv, cv) in enumerate(rep.per_q, start=1):
             assert cv == pytest.approx(dv, rel=1e-10, abs=1e-10), q
         # README's "1e-15 level" route gap, and the spot-checked transform
         assert rep.cross_check_rel <= 1e-13
@@ -249,8 +250,8 @@ def test_window_without_prime_powers_reports_main_term_only():
         assert w.n.size == w.values.size == 0, kind
         rep = variance_report(w, Q)
         want = abs(w.mains[0]) ** 2 * inv_phi
-        assert rep.direct_variance == pytest.approx(want, rel=1e-12), kind
-        assert rep.character_variance == pytest.approx(want, rel=1e-10), kind
+        assert rep.direct[0] == pytest.approx(want, rel=1e-12), kind
+        assert rep.character[0] == pytest.approx(want, rel=1e-10), kind
         assert rep.cross_check_ok, kind
 
 
@@ -281,7 +282,7 @@ def test_weight_build_validation():
             build_weight_table(1000.0, 0.5, kind, c=1.5, t=0.0,
                                ps=ps_config("9/10"))
     with pytest.raises(ParameterError):
-        custom_weight_table(100.0, 0.5, np.zeros(3, dtype=complex))
+        custom_weight_table(100.0, 0.5, np.zeros(3, dtype=complex), 0.0)
     with pytest.raises(ParameterError):
         # (mu X, X] contains no integer here
         build_weight_table(100.5, 0.999, WeightKind.RAW_LAMBDA)
@@ -303,10 +304,11 @@ def test_main_terms():
     w = table(WeightKind.PS_EXP, c=1.5, t=0.0, ps=cfg)
     assert w.mains == pytest.approx((0.9 * 500.0,))
     assert w.scale == 1000.0 ** (2.0 - 0.9)
-    custom = custom_weight_table(1000.0, 0.5, np.ones(500, dtype=complex))
-    assert custom.mains == () and custom.scale == 1000.0
+    custom = custom_weight_table(1000.0, 0.5, np.ones(500, dtype=complex),
+                                 250.0)
+    assert custom.mains == (250.0,) and custom.scale == 1000.0
     with pytest.raises(ParameterError):
-        variance_report(custom, 3)
+        variance_report(dataclasses.replace(custom, mains=()), 3)
 
 
 def test_unused_params_are_ignored():
@@ -330,24 +332,25 @@ def test_unused_params_are_ignored():
 def test_single_modulus_closed_form():
     w = build_weight_table(300.0, 0.5, WeightKind.RAW_LAMBDA)
     main = 150.0 + 0j
-    got = variance_report(w, 1, main).direct_variance
+    got = variance_report(dataclasses.replace(w, mains=(main,)), 1).direct[0]
     assert got == pytest.approx(abs(fsum_total(w) - main) ** 2, rel=1e-12)
 
 
 def test_zero_weights_closed_form():
     # S_q(a) = 0, so each q contributes |M|^2 / phi(q)
-    w = custom_weight_table(60.0, 0.0, np.zeros(60, dtype=complex))
     main = 3.0 - 4.0j
+    w = custom_weight_table(60.0, 0.0, np.zeros(60, dtype=complex), main)
     Q = 12
 
     def phi(q):
         return sum(1 for a in range(1, q + 1) if math.gcd(a, q) == 1)
 
     want = abs(main) ** 2 * math.fsum(1.0 / phi(q) for q in range(1, Q + 1))
-    rep = variance_report(w, Q, main)
-    assert rep.direct_variance == pytest.approx(want, rel=1e-12)
-    assert rep.character_variance == pytest.approx(want, rel=1e-10)
-    assert variance_report(w, Q, 0.0).direct_variance == 0.0
+    rep = variance_report(w, Q)
+    assert rep.direct[0] == pytest.approx(want, rel=1e-12)
+    assert rep.character[0] == pytest.approx(want, rel=1e-10)
+    w0 = dataclasses.replace(w, mains=(0.0,))
+    assert variance_report(w0, Q).direct == (0.0,)
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +359,14 @@ def test_zero_weights_closed_form():
 
 def test_report_cross_checks_and_ratio():
     w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=1e-3)
-    rep = variance_report(w, 15, per_q=True)
+    rep = variance_report(w, 15)
     assert rep.cross_check_ok
     assert rep.cross_check_rel <= 1e-10
-    assert rep.normalized_ratio == pytest.approx(
-        rep.direct_variance / (2000.0 * 15 * math.log(2000.0)))
-    assert rep.ratio_alt == rep.normalized_ratio  # no alternate main here
-    assert rep.direct_alt is None
+    assert len(rep.direct) == len(rep.character) == 1  # one main reading
+    assert rep.ratios == pytest.approx(
+        (rep.direct[0] / (2000.0 * 15 * math.log(2000.0)),))
     assert len(rep.per_q) == 15
-    for q, dv, cv in rep.per_q:
+    for q, (dv, cv) in enumerate(rep.per_q, start=1):
         assert cv == pytest.approx(dv, rel=1e-9, abs=1e-9), q
 
 
@@ -373,11 +375,24 @@ def test_report_ps_dual_mains():
     w = build_weight_table(2000.0, 0.5, WeightKind.PS_PLAIN, ps=cfg)
     rep = variance_report(w, 10)
     assert rep.cross_check_ok
-    assert rep.direct_alt is not None and rep.character_alt is not None
-    assert rep.direct_alt != rep.direct_variance
+    assert len(rep.direct) == len(rep.character) == 2
+    assert rep.direct[1] != rep.direct[0]
     norm = 2000.0 ** cfg.gamma * 10 * math.log(2000.0)
-    assert rep.normalized_ratio == pytest.approx(rep.direct_variance / norm)
-    assert rep.ratio_alt == pytest.approx(rep.direct_alt / norm)
+    assert rep.ratios == pytest.approx(tuple(d / norm for d in rep.direct))
+
+
+def test_per_q_profile_reads_every_smaller_q():
+    # each q's contribution does not depend on Q, so the first Q' entries
+    # of the profile are the report at Q', to the last bit
+    w = build_weight_table(5000.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=1e-3)
+    Q = 40
+    rep = variance_report(w, Q)
+    assert len(rep.per_q) == Q
+    for Qp in (1, 2, 7, 23, 39):
+        sub = variance_report(w, Qp)
+        assert math.fsum(d for d, _ in rep.per_q[:Qp]) == sub.direct[0], Qp
+        assert math.fsum(c for _, c in rep.per_q[:Qp]) == sub.character[0]
+        assert sub.per_q == rep.per_q[:Qp], Qp
 
 
 # ---------------------------------------------------------------------------
