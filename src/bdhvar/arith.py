@@ -126,8 +126,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n == 1:
         return []
     out: list[tuple[int, int]] = []
-    m = n
-    for p in _trial_primes(math.isqrt(n)).tolist():
+    m, root = n, math.isqrt(n)
+    trial = _trial_primes(root)  # may hold primes far beyond root: slice
+    for p in trial[:np.searchsorted(trial, root, side="right")].tolist():
         if p * p > m:
             break
         if m % p == 0:

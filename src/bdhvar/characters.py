@@ -11,9 +11,10 @@ where x_j is the discrete log of n on factor j and d_j the factor order.
 Characters are ordered lexicographically by exponent tuple, which is C order
 on the grid Z/d_1 x ... x Z/d_k; the principal character is index 0.
 
-A group keeps one table per modulus beside its q-byte `coprime` mask:
-`cell`, an int32 array of length q holding the flat C-order grid cell
-(x_1, ..., x_k) of each unit and -1 off the units, so 5q bytes in all.
+A group keeps one table per modulus: `cell`, an array of length q holding
+the flat C-order grid cell (x_1, ..., x_k) of each unit and -1 off the
+units, so `cell >= 0` is the coprime mask.  Its entries lie in [-1, phi),
+so it is int16 (2q bytes) when phi <= 2^15 and int32 (4q bytes) above.
 It is assembled from per-prime-power discrete-log tables, which
 `_local_factors` builds once per prime power and shares, read-only,
 between all the moduli it divides (at most 1024 prime powers are kept).
@@ -119,9 +120,9 @@ class CharacterGroup:
         phi: group order phi(q).
         orders: the factor orders d_j, the shape of the exponent grid.
         primes: the prime p of each factor's p-power modulus.
-        coprime: boolean mask of residues coprime to q.
-        cell: int32, length q: the flat C-order grid cell of each unit's
-            exponent tuple (x_1, ..., x_k); -1 off the units.
+        cell: length q, int16 when phi <= 2^15 and int32 above: the flat
+            C-order grid cell of each unit's exponent tuple (x_1, ..., x_k);
+            -1 off the units, so `cell >= 0` masks the residues coprime to q.
     """
 
     def __init__(self, q: int):
@@ -129,10 +130,10 @@ class CharacterGroup:
             raise ParameterError(
                 f"modulus must be in [1, {MAX_MODULUS}], got {q}")
         self.modulus = q
-        self.coprime = np.ones(q, dtype=bool)
+        coprime = np.ones(q, dtype=bool)
         primes, orders, tables = [], [], []
         for p, k in factorize(q):
-            self.coprime[::p] = False
+            coprime[::p] = False
             for order, table in _local_factors(p, k):
                 primes.append(p)
                 orders.append(order)
@@ -140,13 +141,13 @@ class CharacterGroup:
         self.primes, self.orders = tuple(primes), tuple(orders)
         self.phi = math.prod(orders)
 
-        self.cell = np.zeros(q, dtype=np.int32)
+        self.cell = np.zeros(q, np.int16 if self.phi <= 2**15 else np.int32)
         stride = self.phi
         for order, table in zip(orders, tables):
             stride //= order
             period = self.cell.reshape(-1, len(table))  # a view: q = m * p^k
             period += table * stride
-        self.cell[~self.coprime] = -1
+        self.cell[~coprime] = -1
 
     def transform(self, sums: np.ndarray) -> np.ndarray:
         """Psi_chi = sum_a sums[a] chi(a) for every chi, in lexicographic order.
@@ -173,7 +174,7 @@ class CharacterGroup:
         products also test dlog(mn) = dlog(m) + dlog(n) mod d_j; a failure
         there returns inf.
         """
-        units = np.flatnonzero(self.coprime)
+        units = np.flatnonzero(self.cell >= 0)
         k = len(units)
         unit_sums = sums[units]
         picks = sorted({0, self.phi // 3, self.phi - 1})

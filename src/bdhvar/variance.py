@@ -299,7 +299,7 @@ def variance_report(w: WeightTable, Q: int) -> VarianceReport:
     cells: list[list[tuple[float, float]]] = [[] for _ in w.mains]
     gaps = []
     for G, sums, psi in _transformed_sums(w.n, w.values, range(1, Q + 1)):
-        unit_sums = sums[G.coprime]
+        unit_sums = sums[G.cell >= 0]
         phi = len(unit_sums)
         if G.phi != phi:
             raise AssertionError(

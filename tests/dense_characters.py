@@ -26,7 +26,7 @@ def _exponents_and_logs(G, units):
 
 def dense_table(G):
     """(phi(q), q) table: row j holds chi_j at every residue (0 off units)."""
-    units = np.flatnonzero(G.coprime)
+    units = np.flatnonzero(G.cell >= 0)
     values = np.ones((G.phi, len(units)), dtype=complex)
     for d, e, x in _exponents_and_logs(G, units):
         values *= np.exp(2j * np.pi * (np.outer(e, x) % d) / d)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,3 +198,21 @@ def test_factorize_matches_naive():
     assert factorize(2**31 - 1) == [(2147483647, 1)]
     with pytest.raises(ParameterError):
         factorize(0)
+
+
+def test_factorize_lists_only_primes_up_to_its_root():
+    # 2^31 - 1 grows the shared trial primes to the 8,951 below
+    # 2 * sqrt(2^31 - 1).  Listing all of them on each later call peaked
+    # at 356 KB for n = 4999, whose root is 70.
+    assert factorize(2**31 - 1) == [(2**31 - 1, 1)]
+    tracemalloc.start()
+    try:
+        got = factorize(4999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == naive_factor(4999)
+    assert peak <= 4096, peak
+    for n in [1, 2, 4, 70 * 70, 71 * 71, 4216, 5239, 2 * 999983,
+              999983**2, 2**30, 3**19]:
+        assert factorize(n) == naive_factor(n), n

@@ -32,8 +32,22 @@ def test_transform_matches_value_table():
 def test_transform_ignores_non_coprime_classes():
     G = CharacterGroup(36)
     sums = np.arange(36, dtype=float) + 1j
-    clean = np.where(G.coprime, sums, 0.0)
+    clean = np.where(G.cell >= 0, sums, 0.0)
     assert np.array_equal(G.transform(sums), G.transform(clean))
+
+
+def test_cell_dtype_boundary():
+    # every cell lies in [-1, phi): int16 holds it up to phi = 2^15
+    rng = np.random.default_rng(65536)
+    for q, phi, dtype in ((65536, 2**15, np.int16), (65537, 2**16, np.int32)):
+        G = CharacterGroup(q)
+        assert G.phi == phi and G.cell.dtype == dtype, q
+        assert int(G.cell.max()) == G.phi - 1
+        sums = rng.normal(size=q) + 1j * rng.normal(size=q)
+        psi = G.transform(sums)
+        assert G.check_transform(sums, psi) <= 1e-13, q
+        parseval = G.phi * math.fsum(np.abs(sums[G.cell >= 0]) ** 2)
+        assert abs(math.fsum(np.abs(psi) ** 2) - parseval) <= 1e-12 * parseval
 
 
 def test_primitive_mask_matches_conductors():
@@ -45,7 +59,7 @@ def test_primitive_mask_matches_conductors():
         want = np.ones(G.phi, dtype=bool)
         for p, _ in factorize(q):
             n = (1 + q // p * np.arange(p)) % q
-            phases = unit_phases(G, n[G.coprime[n]])
+            phases = unit_phases(G, n[G.cell[n] >= 0])
             want &= np.any(phases != 0, axis=1)
         assert np.array_equal(G.primitive_mask(), want), q
         # the premise of the large sieve's moduli: q == 2 (mod 4) alone
@@ -71,7 +85,7 @@ def test_prime_power_tables_are_shared_and_read_only():
     assert order == 6 and G.orders[0] == H.orders[0] == 6
     with pytest.raises(ValueError):
         table[1] = 0
-    units = np.flatnonzero(G.coprime)
+    units = np.flatnonzero(G.cell >= 0)
     assert np.array_equal(np.unravel_index(G.cell[units], G.orders)[0],
                           table[units % 9])
 
@@ -98,7 +112,7 @@ def test_check_transform_catches_non_additive_dlog():
     G = CharacterGroup(45)
     sums = np.ones(45, dtype=complex)
     psi = G.transform(sums)
-    units = np.flatnonzero(G.coprime)
+    units = np.flatnonzero(G.cell >= 0)
     logs = np.unravel_index(G.cell[units], G.orders)
     shifted = tuple((x + 1) % d for x, d in zip(logs, G.orders))
     G.cell[units] = np.ravel_multi_index(shifted, G.orders)  # not additive
