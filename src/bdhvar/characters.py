@@ -1,9 +1,10 @@
 """Dirichlet characters mod q as the exponent grid of (Z/qZ)*.
 
 The unit group is decomposed through the CRT: for odd prime powers p^k the
-local group is cyclic, generated by a primitive root; for 2^k with k >= 3 it
-splits as <-1> x <5>.  Every character is a tuple of exponents, one per
-cyclic factor, with
+local group is cyclic, generated by a primitive root, as it is mod 2 (of
+order 1) and mod 4; for 2^k with k >= 3 it splits as <-1> x <5>.  So every
+q >= 2 has a factor, and only q = 1 has a grid with no axis (one cell).
+Every character is a tuple of exponents, one per cyclic factor, with
 
     chi(n) = exp(2*pi*i * sum_j e_j * x_j / d_j),        n coprime to q,
 
@@ -60,16 +61,6 @@ def _primitive_root_mod_p(p: int) -> int:
         g += 1
 
 
-def _primitive_root_mod_pk(p: int, k: int) -> int:
-    g = _primitive_root_mod_p(p)
-    if k == 1:
-        return g
-    # g generates mod p^k for all k iff g^(p-1) != 1 mod p^2.
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
-
-
 def _powers(g: int, count: int, m: int) -> np.ndarray:
     """g^j mod m for 0 <= j < count, by doubling (m <= 10^6: no overflow)."""
     out = np.ones(count, dtype=np.int64)
@@ -89,9 +80,8 @@ def _local_factors(p: int, k: int) -> tuple[tuple[int, np.ndarray], ...]:
     divisible by p^k shares them."""
     pe = p**k
     if p == 2 and k < 3:
-        if k == 1:
-            return ()
-        factors = [(2, np.array([-1, 0, -1, 1], dtype=np.int32))]
+        # cyclic of order pe/2, with dlog 0 at 1 and (mod 4) dlog 1 at 3
+        factors = [(pe // 2, np.array([-1, 0, -1, 1][:pe], dtype=np.int32))]
     elif p == 2:
         # k >= 3: <-1> of order 2 and <5> of order 2^(k-2)
         half = pe >> 2
@@ -103,9 +93,12 @@ def _local_factors(p: int, k: int) -> tuple[tuple[int, np.ndarray], ...]:
         factors = [(2, minus), (half, five)]
     else:
         order = pe - pe // p
+        g = _primitive_root_mod_p(p)
+        # g generates mod every p^k iff g^(p-1) != 1 mod p^2; else g + p does
+        if pow(g, p - 1, p * p) == 1:
+            g += p
         dlog = np.full(pe, -1, dtype=np.int32)
-        dlog[_powers(_primitive_root_mod_pk(p, k), order, pe)] = \
-            np.arange(order)
+        dlog[_powers(g, order, pe)] = np.arange(order)
         factors = [(order, dlog)]
     for _, table in factors:
         table.flags.writeable = False
@@ -118,7 +111,8 @@ class CharacterGroup:
     Attributes:
         modulus: q.
         phi: group order phi(q).
-        orders: the factor orders d_j, the shape of the exponent grid.
+        orders: the factor orders d_j, the shape of the exponent grid: a
+            leading 1 for the factor mod 2 when q == 2 (mod 4), () for q = 1.
         primes: the prime p of each factor's p-power modulus.
         cell: length q, int16 when phi <= 2^15 and int32 above: the flat
             C-order grid cell of each unit's exponent tuple (x_1, ..., x_k);
@@ -158,10 +152,8 @@ class CharacterGroup:
         """
         grid = np.zeros(self.phi + 1, dtype=np.complex128)
         grid[self.cell] = sums  # non-units (cell -1) land in the spare slot
-        grid = grid[:-1]
-        if not self.orders:
-            return grid
-        return self.phi * np.fft.ifftn(grid.reshape(self.orders)).ravel()
+        # q = 1: orders is (), and ifftn of the 0-d grid is its one entry
+        return self.phi * np.fft.ifftn(grid[:-1].reshape(self.orders)).ravel()
 
     def check_transform(self, sums: np.ndarray, psi: np.ndarray) -> float:
         """Worst gap of `psi`, a claimed `transform(sums)`, at sampled entries.
@@ -178,21 +170,19 @@ class CharacterGroup:
         k = len(units)
         unit_sums = sums[units]
         picks = sorted({0, self.phi // 3, self.phi - 1})
-        L = math.lcm(*self.orders)
-        if self.orders:
-            # one decode for the units and the sampled m, n and mn
-            m_n = units[[k // 3, k // 2, k - 1, k - 1, k // 3, k // 2]]
-            cells = self.cell[np.concatenate(
-                [units, m_n, m_n[:3] * m_n[3:] % self.modulus])]
-            logs = np.array(np.unravel_index(cells, self.orders))
-            orders = np.array(self.orders)[:, None]
-            exps = np.array(np.unravel_index(picks, self.orders))
-            # phase[i, u] = sum_j e_ij * (L / d_j) * x_j(u) mod L
-            phase = (exps * (L // orders)).T @ logs[:, :k] % L
-            xm, xn, xmn = logs[:, k:].reshape(-1, 3, 3).transpose(1, 0, 2)
-            additive = not ((xmn - xm - xn) % orders).any()
-        else:  # q = 1, 2: the principal character alone, L = 1
-            phase, additive = np.zeros((len(picks), k), dtype=np.int64), True
+        shape = self.orders or (1,)  # q = 1: one cell, L = 1
+        L = math.lcm(*shape)
+        # one decode for the units and the sampled m, n and mn
+        m_n = units[[k // 3, k // 2, k - 1, k - 1, k // 3, k // 2]]
+        cells = self.cell[np.concatenate(
+            [units, m_n, m_n[:3] * m_n[3:] % self.modulus])]
+        logs = np.array(np.unravel_index(cells, shape))
+        orders = np.array(shape)[:, None]
+        exps = np.array(np.unravel_index(picks, shape))
+        # phase[i, u] = sum_j e_ij * (L / d_j) * x_j(u) mod L
+        phase = (exps * (L // orders)).T @ logs[:, :k] % L
+        xm, xn, xmn = logs[:, k:].reshape(-1, 3, 3).transpose(1, 0, 2)
+        additive = not ((xmn - xm - xn) % orders).any()
         want = np.exp(2j * np.pi * np.arange(L) / L)[phase] @ unit_sums
         scale = float(np.abs(unit_sums).sum()) or 1.0
         gap = float(np.abs(psi[picks] - want).max()) / scale
@@ -205,8 +195,8 @@ class CharacterGroup:
         cyclic factor of p-power modulus factors through a smaller modulus
         iff its exponent is divisible by p, except on the <-1> factor of
         2^k, k >= 3, which is free.  The mask is the outer product of these
-        per-factor conditions in C order; no character mod q is primitive
-        when q == 2 (mod 4).
+        per-factor conditions in C order.  So none is primitive when q == 2
+        (mod 4): the order-1 factor mod 2 has only the exponent 0.
         """
         return self._primitive
 
@@ -218,8 +208,6 @@ class CharacterGroup:
             conds.append(np.ones(d, bool) if minus_one
                          else np.arange(d) % p != 0)
         mask = reduce(np.logical_and.outer, conds, np.array(True)).ravel()
-        if self.modulus % 4 == 2:
-            mask[:] = False
         mask.flags.writeable = False
         return mask
 

@@ -375,7 +375,10 @@ def cmd_lemma3(cfg: ExperimentConfig) -> int:
 
     def row(i):
         X, j = cfg.x_grid[i // cfg.t_count], i % cfg.t_count
-        t_cap = X ** (1.0 - cfg.c - cfg.delta)
+        try:
+            t_cap = X ** (1.0 - cfg.c - cfg.delta)
+        except ArithmeticError as exc:
+            raise ParameterError(f"no t cap at X = {X:g}: {exc}") from exc
         t = t_cap * 10.0 ** (-(cfg.t_count - 1 - j) / 2.0)
         params = ExpWeightParams(X=X, mu=cfg.mu, c=cfg.c, t=t)
         s = prime_exp_sum(params)

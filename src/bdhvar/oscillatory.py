@@ -146,13 +146,12 @@ def phase_frac_array(t: float, ns: np.ndarray, c: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VaalerExpansion:
-    """Degree-H approximation of psi plus its error majorant.
+    """Degree-H approximation of psi plus its error majorant, H = len(a).
 
     a[h-1] is the coefficient of e(hx) for h = 1..H (a(-h) = conj(a(h))).
     b[h] for h = 0..H gives the majorant Re sum b(h) e(hx) >= 0.
     """
 
-    H: int
     a: np.ndarray
     b: np.ndarray
 
@@ -169,7 +168,7 @@ def vaaler_expansion(H: int) -> VaalerExpansion:
     h = np.arange(1, H + 1, dtype=np.float64)
     a = -_jhat(h / (H + 1)) / (2j * np.pi * h)
     b = (1.0 - np.arange(0, H + 1) / (H + 1)) / (2 * H + 2)
-    return VaalerExpansion(H=int(H), a=a, b=b)
+    return VaalerExpansion(a=a, b=b)
 
 
 def check_vaaler_size(points: int, H: int) -> None:
@@ -194,8 +193,8 @@ def vaaler_eval(x, exp: VaalerExpansion):
     VAALER_MAX_BYTES (see check_vaaler_size) raises ResourceError first.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    check_vaaler_size(len(arr), exp.H)
-    h = np.arange(1, exp.H + 1, dtype=np.float64)
+    check_vaaler_size(len(arr), len(exp.a))
+    h = np.arange(1, len(exp.a) + 1, dtype=np.float64)
     approx = np.empty(len(arr))
     majorant = np.empty(len(arr))
     starts = list(range(0, len(arr), _VAALER_ROWS))

@@ -75,8 +75,6 @@ def ps_config(gamma) -> PSConfig:
             raise ParameterError(f"cannot parse gamma {gamma!r}") from exc
     elif isinstance(gamma, Fraction):
         exact = gamma
-    elif isinstance(gamma, int):
-        exact = Fraction(gamma)
     else:
         g = float(gamma)
         if not math.isfinite(g):
@@ -84,7 +82,10 @@ def ps_config(gamma) -> PSConfig:
         cand = Fraction(g).limit_denominator(_SNAP_DENOMINATOR)
         if abs(g - float(cand)) <= _SNAP_TOL:
             exact = cand
-    value = float(exact) if exact is not None else float(gamma)
+    try:
+        value = g if exact is None else float(exact)
+    except OverflowError:  # a rational too large for a float
+        value = math.inf
     if not 0.0 < value < 1.0:
         raise ParameterError(
             f"gamma must lie strictly inside (0, 1), got {gamma}")

@@ -192,17 +192,21 @@ def theorem_range_warnings(kind: WeightKind, X: float, Q: int, t: float,
     """Q- and t-range checks for the three theorem-style weightings."""
     lx = math.log(X)
     warns: list[str] = []
-    if kind is WeightKind.CLASSIC_EXP:
-        lo, hi = X / lx ** a, X
-        t_cap = X ** (2.0 / 3.0 - c - delta)
-    elif kind is WeightKind.PS_PLAIN:
-        lo, hi = X ** gamma / lx ** 2, X ** gamma
-        t_cap = None
-    elif kind is WeightKind.PS_EXP:
-        lo, hi = X ** gamma / lx ** a, X ** gamma
-        t_cap = X ** ((4.0 * gamma - 3.0 * c - 1.0) / 3.0 - delta)
-    else:
-        return warns
+    try:
+        if kind is WeightKind.CLASSIC_EXP:
+            lo, hi = X / lx ** a, X
+            t_cap = X ** (2.0 / 3.0 - c - delta)
+        elif kind is WeightKind.PS_PLAIN:
+            lo, hi = X ** gamma / lx ** 2, X ** gamma
+            t_cap = None
+        elif kind is WeightKind.PS_EXP:
+            lo, hi = X ** gamma / lx ** a, X ** gamma
+            t_cap = X ** ((4.0 * gamma - 3.0 * c - 1.0) / 3.0 - delta)
+        else:
+            return warns
+    except ArithmeticError as exc:
+        raise ParameterError(
+            f"{kind.value} has no theorem range at X = {X:g}: {exc}") from exc
     if not (lo - 1.0 <= Q <= hi):
         warns.append(f"Q = {Q} outside the admissible range "
                      f"[{lo:.6g}, {hi:.6g}] at X = {X:g}")
@@ -218,11 +222,8 @@ def theorem_range_warnings(kind: WeightKind, X: float, Q: int, t: float,
 
 def _terms(n: np.ndarray, w: np.ndarray):
     """(n, Re w, Im w) for weights w at ascending n, as `_residue_sums`
-    takes them."""
-    # int32 residues reduce about twice as fast as int64 ones
-    small = n.size == 0 or n[-1] < 2**31
-    return (n.astype(np.int32 if small else np.int64),
-            np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag))
+    takes them; n is returned as given, not copied."""
+    return n, np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
 
 
 def _residue_sums(support, q: int) -> np.ndarray:
@@ -351,7 +352,7 @@ def large_sieve_check(M: int, Q: int, coeffs: np.ndarray) -> LargeSieveResult:
     norm2 = _sq_abs_sum(arr)
     bound = (N + Q * Q) * norm2
 
-    moduli = (q for q in range(1, Q + 1) if q % 4 != 2)  # with primitive chi
+    moduli = (q for q in range(1, Q + 1) if q % 4 != 2)  # masks not all False
     idx = np.flatnonzero(arr)
     lhs = math.fsum(
         G.modulus / G.phi * _sq_abs_sum(psi[G.primitive_mask()])

@@ -13,7 +13,7 @@ import pytest
 from dense_characters import dense_table, oracle_conductor, oracle_phi
 
 from bdhvar import ParameterError, character_group, variance
-from bdhvar.characters import CharacterGroup
+from bdhvar.characters import CharacterGroup, _local_factors
 
 
 def divisors(q):
@@ -167,6 +167,11 @@ def test_trivial_moduli():
         M = dense_table(G)
         assert oracle_conductor(M[0]) == 1
         assert M[0, 1 % q] == 1
+    # mod 2 is one cyclic factor of order 1, not an empty grid
+    assert CharacterGroup(2).orders == (1,)
+    assert CharacterGroup(6).orders == (1, 2)
+    (order, table), = _local_factors(2, 1)
+    assert order == 1 and table.tolist() == [-1, 0]
 
 
 def test_modulus_bounds():

@@ -424,6 +424,12 @@ def test_bad_subcommand_flags(capsys):
                   "fixed:2000000", "--allow-out-of-range"],  # Q > MAX_MODULUS
                  ["variance", "--x-grid", "abc"],
                  ["ps-count", "--x-grid", "100", "--gamma", "1/0"],
+                 # a t cap, a theorem range or a gamma with no float value
+                 ["lemma3", "--x-grid", "1e4", "--delta", "-1000"],
+                 [*variance, "--delta", "-1000"],
+                 [*variance, "--a", "-1000"],
+                 ["ps-count", "--x-grid", "100", "--gamma",
+                  f"{10**400}/3"],
                  ["vaaler", "--h-list", "1.5"],
                  ["vaaler", "--seed", "x"],
                  ["vaaler", "--h-list", "1,5", "--grid-points", "200",

@@ -144,7 +144,8 @@ def test_gamma_parsing_and_snapping():
 
 
 def test_gamma_validation():
-    for bad in ("5/4", 1.0, 0.0, -0.3, float("nan"), "abc"):
+    for bad in ("5/4", 1.0, 0.0, -0.3, float("nan"), "abc",
+                Fraction(10**400, 3)):
         with pytest.raises(ParameterError):
             ps_config(bad)
 

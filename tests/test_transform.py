@@ -98,8 +98,9 @@ def _conjugated(G, sums):
 def test_check_transform_catches_wrong_transforms():
     rng = np.random.default_rng(8)
     # 16 and 720: 2^k with k >= 4, and four cyclic factors with
-    # lcm(d_j) = 12 < phi = 192
-    for q in (5, 7, 13, 36, 63, 100, 257, 391, 16, 720):
+    # lcm(d_j) = 12 < phi = 192; 10 and 514: q == 2 (mod 4), whose grid
+    # leads with the order-1 factor mod 2
+    for q in (5, 7, 13, 36, 63, 100, 257, 391, 16, 720, 10, 514):
         G = CharacterGroup(q)
         sums = rng.normal(size=q) + 1j * rng.normal(size=q)
         psi = G.transform(sums)
