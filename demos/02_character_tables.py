@@ -16,7 +16,7 @@ q = 12
 G = character_group(q)
 print(f"q = {q}: phi = {G.phi}, cyclic factor orders = {list(G.orders)}")
 M = np.array([G.transform(e) for e in np.eye(q)]).T   # M[chi, a] = chi(a)
-units = np.flatnonzero(G.cell >= 0)
+units = np.sort(G.units)
 
 
 def conductor(row):

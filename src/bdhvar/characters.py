@@ -12,25 +12,25 @@ where x_j is the discrete log of n on factor j and d_j the factor order.
 Characters are ordered lexicographically by exponent tuple, which is C order
 on the grid Z/d_1 x ... x Z/d_k; the principal character is index 0.
 
-A group keeps one table per modulus: `cell`, an array of length q holding
-the flat C-order grid cell (x_1, ..., x_k) of each unit and -1 off the
-units, so `cell >= 0` is the coprime mask.  Its entries lie in [-1, phi),
-so it is int16 (2q bytes) when phi <= 2^15 and int32 (4q bytes) above.
-It is assembled from per-prime-power discrete-log tables, which
-`_local_factors` builds once per prime power and shares, read-only,
-between all the moduli it divides (at most 1024 prime powers are kept).
+A group keeps one table per modulus, its exponential map: `units`, of
+length phi, holding at each flat C-order grid cell (x_1, ..., x_k) the unit
+prod_j g_j^x_j mod q.  Its entries lie in [0, q), so it is int16 (2 phi
+bytes) when q <= 2^15 and int32 above.  It is the outer CRT sum of
+per-prime-power power lists, which `_local_factors` builds once per prime
+power and shares, read-only, between all the moduli it divides (at most
+1024 prime powers are kept).
 
 The character transform Psi_chi = sum_a S(a) chi(a) of a residue vector S
-is a DFT over that grid once the coprime residues are placed on it:
-`CharacterGroup.transform` writes S onto an array of shape (d_1, ..., d_k)
-by `cell` and returns phi(q) * ifftn of it, flattened in C order.  That
-costs O(phi log phi) time and O(q) memory per modulus.  `check_transform`
+is a DFT over that grid once the coprime residues are gathered onto it:
+`CharacterGroup.transform` reads S at `units`, reshapes it to (d_1, ...,
+d_k) and returns phi(q) * ifftn of it, flattened in C order.  That costs
+O(phi log phi) time and O(phi) memory per modulus.  `check_transform`
 evaluates a few transform entries directly from their exponent tuples,
 each value from an exact reduced rational phase over L = lcm of the d_j,
-and tests the discrete logs for multiplicativity, so a wrong scatter,
-order or sign is caught rather than hidden by Parseval.  It costs O(phi)
-integer work plus L <= phi complex `exp` calls, one per L-th root of
-unity, which the phases then index.
+and tests the table for multiplicativity, so a wrong table, order or sign
+is caught rather than hidden by Parseval.  It costs O(phi) integer work
+plus L <= phi complex `exp` calls, one per L-th root of unity, which the
+phases then index.
 
 Primitivity is local: a character is primitive iff each of its local
 components is, which gives `primitive_mask` as an outer product of
@@ -74,39 +74,29 @@ def _powers(g: int, count: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _local_factors(p: int, k: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """Cyclic factors of (Z/p^k Z)* as (order, dlog table), the tables
-    int32 of length p^k, -1 off the units, and read-only: every modulus
-    divisible by p^k shares them."""
+def _local_factors(p: int, k: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """(Z/p^k Z)* as (orders, units): its cyclic factor orders and the unit
+    at each cell of their exponent grid in C order, int64 and read-only:
+    every modulus divisible by p^k shares it."""
     pe = p**k
-    if p == 2 and k < 3:
-        # cyclic of order pe/2, with dlog 0 at 1 and (mod 4) dlog 1 at 3
-        factors = [(pe // 2, np.array([-1, 0, -1, 1][:pe], dtype=np.int32))]
-    elif p == 2:
-        # k >= 3: <-1> of order 2 and <5> of order 2^(k-2)
-        half = pe >> 2
-        minus = np.full(pe, -1, dtype=np.int32)
-        five = np.full(pe, -1, dtype=np.int32)
-        v = _powers(5, half, pe)
-        minus[v], five[v] = 0, np.arange(half)
-        minus[pe - v], five[pe - v] = 1, np.arange(half)
-        factors = [(2, minus), (half, five)]
+    if p == 2 and k >= 3:
+        # <-1> of order 2 and <5> of order 2^(k-2): cell (s, x) is (-1)^s 5^x
+        five = _powers(5, pe >> 2, pe)
+        orders, units = (2, pe >> 2), np.concatenate([five, pe - five])
     else:
-        order = pe - pe // p
-        g = _primitive_root_mod_p(p)
+        # cyclic; 3 generates mod 4 (and mod 2, of order 1)
+        g = 3 if p == 2 else _primitive_root_mod_p(p)
         # g generates mod every p^k iff g^(p-1) != 1 mod p^2; else g + p does
         if pow(g, p - 1, p * p) == 1:
             g += p
-        dlog = np.full(pe, -1, dtype=np.int32)
-        dlog[_powers(g, order, pe)] = np.arange(order)
-        factors = [(order, dlog)]
-    for _, table in factors:
-        table.flags.writeable = False
-    return tuple(factors)
+        orders = (pe - pe // p,)
+        units = _powers(g, orders[0], pe)
+    units.flags.writeable = False
+    return orders, units
 
 
 class CharacterGroup:
-    """All Dirichlet characters mod q: discrete logs and the transform.
+    """All Dirichlet characters mod q: the exponential map and the transform.
 
     Attributes:
         modulus: q.
@@ -114,9 +104,9 @@ class CharacterGroup:
         orders: the factor orders d_j, the shape of the exponent grid: a
             leading 1 for the factor mod 2 when q == 2 (mod 4), () for q = 1.
         primes: the prime p of each factor's p-power modulus.
-        cell: length q, int16 when phi <= 2^15 and int32 above: the flat
-            C-order grid cell of each unit's exponent tuple (x_1, ..., x_k);
-            -1 off the units, so `cell >= 0` masks the residues coprime to q.
+        units: length phi, int16 when q <= 2^15 and int32 above: the unit
+            residue prod_j g_j^x_j mod q at each flat C-order grid cell
+            (x_1, ..., x_k), so it lists every residue coprime to q once.
     """
 
     def __init__(self, q: int):
@@ -124,36 +114,28 @@ class CharacterGroup:
             raise ParameterError(
                 f"modulus must be in [1, {MAX_MODULUS}], got {q}")
         self.modulus = q
-        coprime = np.ones(q, dtype=bool)
-        primes, orders, tables = [], [], []
+        primes, orders, units = [], [], np.zeros((), np.int64)
         for p, k in factorize(q):
-            coprime[::p] = False
-            for order, table in _local_factors(p, k):
-                primes.append(p)
-                orders.append(order)
-                tables.append(table)
+            local_orders, local = _local_factors(p, k)
+            primes += [p] * len(local_orders)
+            orders += local_orders
+            m = q // p**k
+            lift = m * pow(m, -1, p**k)  # 1 mod p^k, 0 mod m
+            units = np.add.outer(units, local * lift % q) % q
         self.primes, self.orders = tuple(primes), tuple(orders)
         self.phi = math.prod(orders)
-
-        self.cell = np.zeros(q, np.int16 if self.phi <= 2**15 else np.int32)
-        stride = self.phi
-        for order, table in zip(orders, tables):
-            stride //= order
-            period = self.cell.reshape(-1, len(table))  # a view: q = m * p^k
-            period += table * stride
-        self.cell[~coprime] = -1
+        self.units = units.astype(np.int16 if q <= 2**15 else np.int32).ravel()
 
     def transform(self, sums: np.ndarray) -> np.ndarray:
         """Psi_chi = sum_a sums[a] chi(a) for every chi, in lexicographic order.
 
         `sums` is indexed by residue 0..q-1; non-coprime entries are
-        ignored.  The coprime entries are written onto the exponent grid
-        by `cell` and phi(q) * ifftn of the grid is read in C order.
+        ignored.  The coprime entries are gathered onto the exponent grid
+        by `units` and phi(q) * ifftn of the grid is read in C order.
         """
-        grid = np.zeros(self.phi + 1, dtype=np.complex128)
-        grid[self.cell] = sums  # non-units (cell -1) land in the spare slot
         # q = 1: orders is (), and ifftn of the 0-d grid is its one entry
-        return self.phi * np.fft.ifftn(grid[:-1].reshape(self.orders)).ravel()
+        grid = sums[self.units].reshape(self.orders)
+        return self.phi * np.fft.ifftn(grid).ravel()
 
     def check_transform(self, sums: np.ndarray, psi: np.ndarray) -> float:
         """Worst gap of `psi`, a claimed `transform(sums)`, at sampled entries.
@@ -161,31 +143,33 @@ class CharacterGroup:
         Entries 0, phi//3 and phi-1 are evaluated directly from their
         exponent tuples at O(phi) each; the gap is relative to the l1 norm of
         the coprime sums, which bounds every |Psi_chi|.  Parseval holds for
-        any orthogonal transform, so this is what catches a wrong scatter,
-        a wrong character order or a conjugated transform.  Sampled
-        products also test dlog(mn) = dlog(m) + dlog(n) mod d_j; a failure
-        there returns inf.
+        any orthogonal transform, so this is what catches a wrong gather,
+        a wrong character order or a conjugated transform.  Three sampled
+        cell pairs also test units[x + y] = units[x] * units[y] mod q; a
+        failure there returns inf.
         """
-        units = np.flatnonzero(self.cell >= 0)
-        k = len(units)
-        unit_sums = sums[units]
-        picks = sorted({0, self.phi // 3, self.phi - 1})
+        unit_sums = sums[self.units]
         shape = self.orders or (1,)  # q = 1: one cell, L = 1
         L = math.lcm(*shape)
-        # one decode for the units and the sampled m, n and mn
-        m_n = units[[k // 3, k // 2, k - 1, k - 1, k // 3, k // 2]]
-        cells = self.cell[np.concatenate(
-            [units, m_n, m_n[:3] * m_n[3:] % self.modulus])]
-        logs = np.array(np.unravel_index(cells, shape))
-        orders = np.array(shape)[:, None]
-        exps = np.array(np.unravel_index(picks, shape))
-        # phase[i, u] = sum_j e_ij * (L / d_j) * x_j(u) mod L
-        phase = (exps * (L // orders)).T @ logs[:, :k] % L
-        xm, xn, xmn = logs[:, k:].reshape(-1, 3, 3).transpose(1, 0, 2)
-        additive = not ((xmn - xm - xn) % orders).any()
-        want = np.exp(2j * np.pi * np.arange(L) / L)[phase] @ unit_sums
+        picks = sorted({0, self.phi // 3, self.phi - 1})
+        # the exponents of the picks, and three sampled cell pairs x, y
+        x = [self.phi // 3, self.phi // 2, self.phi - 1]
+        y = x[2:] + x[:2]
+        tuples = np.array(np.unravel_index(picks + x + y, shape))
+        exps, xs, ys = tuples[:, :-6], tuples[:, -6:-3], tuples[:, -3:]
+        # phase[i, cell] = sum_j e_ij * (L / d_j) * x_j(cell) mod L, summed
+        # from per-axis terms broadcast over the grid
+        steps = exps * (L // np.array(shape)[:, None])
+        phase = sum(map(np.multiply.outer, steps,
+                        np.indices(shape, sparse=True))) % L
+        want = np.exp(2j * np.pi * np.arange(L) / L)[
+            phase.reshape(len(picks), -1)] @ unit_sums
         scale = float(np.abs(unit_sums).sum()) or 1.0
         gap = float(np.abs(psi[picks] - want).max()) / scale
+        # the exponential map is a homomorphism at the sampled pairs
+        xy = np.ravel_multi_index(xs + ys, shape, mode="wrap")
+        ux, uy, uxy = self.units[[x, y, xy]].astype(np.int64)
+        additive = (uxy == ux * uy % self.modulus).all()
         return gap if additive else math.inf
 
     def primitive_mask(self) -> np.ndarray:

@@ -61,7 +61,7 @@ class PSConfig:
 
 
 def ps_config(gamma) -> PSConfig:
-    """Build a PSConfig from a float, Fraction, or 'u/v' string.
+    """Build a PSConfig from a float, int, Fraction or 'u/v' string.
 
     Floats within 1e-15 of a rational with denominator <= 64 are snapped to
     that rational so the exact path applies to the common grid values
@@ -73,8 +73,8 @@ def ps_config(gamma) -> PSConfig:
             exact = Fraction(gamma)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"cannot parse gamma {gamma!r}") from exc
-    elif isinstance(gamma, Fraction):
-        exact = gamma
+    elif isinstance(gamma, (Fraction, int)):  # exact, even past float range
+        exact = Fraction(gamma)
     else:
         g = float(gamma)
         if not math.isfinite(g):

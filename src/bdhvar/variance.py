@@ -27,11 +27,14 @@ complex weights, so route agreement is a strong end-to-end check; reports
 carry the relative discrepancy and anything above 1e-8 is flagged.
 
 Parseval holds for any orthogonal transform whose first row is the coprime
-indicator, so route agreement alone cannot see a wrong discrete-log
-scatter, a wrong character order or a conjugated transform.  Reports
-therefore also spot-check a few transform entries per modulus against a
-direct evaluation (`CharacterGroup.check_transform`) and fail the
-cross-check when that gap exceeds the same tolerance.
+indicator, so route agreement alone cannot see a unit table that lists
+every unit once but in the wrong cells, a wrong character order or a
+conjugated transform.  Reports therefore also spot-check a few transform
+entries per modulus against a direct evaluation
+(`CharacterGroup.check_transform`) and fail the cross-check when that gap
+exceeds the same tolerance.  The direct route sieves its own units from
+the group's primes and never reads `CharacterGroup.units`, so a table
+that misses a unit moves the character route alone.
 
 Accumulation discipline: a `WeightTable` is its support, the n where
 w(n) != 0 in ascending order and w(n) there.  The built-in kinds vanish off
@@ -300,7 +303,10 @@ def variance_report(w: WeightTable, Q: int) -> VarianceReport:
     cells: list[list[tuple[float, float]]] = [[] for _ in w.mains]
     gaps = []
     for G, sums, psi in _transformed_sums(w.n, w.values, range(1, Q + 1)):
-        unit_sums = sums[G.cell >= 0]
+        coprime = np.ones(G.modulus, dtype=bool)
+        for p in G.primes:
+            coprime[::p] = False
+        unit_sums = sums[coprime]
         phi = len(unit_sums)
         if G.phi != phi:
             raise AssertionError(

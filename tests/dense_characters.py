@@ -1,12 +1,13 @@
 """Dense evaluation of the characters mod q, the oracle for the FFT transform.
 
 Every value is read from a character's exponent tuple and the discrete logs
-of `G.cell`, never from the FFT, so `dense_table(G) @ S` is the character
-transform of S by definition.  chi(n) = e(sum_j e_j x_j / d_j) is taken
-here as the product over factors of e(e_j x_j / d_j), each phase reduced
-mod d_j in integers.  Characters are indexed as `CharacterGroup.transform`
-orders them.  `oracle_phi` and `oracle_conductor` count group orders and
-conductors by direct scans.
+that invert `G.units` (the unit at each grid cell), never from the FFT, so
+`dense_table(G) @ S` is the character transform of S by definition.
+chi(n) = e(sum_j e_j x_j / d_j) is taken here as the product over factors
+of e(e_j x_j / d_j), each phase reduced mod d_j in integers.  Characters
+are indexed as `CharacterGroup.transform` orders them.  `oracle_phi` and
+`oracle_conductor` count group orders and conductors by direct scans, and
+`coprime` masks the units by gcd.
 """
 
 import math
@@ -20,13 +21,15 @@ def _exponents_and_logs(G, units):
     if not G.orders:
         return []
     exps = np.unravel_index(np.arange(G.phi), G.orders)
-    logs = np.unravel_index(G.cell[units], G.orders)
+    cell = np.zeros(G.modulus, dtype=np.int64)  # the inverse of G.units
+    cell[G.units] = np.arange(G.phi)
+    logs = np.unravel_index(cell[units], G.orders)
     return list(zip(G.orders, exps, logs))
 
 
 def dense_table(G):
     """(phi(q), q) table: row j holds chi_j at every residue (0 off units)."""
-    units = np.flatnonzero(G.cell >= 0)
+    units = np.flatnonzero(coprime(G.modulus))
     values = np.ones((G.phi, len(units)), dtype=complex)
     for d, e, x in _exponents_and_logs(G, units):
         values *= np.exp(2j * np.pi * (np.outer(e, x) % d) / d)
@@ -42,6 +45,11 @@ def unit_phases(G, units):
     for d, e, x in _exponents_and_logs(G, units):
         k += np.outer(e, x) % d * (lcm // d)
     return k % lcm
+
+
+def coprime(q):
+    """Mask of the residues 0 <= a < q with gcd(a, q) == 1."""
+    return np.gcd(np.arange(q), q) == 1
 
 
 def oracle_phi(q):

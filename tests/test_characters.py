@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 import pytest
-from dense_characters import dense_table, oracle_conductor, oracle_phi
+from dense_characters import (coprime, dense_table, oracle_conductor,
+                              oracle_phi)
 
 from bdhvar import ParameterError, character_group, variance
 from bdhvar.characters import CharacterGroup, _local_factors
@@ -25,14 +26,26 @@ def test_group_sizes():
         G = character_group(q)
         assert G.phi == oracle_phi(q)
         assert dense_table(G).shape == (G.phi, q)
-        assert int((G.cell >= 0).sum()) == oracle_phi(q)
+        assert np.unique(G.units).size == oracle_phi(q)
+
+
+def test_units_are_the_coprime_residues():
+    # the exponential map is a bijection from the grid onto the units
+    for q in range(1, 1201):
+        G = character_group(q)
+        assert np.array_equal(np.sort(G.units), np.flatnonzero(coprime(q))), q
+    # every unit lies in [0, q): int16 holds it up to q = 2^15
+    for q, dtype in ((2**15, np.int16), (2**15 + 1, np.int32)):
+        G = CharacterGroup(q)
+        assert G.units.dtype == dtype and G.units.size == G.phi, q
+        assert np.array_equal(np.sort(G.units), np.flatnonzero(coprime(q))), q
 
 
 def test_principal_character_first():
     for q in (1, 2, 7, 12, 45, 128):
         G = character_group(q)
         M = dense_table(G)
-        assert np.allclose(M[0, G.cell >= 0], 1.0)
+        assert np.allclose(M[0, G.units], 1.0)
         assert oracle_conductor(M[0]) == 1
         assert all(oracle_conductor(row) > 1 for row in M[1:])
 
@@ -52,7 +65,7 @@ def test_column_orthogonality():
         G = character_group(q)
         M = dense_table(G)
         gram = M.conj().T @ M
-        expect = G.phi * np.diag((G.cell >= 0).astype(float))
+        expect = G.phi * np.diag(coprime(q).astype(float))
         assert np.max(np.abs(gram - expect)) <= 1e-9 * max(q, 1)
 
 
@@ -60,9 +73,9 @@ def test_values_are_roots_of_unity():
     for q in (3, 8, 16, 21, 72, 100):
         G = character_group(q)
         M = dense_table(G)
-        mags = np.abs(M[:, G.cell >= 0])
+        mags = np.abs(M[:, G.units])
         assert np.max(np.abs(mags - 1.0)) <= 1e-12
-        assert np.all(M[:, G.cell < 0] == 0)
+        assert np.all(M[:, ~coprime(q)] == 0)
 
 
 def test_complete_multiplicativity():
@@ -170,8 +183,8 @@ def test_trivial_moduli():
     # mod 2 is one cyclic factor of order 1, not an empty grid
     assert CharacterGroup(2).orders == (1,)
     assert CharacterGroup(6).orders == (1, 2)
-    (order, table), = _local_factors(2, 1)
-    assert order == 1 and table.tolist() == [-1, 0]
+    orders, units = _local_factors(2, 1)
+    assert orders == (1,) and units.tolist() == [1]
 
 
 def test_modulus_bounds():

@@ -145,7 +145,7 @@ def test_gamma_parsing_and_snapping():
 
 def test_gamma_validation():
     for bad in ("5/4", 1.0, 0.0, -0.3, float("nan"), "abc",
-                Fraction(10**400, 3)):
+                Fraction(10**400, 3), 10**400, -10**400):
         with pytest.raises(ParameterError):
             ps_config(bad)
 

@@ -5,11 +5,12 @@ transform must reproduce `dense_table(G) @ S`, and `primitive_mask` must
 reproduce a value-level primitivity criterion.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from dense_characters import dense_table, unit_phases
+from dense_characters import coprime, dense_table, unit_phases
 
 from bdhvar import (WeightKind, build_weight_table, cli, factorize, variance,
                     variance_report)
@@ -32,21 +33,21 @@ def test_transform_matches_value_table():
 def test_transform_ignores_non_coprime_classes():
     G = CharacterGroup(36)
     sums = np.arange(36, dtype=float) + 1j
-    clean = np.where(G.cell >= 0, sums, 0.0)
+    clean = np.where(coprime(36), sums, 0.0)
     assert np.array_equal(G.transform(sums), G.transform(clean))
 
 
 def test_cell_dtype_boundary():
-    # every cell lies in [-1, phi): int16 holds it up to phi = 2^15
+    # every unit lies in [0, q): above q = 2^15 the table is int32
     rng = np.random.default_rng(65536)
-    for q, phi, dtype in ((65536, 2**15, np.int16), (65537, 2**16, np.int32)):
+    for q, phi in ((65536, 2**15), (65537, 2**16)):
         G = CharacterGroup(q)
-        assert G.phi == phi and G.cell.dtype == dtype, q
-        assert int(G.cell.max()) == G.phi - 1
+        assert G.phi == phi and G.units.dtype == np.int32, q
+        assert int(G.units.max()) == q - 1
         sums = rng.normal(size=q) + 1j * rng.normal(size=q)
         psi = G.transform(sums)
         assert G.check_transform(sums, psi) <= 1e-13, q
-        parseval = G.phi * math.fsum(np.abs(sums[G.cell >= 0]) ** 2)
+        parseval = G.phi * math.fsum(np.abs(sums[G.units]) ** 2)
         assert abs(math.fsum(np.abs(psi) ** 2) - parseval) <= 1e-12 * parseval
 
 
@@ -59,7 +60,7 @@ def test_primitive_mask_matches_conductors():
         want = np.ones(G.phi, dtype=bool)
         for p, _ in factorize(q):
             n = (1 + q // p * np.arange(p)) % q
-            phases = unit_phases(G, n[G.cell[n] >= 0])
+            phases = unit_phases(G, n[coprime(q)[n]])
             want &= np.any(phases != 0, axis=1)
         assert np.array_equal(G.primitive_mask(), want), q
         # the premise of the large sieve's moduli: q == 2 (mod 4) alone
@@ -76,18 +77,18 @@ def test_primitive_mask_is_cached_and_read_only():
 
 
 def test_prime_power_tables_are_shared_and_read_only():
-    # 45 and 63 both contain 3^2: the second group reuses its dlog table
+    # 45 and 63 both contain 3^2: the second group reuses its power list
     _local_factors.cache_clear()
     G, H = CharacterGroup(45), CharacterGroup(63)
     assert _local_factors.cache_info().hits == 1
-    (order, table), = _local_factors(3, 2)
-    assert _local_factors(3, 2)[0][1] is table
-    assert order == 6 and G.orders[0] == H.orders[0] == 6
+    orders, table = _local_factors(3, 2)
+    assert _local_factors(3, 2)[1] is table
+    assert orders == (6,) and G.orders[0] == H.orders[0] == 6
     with pytest.raises(ValueError):
         table[1] = 0
-    units = np.flatnonzero(G.cell >= 0)
-    assert np.array_equal(np.unravel_index(G.cell[units], G.orders)[0],
-                          table[units % 9])
+    # mod 9, every unit of a row of the 3^2 axis is that row's power
+    assert np.array_equal(G.units.reshape(G.orders) % 9,
+                          np.broadcast_to(table[:, None], G.orders))
 
 
 def _conjugated(G, sums):
@@ -113,10 +114,7 @@ def test_check_transform_catches_non_additive_dlog():
     G = CharacterGroup(45)
     sums = np.ones(45, dtype=complex)
     psi = G.transform(sums)
-    units = np.flatnonzero(G.cell >= 0)
-    logs = np.unravel_index(G.cell[units], G.orders)
-    shifted = tuple((x + 1) % d for x, d in zip(logs, G.orders))
-    G.cell[units] = np.ravel_multi_index(shifted, G.orders)  # not additive
+    G.units = G.units * 2 % 45  # scaled by the unit 2: not multiplicative
     assert G.check_transform(sums, psi) == math.inf
 
 
@@ -160,3 +158,19 @@ def test_class_sums_within_recursive_summation_bound():
                                 (terms.imag, got[r].imag)):
                 bound = max(k - 1, 0) * u * math.fsum(np.abs(part))
                 assert abs(value - math.fsum(part)) <= bound, (q, r)
+
+
+def test_group_layer_bytes_pinned():
+    # The transform of seeded random sums for every q <= 3000, then its
+    # primitive mask where q != 2 (mod 4): a change of table layout, factor
+    # order or FFT convention changes these bytes.
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for q in range(1, 3001):
+        G = CharacterGroup(q)
+        digest.update(G.transform(rng.standard_normal(q)
+                                  + 1j * rng.standard_normal(q)).tobytes())
+        if q % 4 != 2:
+            digest.update(G.primitive_mask().tobytes())
+    assert digest.hexdigest() == (
+        "2c192d9c43c5171a3749d55ff08f148f026f11a33e0c55f5e715ba34f61619a5")

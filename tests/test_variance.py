@@ -11,7 +11,7 @@ from bdhvar import (ExpWeightParams, ParameterError, WeightKind,
                     large_sieve_check, main_term_integral, phase_frac_array,
                     ps_array, ps_config, variance, variance_report)
 from bdhvar.arith import sieve_segment, sieving_primes
-from bdhvar.characters import MAX_MODULUS, character_group
+from bdhvar.characters import MAX_MODULUS, CharacterGroup, character_group
 
 
 def naive_variance(w, Q, main):
@@ -107,6 +107,24 @@ def test_routes_agree_on_random_tables():
         # README's "1e-15 level" route gap, and the spot-checked transform
         assert rep.cross_check_rel <= 1e-13
         assert rep.transform_gap <= 1e-13
+
+
+def test_routes_disagree_on_a_wrong_unit_table(monkeypatch):
+    # The direct route sieves its own units, so a group whose table lists
+    # one unit twice (and misses another) moves only the character route.
+    def bad_group(q):
+        if q != 13:
+            return character_group(q)
+        G = CharacterGroup(13)
+        G.units = G.units.copy()
+        G.units[-1] = G.units[1]
+        return G
+
+    monkeypatch.setattr(variance, "character_group", bad_group)
+    w = build_weight_table(2000.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=1e-3)
+    rep = variance_report(w, 30)
+    assert rep.cross_check_rel > 1e-3
+    assert not rep.cross_check_ok
 
 
 def test_progression_sums_partition_total():
