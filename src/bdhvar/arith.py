@@ -5,31 +5,30 @@ Provides:
     * primes_segment  -- the primes in one window [lo, hi]
     * sieving_primes  -- the primes <= sqrt(limit) that such windows need
     * lambda_support  -- the prime powers n of one window [lo, hi] and Lambda(n)
-    * factorize
+    * factorize       -- plain trial division of one integer, no sieve
 
-There is one sieve, the segmented Eratosthenes of `sieve_segment`: the
-primes up to sqrt(limit), found by the same sieve recursively, clear one
-window.  Every caller sieves only the window it reads and holds
-O(window + sqrt X), never a table over [0, X]: `ps-count` sieves each block
-as it counts it, and a weight or a prime sum on (mu X, X] sieves only that.
-`lambda_support` is the one Lambda loop: it returns Lambda on its support
-only (the window's primes, and the powers p^k >= p^2 of the base primes
-marked in the same mask), evaluating log p once per prime and reusing it
-for every power of p.  Weights are built from that support.
+There is one sieve, the segmented Eratosthenes of `sieve_segment`, and no
+prime table beside it: the primes up to sqrt(limit), found by the same
+sieve recursively, clear one window.  Every caller sieves only the window
+it reads and holds O(window + sqrt X), never a table over [0, X]:
+`ps-count` sieves each block as it counts it, and a weight or a prime sum
+on (mu X, X] sieves only that.  `lambda_support` is the one Lambda loop:
+it returns Lambda on its support only (the window's primes, and the powers
+p^k >= p^2 of the base primes marked in the same mask), evaluating log p
+once per prime and reusing it for every power of p.  Weights are built
+from that support.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from .errors import ParameterError, ResourceError
 
 DEFAULT_LIMIT_CAP = 10**9
-# The primes below 37: base primes for every window that ends below 37^2.
-_SMALL_PRIMES = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31],
-                         dtype=np.int64)
 
 
 def sieve_segment(lo: int, hi: int, base_primes: np.ndarray,
@@ -66,8 +65,8 @@ def sieving_primes(limit: int) -> np.ndarray:
         raise ResourceError(
             f"sieve limit {limit} exceeds cap {DEFAULT_LIMIT_CAP}")
     root = math.isqrt(limit)
-    if root < 37:
-        return _SMALL_PRIMES[_SMALL_PRIMES <= root]
+    if root < 2:
+        return np.empty(0, dtype=np.int64)
     return primes_segment(2, root)
 
 
@@ -104,40 +103,23 @@ def lambda_support(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     return n, lam
 
 
-# The primes factorize divides by: every prime up to the last one held,
-# grown on demand.
-_trial = _SMALL_PRIMES
-
-
-def _trial_primes(up_to: int) -> np.ndarray:
-    global _trial
-    if _trial[-1] < up_to:
-        _trial = primes_segment(2, 2 * up_to)
-    return _trial
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as [(p, e), ...] with p ascending.
-
-    Trial division by sieved primes up to sqrt(n); deterministic.
-    """
-    if n < 1:
+    """Prime factorization [(p, e), ...], p ascending, of an integer n >= 1
+    (TypeError for a non-integer): trial division by 2, then by the odd d
+    with d^2 <= m, the part of n not yet factored."""
+    m = operator.index(n)
+    if m < 1:
         raise ParameterError(f"factorize needs n >= 1, got {n}")
-    if n == 1:
-        return []
     out: list[tuple[int, int]] = []
-    m, root = n, math.isqrt(n)
-    trial = _trial_primes(root)  # may hold primes far beyond root: slice
-    for p in trial[:np.searchsorted(trial, root, side="right")].tolist():
-        if p * p > m:
-            break
-        if m % p == 0:
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
             e = 0
-            while m % p == 0:
-                m //= p
+            while m % d == 0:
+                m //= d
                 e += 1
-            out.append((p, e))
+            out.append((d, e))
+        d += 1 if d == 2 else 2
     if m > 1:
         out.append((m, 1))
     return out
-

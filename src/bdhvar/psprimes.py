@@ -63,9 +63,9 @@ class PSConfig:
 def ps_config(gamma) -> PSConfig:
     """Build a PSConfig from a float, int, Fraction or 'u/v' string.
 
-    Floats within 1e-15 of a rational with denominator <= 64 are snapped to
-    that rational so the exact path applies to the common grid values
-    (1/2, 3/4, 43/50, 9/10, 19/20, ...).
+    Floats within 1e-15 of a rational in (0, 1) with denominator <= 64
+    snap to it, so the exact path applies to the common grid values (1/2,
+    3/4, 43/50, 9/10, 19/20, ...); ones as near 0 or 1 stay floats.
     """
     exact: Fraction | None = None
     if isinstance(gamma, str):
@@ -80,7 +80,7 @@ def ps_config(gamma) -> PSConfig:
         if not math.isfinite(g):
             raise ParameterError(f"gamma must be finite, got {gamma}")
         cand = Fraction(g).limit_denominator(_SNAP_DENOMINATOR)
-        if abs(g - float(cand)) <= _SNAP_TOL:
+        if abs(g - float(cand)) <= _SNAP_TOL and 0 < cand < 1:
             exact = cand
     try:
         value = g if exact is None else float(exact)

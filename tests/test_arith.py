@@ -81,8 +81,8 @@ def test_sieve_segment_matches_table_slices():
     seg = 1 << 20
     flags = np.array(naive_flags(seg + 5000), dtype=bool)
     windows = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 50), (2, 2), (2, 1000),
-               # starting or ending at a prime square, and at 37^2, the
-               # first square past the built-in small primes
+               # starting or ending at a prime square, 31^2 and 37^2 among
+               # them
                (49, 100), (25, 49), (121, 169), (961, 1369), (1369, 2000),
                (997 ** 2, 997 ** 2 + 500), (991 ** 2 - 300, 991 ** 2),
                # at and across 2^20
@@ -106,6 +106,10 @@ def test_sieving_primes_cap_and_roots():
     assert sieving_primes(1368).tolist() == naive_sieve(36)
     assert sieving_primes(1369).tolist() == naive_sieve(37)
     assert sieving_primes(10**6).tolist() == naive_sieve(1000)
+    for limit in range(2, 2001):  # every recursion base, roots 1 to 44
+        assert sieving_primes(limit).tolist() == naive_sieve(
+            math.isqrt(limit)), limit
+    assert sieving_primes(3).dtype == np.int64
     with pytest.raises(ParameterError):
         sieving_primes(1)
     assert sieving_primes(DEFAULT_LIMIT_CAP)[-1] == 31607  # isqrt: 31622
@@ -194,16 +198,21 @@ def test_factorize_matches_naive():
     for _ in range(300):
         n = rng.randrange(1, 10**6)
         assert factorize(n) == naive_factor(n)
+    for n in range(1, 20_000):
+        assert factorize(n) == naive_factor(n), n
     assert factorize(1) == []
     assert factorize(2**31 - 1) == [(2147483647, 1)]
     with pytest.raises(ParameterError):
         factorize(0)
+    with pytest.raises(TypeError):  # not 4.0 // 2 == 2.0 as a factor
+        factorize(4.0)
 
 
 def test_factorize_lists_only_primes_up_to_its_root():
-    # 2^31 - 1 grows the shared trial primes to the 8,951 below
-    # 2 * sqrt(2^31 - 1).  Listing all of them on each later call peaked
-    # at 356 KB for n = 4999, whose root is 70.
+    # factorize keeps nothing between calls: after 2^31 - 1, a call for
+    # n = 4999 (root 70) still holds only a few ints.  A table of trial
+    # primes shared between calls, grown by 2^31 - 1, made it peak at
+    # 356 KB.
     assert factorize(2**31 - 1) == [(2**31 - 1, 1)]
     tracemalloc.start()
     try:

@@ -300,16 +300,31 @@ def test_ps_count_csv(tmp_path):
 def test_ps_count_blocks_do_not_change_counts(tmp_path, monkeypatch):
     # Sieve blocks of 997 n (each one window), windows of 1000 n in one
     # block, and windows of 7 n in blocks of 997, so seams fall everywhere.
-    argv = ["ps-count", "--x-grid", "1e4,1e5,1e6", "--gamma", "9/10"]
+    # The last makes one route call per 7 n, so it stops at X = 1e5.
+    grid = ["1e4", "1e5", "1e6"]
     whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
-    assert run_cli(argv + ["--out", str(whole)]) == 0
+    argv = ["ps-count", "--gamma", "9/10", "--x-grid"]
+    assert run_cli(argv + [",".join(grid), "--out", str(whole)]) == 0
     assert [r[2] for r in read_csv(whole)[1:]] == ["473", "3080", "19500"]
-    for block, window in ((997, psprimes._BLOCK), (cli._PS_COUNT_BLOCK, 1000),
-                          (997, 7)):
+    lines = whole.read_bytes().splitlines(keepends=True)
+    for block, window, n_rows in ((997, psprimes._BLOCK, 3),
+                                  (cli._PS_COUNT_BLOCK, 1000, 3),
+                                  (997, 7, 2)):
         monkeypatch.setattr(cli, "_PS_COUNT_BLOCK", block)
         monkeypatch.setattr(psprimes, "_BLOCK", window)
-        assert run_cli(argv + ["--out", str(blocked)]) == 0  # routes agree
-        assert blocked.read_bytes() == whole.read_bytes(), (block, window)
+        assert run_cli(argv + [",".join(grid[:n_rows]),  # routes agree
+                               "--out", str(blocked)]) == 0
+        assert blocked.read_bytes() == b"".join(lines[:n_rows + 1]), (
+            block, window)
+
+
+def test_ps_count_gamma_just_below_one(tmp_path):
+    # gamma = 1 - 2^-53 is inside (0, 1); below X = 1e3 every n is a
+    # member, so the count is pi(X), and the two routes agree (exit 0)
+    out = tmp_path / "ps.csv"
+    assert run_cli(["ps-count", "--x-grid", "100,1000",
+                    "--gamma", "0.9999999999999999", "--out", str(out)]) == 0
+    assert [r[2] for r in read_csv(out)[1:]] == ["25", "168"]
 
 
 def test_ps_count_asks_the_indicator_at_primes_only(tmp_path, monkeypatch):

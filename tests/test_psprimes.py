@@ -141,6 +141,10 @@ def test_gamma_parsing_and_snapping():
     assert ps_config(0.9).gamma_exact == Fraction(9, 10)
     assert ps_config(Fraction(2426, 2817)).gamma_exact == Fraction(2426, 2817)
     assert ps_config(0.837).gamma_exact is None
+    # within 1e-15 of 1 or 0, yet inside (0, 1): kept as floats, not
+    # snapped to an endpoint and refused
+    for g in (0.9999999999999999, 1e-300):
+        assert ps_config(g) == psprimes.PSConfig(gamma=g, gamma_exact=None)
 
 
 def test_gamma_validation():
