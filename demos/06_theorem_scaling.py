@@ -30,17 +30,17 @@ for X in XS:
 print("\nPS-restricted Lambda, normaliser X^g Q log X (g = 9/10)")
 print(f"{'X':>8} {'Q':>5} {'ratio':>8} {'alt-main ratio':>15}")
 for X in XS:
-    Q = math.floor(float(X) ** gamma.gamma / math.log(X) ** 2)
-    w = build_weight_table(float(X), MU, WeightKind.PS_PLAIN, ps=gamma)
+    Q = math.floor(float(X) ** float(gamma) / math.log(X) ** 2)
+    w = build_weight_table(float(X), MU, WeightKind.PS_PLAIN, gamma=gamma)
     rep = variance_report(w, Q)
     print(f"{X:>8} {Q:>5} {rep.ratios[0]:>8.3f} {rep.ratios[1]:>15.3f}")
 
 print("\nPS-restricted n^(1-g) Lambda(n) e(t n^c), normaliser X^(2-g) Q log X")
 print(f"{'X':>8} {'Q':>5} {'t':>10} {'ratio':>8}")
 for X in XS:
-    Q = math.floor(float(X) ** gamma.gamma / math.log(X) ** 2)
-    t = float(X) ** ((4 * gamma.gamma - 3 * C - 1) / 3 - DELTA)
+    Q = math.floor(float(X) ** float(gamma) / math.log(X) ** 2)
+    t = float(X) ** ((4 * float(gamma) - 3 * C - 1) / 3 - DELTA)
     w = build_weight_table(float(X), MU, WeightKind.PS_EXP, c=C, t=t,
-                           ps=gamma)
+                           gamma=gamma)
     rep = variance_report(w, Q)
     print(f"{X:>8} {Q:>5} {t:>10.3e} {rep.ratios[0]:>8.3f}")

@@ -11,12 +11,11 @@ oscillatory integrals, a large-sieve checker) is exposed directly.
 from .arith import factorize, lambda_support, primes_segment
 from .characters import CharacterGroup, character_group
 from .errors import ParameterError, ResourceError
-from .oscillatory import (ExpWeightParams, VaalerExpansion, main_term_integral,
+from .oscillatory import (VaalerExpansion, main_term_integral,
                           oscillatory_integral, phase_frac_array,
                           prime_exp_sum, saw_psi, vaaler_eval,
                           vaaler_expansion)
-from .psprimes import (PSConfig, ps_array, ps_config, ps_count_main_term,
-                       ps_indicator_at)
+from .psprimes import ps_array, ps_config, ps_count_main_term, ps_indicator_at
 from .variance import (LargeSieveResult, VarianceReport, WeightKind,
                        WeightTable, build_weight_table, custom_weight_table,
                        large_sieve_check, variance_report)

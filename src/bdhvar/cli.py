@@ -42,9 +42,9 @@ import numpy as np
 
 from .arith import sieve_segment, sieving_primes
 from .errors import ParameterError, ResourceError
-from .oscillatory import (ExpWeightParams, check_vaaler_size,
-                          main_term_integral, prime_exp_sum, saw_psi,
-                          vaaler_eval, vaaler_expansion)
+from .oscillatory import (check_vaaler_size, main_term_integral,
+                          prime_exp_sum, saw_psi, vaaler_eval,
+                          vaaler_expansion)
 from . import psprimes
 from .psprimes import (ps_array, ps_config, ps_count_main_term,
                        ps_indicator_at)
@@ -316,7 +316,7 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
                 "outside the admissible theorem range; rerun with "
                 "--allow-out-of-range to proceed")
         w = build_weight_table(X, cfg.mu, kind, c=cfg.c, t=t,
-                               ps=ps_config(cfg.gamma))
+                               gamma=ps_config(cfg.gamma))
         rep = variance_report(w, Q)
         if not rep.cross_check_ok:
             _log(f"cross-check FAILED at X={X:g}: rel={rep.cross_check_rel:.3e}"
@@ -332,7 +332,7 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
 
 
 def cmd_ps_count(cfg: ExperimentConfig) -> int:
-    pscfg = ps_config(cfg.gamma)
+    gamma = ps_config(cfg.gamma)
     # the cap is checked here, before any block is counted
     base = sieving_primes(int(max(cfg.x_grid)))
 
@@ -352,17 +352,17 @@ def cmd_ps_count(cfg: ExperimentConfig) -> int:
             for a in range(lo, hi + 1, psprimes._BLOCK):
                 b = min(hi, a + psprimes._BLOCK - 1)
                 window = is_prime[a - lo:b - lo + 1]
-                members = ps_array(a, b, pscfg)
+                members = ps_array(a, b, gamma)
                 count += int(np.count_nonzero(window[members - a]))
                 primes = np.flatnonzero(window) + a
                 count_ind += int(np.count_nonzero(
-                    ps_indicator_at(primes, pscfg)))
+                    ps_indicator_at(primes, gamma)))
         if count != count_ind:
             _log(f"PS count mismatch at X={X:g}: generator {count}, "
                  f"indicator {count_ind}")
-        main = ps_count_main_term(X, pscfg)
+        main = ps_count_main_term(X, gamma)
         lx = math.log(X)
-        err = abs(count - main) * lx * lx / float(X) ** pscfg.gamma
+        err = abs(count - main) * lx * lx / float(X) ** float(gamma)
         return {"X": float(X), "gamma": cfg.gamma, "count": count,
                 "main_term": main, "normalized_error": err}, count == count_ind
 
@@ -380,9 +380,8 @@ def cmd_lemma3(cfg: ExperimentConfig) -> int:
         except ArithmeticError as exc:
             raise ParameterError(f"no t cap at X = {X:g}: {exc}") from exc
         t = t_cap * 10.0 ** (-(cfg.t_count - 1 - j) / 2.0)
-        params = ExpWeightParams(X=X, mu=cfg.mu, c=cfg.c, t=t)
-        s = prime_exp_sum(params)
-        integral = main_term_integral(params)
+        s = prime_exp_sum(X, cfg.mu, c=cfg.c, t=t)
+        integral = main_term_integral(X, cfg.mu, c=cfg.c, t=t)
         diff = abs(s - integral)
         return {
             "X": float(X), "c": cfg.c, "t": t, "abs_diff": diff,

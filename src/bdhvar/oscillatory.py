@@ -29,6 +29,10 @@ sum.  Against the closed form (1/c) z^(-1/c) Gamma(1/c, z a^c, z b^c),
 z = -2*pi*i*t, the relative error stays below 1e-11, except on a short
 range far out (see `oscillatory_integral`).
 
+`main_term_integral` and `prime_exp_sum` take the twist e(t n^c) on
+(mu X, X] as plain numbers and refuse, with ParameterError, any outside
+X >= 2, 0 < mu < 1, 1 < c < 3 with c != 2, t finite.
+
 mpmath is imported on first use, by the phase tier that needs it.
 """
 
@@ -66,31 +70,6 @@ _SERIES_TOL = 2.0 ** -60
 VAALER_MAX_BYTES = 2**30
 # vaaler_eval builds its phase table this many x points at a time.
 _VAALER_ROWS = 256
-
-
-@dataclass(frozen=True)
-class ExpWeightParams:
-    """Parameters (X, mu, c, t) of the weight Lambda(n) e(t n^c).
-
-    Constraints: X >= 2, 0 < mu < 1, 1 < c < 3 with c != 2, t finite.
-    """
-
-    X: float
-    mu: float
-    c: float
-    t: float
-
-    def __post_init__(self):
-        if not (self.X >= 2 and math.isfinite(self.X)):
-            raise ParameterError(f"X must be finite and >= 2, got {self.X}")
-        if not 0.0 < self.mu < 1.0:
-            raise ParameterError(f"mu must be in (0, 1), got {self.mu}")
-        if not 1.0 < self.c < 3.0:
-            raise ParameterError(f"c must be in (1, 3), got {self.c}")
-        if self.c == 2.0:
-            raise ParameterError("c = 2 is excluded (quadratic phase)")
-        if not math.isfinite(self.t):
-            raise ParameterError(f"t must be finite, got {self.t}")
 
 
 def saw_psi(x):
@@ -312,24 +291,39 @@ def _panel_integral(a: float, b: float, t: float, c: float) -> complex:
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 
-def main_term_integral(params: ExpWeightParams) -> complex:
+def _check_twist(X: float, mu: float, c: float, t: float) -> None:
+    """Refuse a twist e(t n^c) on (mu X, X] outside X >= 2 (finite),
+    0 < mu < 1, 1 < c < 3 with c != 2, t finite."""
+    if not (X >= 2 and math.isfinite(X)):
+        raise ParameterError(f"X must be finite and >= 2, got {X}")
+    if not 0.0 < mu < 1.0:
+        raise ParameterError(f"mu must be in (0, 1), got {mu}")
+    if not 1.0 < c < 3.0:
+        raise ParameterError(f"c must be in (1, 3), got {c}")
+    if c == 2.0:
+        raise ParameterError("c = 2 is excluded (quadratic phase)")
+    if not math.isfinite(t):
+        raise ParameterError(f"t must be finite, got {t}")
+
+
+def main_term_integral(X: float, mu: float, *, c: float, t: float) -> complex:
     """integral of e(t y^c) dy over (mu X, X]; equals (1-mu) X when t = 0."""
-    if params.t == 0.0:
-        return complex((1.0 - params.mu) * params.X)
-    return oscillatory_integral(params.mu * params.X, params.X,
-                                params.t, params.c)
+    _check_twist(X, mu, c, t)
+    if t == 0.0:
+        return complex((1.0 - mu) * X)
+    return oscillatory_integral(mu * X, X, t, c)
 
 
-def prime_exp_sum(params: ExpWeightParams) -> complex:
+def prime_exp_sum(X: float, mu: float, *, c: float, t: float) -> complex:
     """sum of e(t p^c) log p over primes mu X < p <= X, ascending p.
 
     Only that window is sieved.  Accumulation is exactly rounded via
     math.fsum.
     """
-    ps = primes_segment(math.floor(params.mu * params.X) + 1,
-                        math.floor(params.X))
+    _check_twist(X, mu, c, t)
+    ps = primes_segment(math.floor(mu * X) + 1, math.floor(X))
     if ps.size == 0:
         return 0j
-    fr = phase_frac_array(params.t, ps, params.c)
+    fr = phase_frac_array(t, ps, c)
     vals = np.exp(2j * np.pi * fr) * np.log(ps.astype(np.float64))
     return complex(math.fsum(vals.real), math.fsum(vals.imag))

@@ -22,13 +22,14 @@ of an integer (_GUARD_EPSILON, widened by the float64 error bound) with
 `_pow_floor(m, e)`: floor(m^e) and whether m^e is an integer, exactly by an
 integer root for rational gamma = u/v, else by mpmath at _MP_DIGITS digits.
 The generator takes the floor, the indicator floor + (not exact).  No
-floating-point logs decide a boundary.
+floating-point logs decide a boundary.  Every route takes gamma itself, as
+`ps_config` returns it: a Fraction u/v when gamma is rational (the exact
+path), else a float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,25 +48,15 @@ _GUARD_EPSILON = 1e-9
 _MP_DIGITS = 50
 
 
-@dataclass(frozen=True)
-class PSConfig:
-    """The exponent gamma of a Piatetski-Shapiro index set.
-
-    Attributes:
-        gamma: float value of the exponent, 0 < gamma < 1.
-        gamma_exact: exact Fraction when gamma is rational, else None.
-    """
-
-    gamma: float
-    gamma_exact: Fraction | None
-
-
-def ps_config(gamma) -> PSConfig:
-    """Build a PSConfig from a float, int, Fraction or 'u/v' string.
+def ps_config(gamma) -> Fraction | float:
+    """The exponent gamma, 0 < gamma < 1, from a float, int, Fraction or
+    'u/v' string: the exact Fraction when gamma is rational, else the float.
 
     Floats within 1e-15 of a rational in (0, 1) with denominator <= 64
     snap to it, so the exact path applies to the common grid values (1/2,
-    3/4, 43/50, 9/10, 19/20, ...); ones as near 0 or 1 stay floats.
+    3/4, 43/50, 9/10, 19/20, ...); ones as near 0 or 1 stay floats.  The
+    routes below take this value: a Fraction decides their boundaries
+    exactly, a float by mpmath.
     """
     exact: Fraction | None = None
     if isinstance(gamma, str):
@@ -89,7 +80,7 @@ def ps_config(gamma) -> PSConfig:
     if not 0.0 < value < 1.0:
         raise ParameterError(
             f"gamma must lie strictly inside (0, 1), got {gamma}")
-    return PSConfig(gamma=value, gamma_exact=exact)
+    return value if exact is None else exact
 
 
 def _iroot(m: int, k: int) -> tuple[int, bool]:
@@ -143,56 +134,62 @@ def _band(x: np.ndarray, m: np.ndarray, exponent: float) -> np.ndarray:
     return np.maximum(_GUARD_EPSILON, cond, out=cond)
 
 
-def _floor_roots(a: int, b: int, cfg: PSConfig) -> np.ndarray:
-    """[k^(1/gamma)] for k = a..b: float64 bulk, exact re-decision in the band."""
+def _floor_roots(a: int, b: int, gamma: Fraction | float) -> np.ndarray:
+    """[k^(1/gamma)] for k = a..b: float64 bulk, exact re-decision in the
+    band."""
     ks = np.arange(a, b + 1, dtype=np.int64)
-    inv = 1.0 / cfg.gamma
+    inv = 1.0 / float(gamma)
     roots = ks.astype(np.float64) ** inv
     floors = np.floor(roots).astype(np.int64)
     band = _band(roots, ks, inv)
     frac = np.subtract(roots, floors, out=roots)  # roots is not read again
-    exponent = inv if cfg.gamma_exact is None else 1 / cfg.gamma_exact
+    exponent = 1 / gamma  # a Fraction stays exact, a float is inv
     for i in np.flatnonzero((frac <= band) | (frac >= 1.0 - band)).tolist():
         floors[i] = _pow_floor(int(ks[i]), exponent)[0]
     return floors
 
 
-def _ceil_pows(ns: np.ndarray, cfg: PSConfig) -> np.ndarray:
+def _ceil_pows(ns: np.ndarray, gamma: Fraction | float) -> np.ndarray:
     """ceil(n^gamma) for each int64 n >= 1 of ns: float64 bulk, exact
     re-decision in the band."""
-    pows = ns.astype(np.float64) ** cfg.gamma
+    g = float(gamma)
+    pows = ns.astype(np.float64) ** g
     ceils = np.ceil(pows).astype(np.int64)
-    band = _band(pows, ns, cfg.gamma)
-    exponent = cfg.gamma if cfg.gamma_exact is None else cfg.gamma_exact
+    band = _band(pows, ns, g)
     for i in np.flatnonzero(np.abs(pows - np.rint(pows)) <= band).tolist():
-        floor, exact = _pow_floor(int(ns[i]), exponent)
+        floor, exact = _pow_floor(int(ns[i]), gamma)
         ceils[i] = floor + (not exact)
     return ceils
 
 
-def ps_array(lo: int, hi: int, cfg: PSConfig) -> np.ndarray:
+def ps_array(lo: int, hi: int, gamma: Fraction | float) -> np.ndarray:
     """All PS indices in [lo, hi], ascending, as an int64 array.
 
     Generator route: walks k in blocks of _BLOCK and emits [k^(1/gamma)].
     The bulk is done in vectorised float64; only k whose root lands inside
-    the guard band are re-decided, one by one, by `_pow_floor`.
+    the guard band are re-decided, one by one, by `_pow_floor`.  A gamma so
+    small that the last k's root leaves int64 raises ResourceError.
     """
     if lo < 1 or hi < lo:
         raise ParameterError(f"bad PS range [{lo}, {hi}]")
+    g = float(gamma)
     # n >= lo needs k >= lo^gamma; pad both ends to absorb float slop.
-    k_lo = max(1, math.floor(float(lo) ** cfg.gamma) - 2)
-    k_hi = math.ceil(float(hi + 1) ** cfg.gamma) + 2
+    k_lo = max(1, math.floor(float(lo) ** g) - 2)
+    k_hi = math.ceil(float(hi + 1) ** g) + 2
+    if math.log2(k_hi) / g >= 63:
+        raise ResourceError(f"gamma = {gamma} is too small: k^(1/gamma) "
+                            f"leaves int64 by k = {k_hi}")
     out = np.empty(k_hi - k_lo + 1, dtype=np.int64)  # one n per k at most
     m = 0
     for k0 in range(k_lo, k_hi + 1, _BLOCK):
-        floors = _floor_roots(k0, min(k_hi, k0 + _BLOCK - 1), cfg)
+        floors = _floor_roots(k0, min(k_hi, k0 + _BLOCK - 1), gamma)
         floors = floors[(floors >= lo) & (floors <= hi)]
         out[m:m + floors.size] = floors
         m += floors.size
     return out[:m]
 
 
-def ps_indicator_at(ns, cfg: PSConfig) -> np.ndarray:
+def ps_indicator_at(ns, gamma: Fraction | float) -> np.ndarray:
     """Boolean membership of each n of the 1-d integer array ns, all >= 1.
 
     Independent of ps_array, and the cross-check route against it: the
@@ -205,13 +202,13 @@ def ps_indicator_at(ns, cfg: PSConfig) -> np.ndarray:
     out = np.empty(ns.size, dtype=bool)
     for i in range(0, ns.size, _BLOCK):
         chunk = ns[i:i + _BLOCK]
-        np.equal(_ceil_pows(chunk + 1, cfg) - _ceil_pows(chunk, cfg), 1,
+        np.equal(_ceil_pows(chunk + 1, gamma) - _ceil_pows(chunk, gamma), 1,
                  out=out[i:i + chunk.size])
     return out
 
 
-def ps_count_main_term(X: float, cfg: PSConfig) -> float:
+def ps_count_main_term(X: float, gamma: Fraction | float) -> float:
     """Leading term X^gamma / log X of the PS prime count up to X."""
     if X <= 1:
         raise ParameterError(f"main term needs X > 1, got {X}")
-    return float(X) ** cfg.gamma / math.log(X)
+    return float(X) ** float(gamma) / math.log(X)

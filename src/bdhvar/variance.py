@@ -20,7 +20,7 @@ This module is the one place that knows the weight kinds.
 and the power `scale` = X^e of the theorem's bound X^e * Q * log X, which
 reports divide V(Q) by, one result per reading; `theorem_range_warnings`
 holds a row to its theorem's Q-range and t-cap; `TWISTED_KINDS` names the
-kinds that read c and t.
+kinds that read c and t (the PS kinds read gamma, as `ps_config` gives it).
 
 The identity is Parseval over the unit group and holds for arbitrary
 complex weights, so route agreement is a strong end-to-end check; reports
@@ -62,14 +62,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .arith import lambda_support, primes_segment
 from .characters import MAX_MODULUS, character_group
 from .errors import ParameterError
-from .oscillatory import ExpWeightParams, main_term_integral, phase_frac_array
-from .psprimes import PSConfig, ps_indicator_at
+from .oscillatory import main_term_integral, phase_frac_array
+from .psprimes import ps_indicator_at
 
 CROSS_CHECK_TOL = 1e-8
 
@@ -136,7 +137,7 @@ def _range_bounds(X: float, mu: float) -> tuple[int, int]:
 
 def build_weight_table(X: float, mu: float, kind: WeightKind, *,
                        c: float | None = None, t: float | None = None,
-                       ps: PSConfig | None = None) -> WeightTable:
+                       gamma: Fraction | float | None = None) -> WeightTable:
     """Build a built-in weight kind on (mu X, X], with its main-term
     readings and normaliser power X^e (e = 1, gamma for PS_PLAIN, 2 - gamma
     for PS_EXP).
@@ -144,31 +145,33 @@ def build_weight_table(X: float, mu: float, kind: WeightKind, *,
     Only that window is sieved, from the primes <= sqrt(X), and each kind
     is evaluated on its support only: the prime powers (primes for
     LOGP_ONLY), for the PS kinds those that `ps_indicator_at` keeps.  The
-    twisted kinds read c and t, the PS kinds ps; unused ones are ignored.
+    twisted kinds read c and t, the PS kinds gamma (as `ps_config` returns
+    it); unused ones are ignored.
     """
     n0, n1 = _range_bounds(X, mu)
     X = float(X)
-    exp = None
-    if kind in TWISTED_KINDS:
+    twisted = kind in TWISTED_KINDS
+    if twisted:
         if c is None or t is None:
             raise ParameterError(f"{kind} needs both c and t")
-        exp = ExpWeightParams(X=X, mu=float(mu), c=float(c), t=float(t))
+        c, t = float(c), float(t)
+        integral = main_term_integral(X, float(mu), c=c, t=t)  # checks them
     if kind in (WeightKind.PS_PLAIN, WeightKind.PS_EXP):
-        if ps is None:
-            raise ParameterError(f"{kind} needs ps (a PSConfig)")
-        g = ps.gamma
+        if gamma is None:
+            raise ParameterError(f"{kind} needs gamma")
+        g = float(gamma)
     else:
-        ps = None  # only the PS kinds read it
+        gamma = None  # only the PS kinds read it
 
     if kind in (WeightKind.RAW_LAMBDA, WeightKind.LOGP_ONLY):
         mains, scale = ((1.0 - mu) * X,), X
     elif kind is WeightKind.CLASSIC_EXP:
-        mains, scale = (main_term_integral(exp),), X
+        mains, scale = (integral,), X
     elif kind is WeightKind.PS_PLAIN:
         scale = X ** g
         mains = (scale - (mu * X) ** g, scale)
     elif kind is WeightKind.PS_EXP:
-        mains, scale = (g * main_term_integral(exp),), X ** (2.0 - g)
+        mains, scale = (g * integral,), X ** (2.0 - g)
     else:
         raise ParameterError(f"no built-in weight kind {kind!r}; "
                              "custom tables come from custom_weight_table")
@@ -178,13 +181,13 @@ def build_weight_table(X: float, mu: float, kind: WeightKind, *,
         vals = np.log(n.astype(np.float64))
     else:
         n, vals = lambda_support(n0, n1)
-    if ps is not None:
-        keep = ps_indicator_at(n, ps)
+    if gamma is not None:
+        keep = ps_indicator_at(n, gamma)
         n, vals = n[keep], vals[keep]
     if kind is WeightKind.PS_EXP:
         vals = vals * n.astype(np.float64) ** (1.0 - g)
-    if exp is not None and exp.t != 0.0:
-        vals = vals * np.exp(2j * np.pi * phase_frac_array(exp.t, n, exp.c))
+    if twisted and t != 0.0:
+        vals = vals * np.exp(2j * np.pi * phase_frac_array(t, n, c))
     return WeightTable(X=X, n=n, values=vals.astype(np.complex128, copy=False),
                        mains=tuple(complex(m) for m in mains), scale=scale)
 

@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 import bdhvar
-from bdhvar import (ExpWeightParams, WeightKind, build_weight_table,
-                    custom_weight_table,
+from bdhvar import (WeightKind, build_weight_table, custom_weight_table,
                     large_sieve_check, main_term_integral,
                     prime_exp_sum, ps_array, ps_config, ps_count_main_term,
                     ps_indicator_at, saw_psi, vaaler_eval, vaaler_expansion,
@@ -108,7 +107,7 @@ def test_acceptance_2_bucketing_matches_naive_rescan():
     w2 = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5,
                             t=3e-4)
     cases.append(("phase", w2, complex(main_term_integral(
-        ExpWeightParams(X=1500.0, mu=0.5, c=1.5, t=3e-4)))))
+        1500.0, 0.5, c=1.5, t=3e-4))))
     m = 2000 - 600
     w3 = custom_weight_table(2000.0, 0.3,
                              rng.normal(size=m) + 1j * rng.normal(size=m),
@@ -167,7 +166,7 @@ def test_acceptance_4_ps_prime_count_main_term(is_prime_1e6):
         count = int(is_prime_1e6[members].sum())
         main = ps_count_main_term(float(X), cfg)
         lx = math.log(X)
-        err = abs(count - main) * lx * lx / float(X) ** cfg.gamma
+        err = abs(count - main) * lx * lx / float(X) ** float(cfg)
         errs.append(err)
         if err > 2.0:
             failures.append(f"X={X:g}: normalized error {err:.3f} > 2")
@@ -189,9 +188,8 @@ def test_acceptance_5_exp_sum_tracks_integral():
     worst = 0.0
     for j in range(5):
         t = cap * 10.0 ** (-(4 - j) / 2.0)
-        params = ExpWeightParams(X=float(X), mu=mu, c=c, t=t)
-        s = prime_exp_sum(params)
-        integral = main_term_integral(params)
+        s = prime_exp_sum(float(X), mu, c=c, t=t)
+        integral = main_term_integral(float(X), mu, c=c, t=t)
         scaled = abs(s - integral) / X
         worst = max(worst, scaled)
         if scaled > 0.02:
@@ -292,13 +290,13 @@ def test_acceptance_9_ps_weight_variance_trends():
     failures = []
     gamma = Fraction(9, 10)
     cfg = ps_config(gamma)
-    g = cfg.gamma
+    g = float(cfg)
     c, mu, delta = 1.5, 0.5, 0.05
     xs = (10**4, 3 * 10**4, 10**5)
     plain, plain_alt, twisted = [], [], []
     for X in xs:
         Q = math.floor(float(X) ** g / math.log(X) ** 2)
-        w = build_weight_table(float(X), mu, WeightKind.PS_PLAIN, ps=cfg)
+        w = build_weight_table(float(X), mu, WeightKind.PS_PLAIN, gamma=cfg)
         rep = variance_report(w, Q)
         if not rep.cross_check_ok:
             failures.append(f"PS_PLAIN X={X:g}: cross-check "
@@ -310,7 +308,7 @@ def test_acceptance_9_ps_weight_variance_trends():
 
         t = float(X) ** ((4.0 * g - 3.0 * c - 1.0) / 3.0 - delta)
         w2 = build_weight_table(float(X), mu, WeightKind.PS_EXP, c=c, t=t,
-                                ps=cfg)
+                                gamma=cfg)
         rep2 = variance_report(w2, Q)
         if not rep2.cross_check_ok:
             failures.append(f"PS_EXP X={X:g}: cross-check "

@@ -18,6 +18,7 @@ import textwrap
 import time
 import types
 import typing
+import warnings
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -327,6 +328,19 @@ def test_ps_count_gamma_just_below_one(tmp_path):
     assert [r[2] for r in read_csv(out)[1:]] == ["25", "168"]
 
 
+@pytest.mark.parametrize("gamma", ["0.001", "1e-300", "0.03", "1/64"])
+def test_ps_count_tiny_gamma_exits_3_without_warnings(gamma, capsys):
+    # k^(1/gamma) leaves int64 (for 0.001 and 1e-300 float64 too) at the
+    # generator's last k, 4: refused, naming gamma, before the float pass
+    # can overflow or cast out of range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["ps-count", "--x-grid", "100,1000",
+                        "--gamma", gamma]) == 3
+    err = capsys.readouterr().err
+    assert f"resource error: gamma = {gamma} is too small" in err
+
+
 def test_ps_count_asks_the_indicator_at_primes_only(tmp_path, monkeypatch):
     # The indicator route is asked at every prime <= X and at nothing else.
     asked = []
@@ -366,6 +380,16 @@ def test_sieve_cap_exits_3_before_any_row(command, tmp_path, capsys):
 
 def test_ps_count_requires_x_at_least_3():
     assert run_cli(["ps-count", "--x-grid", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["variance", "--x-grid", "1e4", "--kind", "classic_exp", "--mu", "0"],
+     "mu must be in (0, 1), got 0.0"),
+    (["lemma3", "--x-grid", "1e4", "--c", "2"],
+     "c = 2 is excluded (quadratic phase)")])
+def test_twist_refusals_exit_2(argv, message, capsys):
+    assert run_cli(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_lemma3_rows(tmp_path):

@@ -72,7 +72,7 @@ def test_weight_tables_hold_only_their_support_at_1e7():
     cases = [(WeightKind.CLASSIC_EXP, dict(c=1.5, t=X ** -0.8333),
               30 * MB, 11 * MB),
              (WeightKind.PS_EXP,
-              dict(c=1.5, t=X ** -0.6333, ps=ps_config("9/10")),
+              dict(c=1.5, t=X ** -0.6333, gamma=ps_config("9/10")),
               18 * MB, 2 * MB)]
     for kind, params, peak_cap, held_cap in cases:
         w, peak = traced_peak(lambda: build_weight_table(X, 0.5, kind,

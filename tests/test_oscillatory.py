@@ -8,10 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from bdhvar import (ExpWeightParams, ParameterError, main_term_integral,
-                    oscillatory, oscillatory_integral, phase_frac_array,
-                    prime_exp_sum, primes_segment, saw_psi, vaaler_eval,
-                    vaaler_expansion)
+from bdhvar import (ParameterError, main_term_integral, oscillatory,
+                    oscillatory_integral, phase_frac_array, prime_exp_sum,
+                    primes_segment, saw_psi, vaaler_eval, vaaler_expansion)
 from bdhvar.errors import ResourceError
 
 
@@ -178,8 +177,7 @@ def test_vaaler_degree_validation():
 
 def test_integral_zero_frequency_exact():
     assert oscillatory_integral(3.0, 10.0, 0.0, 1.5) == 7.0 + 0j
-    p = ExpWeightParams(X=1000.0, mu=0.25, c=1.5, t=0.0)
-    assert main_term_integral(p) == 750.0 + 0j
+    assert main_term_integral(1000.0, 0.25, c=1.5, t=0.0) == 750.0 + 0j
 
 
 def test_integral_against_mpmath():
@@ -217,16 +215,18 @@ def test_integral_validation():
 
 
 def test_params_validation():
-    with pytest.raises(ParameterError):
-        ExpWeightParams(X=1.0, mu=0.5, c=1.5, t=0.0)
-    with pytest.raises(ParameterError):
-        ExpWeightParams(X=100.0, mu=0.0, c=1.5, t=0.0)
-    with pytest.raises(ParameterError):
-        ExpWeightParams(X=100.0, mu=0.5, c=2.0, t=0.0)
-    with pytest.raises(ParameterError):
-        ExpWeightParams(X=100.0, mu=0.5, c=3.0, t=0.0)
-    with pytest.raises(ParameterError):
-        ExpWeightParams(X=100.0, mu=0.5, c=1.5, t=float("nan"))
+    # both twist functions refuse the same (X, mu, c, t), with one message
+    # each, before any sieve or integral
+    for X, mu, c, t, message in (
+            (1.0, 0.5, 1.5, 0.0, "X must be finite and >= 2, got 1.0"),
+            (100.0, 0.0, 1.5, 0.0, "mu must be in (0, 1), got 0.0"),
+            (100.0, 0.5, 2.0, 0.0, "c = 2 is excluded (quadratic phase)"),
+            (100.0, 0.5, 3.0, 0.0, "c must be in (1, 3), got 3.0"),
+            (100.0, 0.5, 1.5, float("nan"), "t must be finite, got nan")):
+        for fn in (main_term_integral, prime_exp_sum):
+            with pytest.raises(ParameterError) as info:
+                fn(X, mu, c=c, t=t)
+            assert str(info.value) == message, (fn, X, mu, c, t)
 
 
 # ---------------------------------------------------------------------------
@@ -235,27 +235,24 @@ def test_params_validation():
 
 def test_prime_exp_sum_zero_frequency_is_theta_difference():
     primes = primes_segment(2, 10**4)
-    p = ExpWeightParams(X=10**4, mu=0.5, c=1.5, t=0.0)
-    got = prime_exp_sum(p)
+    got = prime_exp_sum(10**4, 0.5, c=1.5, t=0.0)
     ps = primes[(primes > 5000) & (primes <= 10**4)]
     assert got.imag == 0.0
     assert got.real == pytest.approx(math.fsum(np.log(ps)), rel=1e-14)
 
 
 def test_prime_exp_sum_matches_elementwise_route():
-    p = ExpWeightParams(X=2000.0, mu=0.25, c=1.5, t=3e-4)
-    got = prime_exp_sum(p)
+    got = prime_exp_sum(2000.0, 0.25, c=1.5, t=3e-4)
     acc = 0j
     for q in primes_segment(2, 2000).tolist():
         if 500 < q <= 2000:
             acc += math.log(q) * cmath.exp(
-                2j * math.pi * float(phase_frac_array(p.t, q, p.c)))
+                2j * math.pi * float(phase_frac_array(3e-4, q, 1.5)))
     assert abs(got - acc) <= 1e-9
 
 
 def test_prime_exp_sum_empty_window():
-    p = ExpWeightParams(X=4.0, mu=0.8, c=1.5, t=0.1)
-    assert prime_exp_sum(p) == 0j
+    assert prime_exp_sum(4.0, 0.8, c=1.5, t=0.1) == 0j
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +272,7 @@ def gamma_oracle(a, b, t, c):
 def lemma3_params(X, j=4, t_count=5, c=1.5, delta=0.05, mu=0.5):
     # the t of cmd_lemma3's row j: log-spaced up to the cap X^(1 - c - delta)
     t = X ** (1.0 - c - delta) * 10.0 ** (-(t_count - 1 - j) / 2.0)
-    return ExpWeightParams(X=X, mu=mu, c=c, t=t)
+    return dict(X=X, mu=mu, c=c, t=t)
 
 
 # The main terms of the benchmark's rows: classic_exp at the t-rule exponent
@@ -283,22 +280,23 @@ def lemma3_params(X, j=4, t_count=5, c=1.5, delta=0.05, mu=0.5):
 # every lemma3 row at X = 1e6; then [10, 2000] at t = 1, c = 2.9, which is
 # 3.7e9 periods.  Each also with t negated.
 ORACLE_PARAMS = (
-    [ExpWeightParams(X=X, mu=0.5, c=1.5, t=X ** (-0.83333334 - 0.05))
+    [dict(X=X, mu=0.5, c=1.5, t=X ** (-0.83333334 - 0.05))
      for X in (1e4, 3e4, 1e5)]
-    + [ExpWeightParams(X=3e5, mu=0.5, c=1.5, t=3e5 ** (-0.63333334 - 0.05))]
+    + [dict(X=3e5, mu=0.5, c=1.5, t=3e5 ** (-0.63333334 - 0.05))]
     + [lemma3_params(1e6, j) for j in range(5)]
-    + [ExpWeightParams(X=2000.0, mu=0.005, c=2.9, t=1.0)])
+    + [dict(X=2000.0, mu=0.005, c=2.9, t=1.0)])
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("p", ORACLE_PARAMS,
-                         ids=[f"X{p.X:g}-t{p.t:.3g}" for p in ORACLE_PARAMS])
+                         ids=[f"X{p['X']:g}-t{p['t']:.3g}"
+                              for p in ORACLE_PARAMS])
 def test_main_term_matches_incomplete_gamma(p, sign):
-    p = ExpWeightParams(X=p.X, mu=p.mu, c=p.c, t=sign * p.t)
-    want = gamma_oracle(p.mu * p.X, p.X, p.t, p.c)
-    got = main_term_integral(p)
+    X, mu, c, t = p["X"], p["mu"], p["c"], sign * p["t"]
+    want = gamma_oracle(mu * X, X, t, c)
+    got = main_term_integral(X, mu, c=c, t=t)
     assert abs(got - want) <= 1e-11 * abs(want)
-    assert oscillatory_integral(p.mu * p.X, p.X, p.t, p.c) == got
+    assert oscillatory_integral(mu * X, X, t, c) == got
 
 
 def test_integral_at_1e8_is_fast_and_exact():
@@ -306,9 +304,9 @@ def test_integral_at_1e8_is_fast_and_exact():
     # and were off by 2.5e-4
     p = lemma3_params(1e8)
     start = time.perf_counter()
-    got = main_term_integral(p)
+    got = main_term_integral(**p)
     elapsed = time.perf_counter() - start
-    want = gamma_oracle(p.mu * p.X, p.X, p.t, p.c)
+    want = gamma_oracle(p["mu"] * p["X"], p["X"], p["t"], p["c"])
     assert abs(got - want) <= 1e-11 * abs(want)
     assert elapsed < 0.1
 

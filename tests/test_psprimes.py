@@ -99,7 +99,7 @@ def test_unsnapped_float_gamma_matches_mpmath_oracle():
     squares = [1] + [m * m - 1 for m in range(2, 45)]
     for gamma, hi, known in ((0.837, 1500, None), (0.5 + 1e-13, 2000, squares)):
         cfg = ps_config(gamma)
-        assert cfg.gamma_exact is None
+        assert type(cfg) is float
         expect = oracle_members_float(1, hi, gamma)
         if known is not None:
             assert expect == known
@@ -131,20 +131,36 @@ def test_member_count_tracks_power_law():
         cfg = ps_config(gamma)
         for X in (10, 1000, 50000):
             count = len(ps_array(1, X, cfg))
-            y = float(X + 1) ** cfg.gamma - 1.0
+            y = float(X + 1) ** float(cfg) - 1.0
             assert -1e-6 <= count - y < 1 + 1e-6, (gamma, X)
 
 
 def test_gamma_parsing_and_snapping():
-    assert ps_config("9/10").gamma_exact == Fraction(9, 10)
-    assert ps_config(0.86).gamma_exact == Fraction(43, 50)
-    assert ps_config(0.9).gamma_exact == Fraction(9, 10)
-    assert ps_config(Fraction(2426, 2817)).gamma_exact == Fraction(2426, 2817)
-    assert ps_config(0.837).gamma_exact is None
-    # within 1e-15 of 1 or 0, yet inside (0, 1): kept as floats, not
-    # snapped to an endpoint and refused
-    for g in (0.9999999999999999, 1e-300):
-        assert ps_config(g) == psprimes.PSConfig(gamma=g, gamma_exact=None)
+    # a rational gamma comes back as its exact Fraction, any other as the
+    # float itself
+    for given, exact in (("9/10", Fraction(9, 10)),
+                         (0.86, Fraction(43, 50)),
+                         (0.9, Fraction(9, 10)),
+                         (Fraction(2426, 2817), Fraction(2426, 2817))):
+        got = ps_config(given)
+        assert type(got) is Fraction and got == exact, given
+    # 0.837 is near no small-denominator rational; the other two lie within
+    # 1e-15 of 1 or 0, yet inside (0, 1): kept as floats, not snapped to an
+    # endpoint and refused
+    for g in (0.837, 0.9999999999999999, 1e-300):
+        got = ps_config(g)
+        assert type(got) is float and got == g, g
+
+
+def test_bare_float_gamma_is_its_ps_config():
+    # an unsnapped float is its own ps_config value: both routes give the
+    # same arrays for either
+    gamma = 0.837
+    ns = np.arange(1, 3001)
+    assert np.array_equal(ps_array(1, 3000, gamma),
+                          ps_array(1, 3000, ps_config(gamma)))
+    assert np.array_equal(ps_indicator_at(ns, gamma),
+                          ps_indicator_at(ns, ps_config(gamma)))
 
 
 def test_gamma_validation():

@@ -2,14 +2,15 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from bdhvar import (ExpWeightParams, ParameterError, WeightKind,
-                    build_weight_table, custom_weight_table, lambda_support,
-                    large_sieve_check, main_term_integral, phase_frac_array,
-                    ps_array, ps_config, variance, variance_report)
+from bdhvar import (ParameterError, WeightKind, build_weight_table,
+                    custom_weight_table, lambda_support, large_sieve_check,
+                    main_term_integral, phase_frac_array, ps_array, ps_config,
+                    variance, variance_report)
 from bdhvar.arith import sieve_segment, sieving_primes
 from bdhvar.characters import MAX_MODULUS, CharacterGroup, character_group
 
@@ -74,8 +75,7 @@ def test_raw_lambda_matches_naive_rescan():
 
 def test_complex_phase_weight_matches_naive_rescan():
     w = build_weight_table(1500.0, 0.5, WeightKind.CLASSIC_EXP, c=1.5, t=3e-4)
-    integral = main_term_integral(ExpWeightParams(X=1500.0, mu=0.5, c=1.5,
-                                                  t=3e-4))
+    integral = main_term_integral(1500.0, 0.5, c=1.5, t=3e-4)
     assert w.mains == (integral,)
     check_against_naive(w, 20)
 
@@ -180,7 +180,7 @@ def test_logp_weight_supported_on_primes():
 
 def test_ps_weight_support():
     cfg = ps_config("9/10")
-    w = build_weight_table(2000.0, 0.25, WeightKind.PS_PLAIN, ps=cfg)
+    w = build_weight_table(2000.0, 0.25, WeightKind.PS_PLAIN, gamma=cfg)
     members = set(ps_array(501, int(w.X), cfg).tolist())
     got = dict(zip(w.n.tolist(), w.values.tolist()))
     assert len(got) == w.n.size
@@ -192,7 +192,7 @@ def test_ps_weight_support():
 def test_ps_exp_weight_amplitudes():
     cfg = ps_config("9/10")
     w = build_weight_table(2000.0, 0.25, WeightKind.PS_EXP, c=1.5, t=1e-3,
-                           ps=cfg)
+                           gamma=cfg)
     expect = LAM[w.n] * w.n.astype(float) ** 0.1
     assert np.all(expect > 0)
     assert np.max(np.abs(np.abs(w.values) - expect)) <= 1e-9
@@ -210,10 +210,10 @@ def dense_reference(X, mu, kind, params):
         vals = np.where(sieve_segment(n0, n1, sieving_primes(n1)),
                         np.log(ns.astype(np.float64)), 0.0)
     if kind in (WeightKind.PS_PLAIN, WeightKind.PS_EXP):
-        vals = np.where(np.isin(ns, ps_array(n0, n1, params["ps"])), vals,
+        vals = np.where(np.isin(ns, ps_array(n0, n1, params["gamma"])), vals,
                         0.0)
     if kind is WeightKind.PS_EXP:
-        vals = vals * ns.astype(np.float64) ** (1.0 - params["ps"].gamma)
+        vals = vals * ns.astype(np.float64) ** (1.0 - float(params["gamma"]))
     if kind in (WeightKind.CLASSIC_EXP, WeightKind.PS_EXP) and params["t"]:
         nz = np.flatnonzero(vals)
         twisted = np.zeros(len(vals), dtype=np.complex128)
@@ -229,13 +229,13 @@ BUILT_IN = [
     (WeightKind.LOGP_ONLY, {}),
     (WeightKind.CLASSIC_EXP, dict(c=1.5, t=3e-4)),
     (WeightKind.CLASSIC_EXP, dict(c=1.5, t=0.0)),
-    (WeightKind.PS_PLAIN, dict(ps=ps_config("9/10"))),
-    (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, ps=ps_config("9/10"))),
-    (WeightKind.PS_PLAIN, dict(ps=ps_config("2426/2817"))),
-    (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, ps=ps_config("2426/2817"))),
+    (WeightKind.PS_PLAIN, dict(gamma=ps_config("9/10"))),
+    (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, gamma=ps_config("9/10"))),
+    (WeightKind.PS_PLAIN, dict(gamma=ps_config("2426/2817"))),
+    (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, gamma=ps_config("2426/2817"))),
     # not snapped to a rational: its guard-band entries would go to mpmath
-    (WeightKind.PS_PLAIN, dict(ps=ps_config(0.837))),
-    (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, ps=ps_config(0.837))),
+    (WeightKind.PS_PLAIN, dict(gamma=ps_config(0.837))),
+    (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, gamma=ps_config(0.837))),
 ]
 
 
@@ -291,14 +291,20 @@ def test_weight_build_validation():
         build_weight_table(1000.0, 0.5, WeightKind.PS_PLAIN)
     cfg = ps_config("9/10")
     with pytest.raises(ParameterError):
-        build_weight_table(1000.0, 0.5, WeightKind.PS_EXP, ps=cfg)
+        build_weight_table(1000.0, 0.5, WeightKind.PS_EXP, gamma=cfg)
     with pytest.raises(ParameterError):
         build_weight_table(1000.0, 0.5, WeightKind.PS_EXP, c=1.5, t=0.0)
+    # the twist is checked as main_term_integral checks it, mu = 0 included
+    # (the untwisted kinds accept it)
+    for mu, c, message in ((0, 1.5, "mu must be in (0, 1), got 0.0"),
+                           (0.5, 2, "c = 2 is excluded (quadratic phase)")):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            build_weight_table(1000.0, mu, WeightKind.CLASSIC_EXP, c=c, t=0.0)
     # a kind that is no WeightKind member: refused, not an AttributeError
     for kind in ("raw_lambda", "custom", None):
         with pytest.raises(ParameterError):
             build_weight_table(1000.0, 0.5, kind, c=1.5, t=0.0,
-                               ps=ps_config("9/10"))
+                               gamma=ps_config("9/10"))
     with pytest.raises(ParameterError):
         custom_weight_table(100.0, 0.5, np.zeros(3, dtype=complex), 0.0)
     with pytest.raises(ParameterError):
@@ -314,12 +320,12 @@ def test_main_terms():
     assert raw.mains == (500.0,) and raw.scale == 1000.0
     assert table(WeightKind.CLASSIC_EXP, c=1.5, t=0.0).mains == (500.0,)
     cfg = ps_config("9/10")
-    w = table(WeightKind.PS_PLAIN, ps=cfg)
+    w = table(WeightKind.PS_PLAIN, gamma=cfg)
     # the range-consistent reading first, then the paper-literal X^gamma
     assert w.mains == pytest.approx((1000.0 ** 0.9 - 500.0 ** 0.9,
                                      1000.0 ** 0.9))
     assert w.scale == 1000.0 ** 0.9
-    w = table(WeightKind.PS_EXP, c=1.5, t=0.0, ps=cfg)
+    w = table(WeightKind.PS_EXP, c=1.5, t=0.0, gamma=cfg)
     assert w.mains == pytest.approx((0.9 * 500.0,))
     assert w.scale == 1000.0 ** (2.0 - 0.9)
     custom = custom_weight_table(1000.0, 0.5, np.ones(500, dtype=complex),
@@ -330,12 +336,12 @@ def test_main_terms():
 
 
 def test_unused_params_are_ignored():
-    # c and t only twist, ps only restricts: other kinds build as without
-    full = dict(c=1.5, t=1e-3, ps=ps_config("9/10"))
+    # c and t only twist, gamma only restricts: other kinds build as without
+    full = dict(c=1.5, t=1e-3, gamma=ps_config("9/10"))
     for kind, used in [(WeightKind.RAW_LAMBDA, {}),
                        (WeightKind.LOGP_ONLY, {}),
                        (WeightKind.CLASSIC_EXP, dict(c=1.5, t=1e-3)),
-                       (WeightKind.PS_PLAIN, dict(ps=full["ps"]))]:
+                       (WeightKind.PS_PLAIN, dict(gamma=full["gamma"]))]:
         a = build_weight_table(1000.0, 0.5, kind, **full)
         b = build_weight_table(1000.0, 0.5, kind, **used)
         assert np.array_equal(a.n, b.n), kind
@@ -390,12 +396,12 @@ def test_report_cross_checks_and_ratio():
 
 def test_report_ps_dual_mains():
     cfg = ps_config("9/10")
-    w = build_weight_table(2000.0, 0.5, WeightKind.PS_PLAIN, ps=cfg)
+    w = build_weight_table(2000.0, 0.5, WeightKind.PS_PLAIN, gamma=cfg)
     rep = variance_report(w, 10)
     assert rep.cross_check_ok
     assert len(rep.direct) == len(rep.character) == 2
     assert rep.direct[1] != rep.direct[0]
-    norm = 2000.0 ** cfg.gamma * 10 * math.log(2000.0)
+    norm = 2000.0 ** float(cfg) * 10 * math.log(2000.0)
     assert rep.ratios == pytest.approx(tuple(d / norm for d in rep.direct))
 
 
