@@ -9,7 +9,8 @@ fixed at 0 so that reruns compare (wall time goes to stderr only).
 keep working, but it has no effect: every run is one thread.
 This module names no weight kind: `--kind` takes a `variance.WeightKind`
 value, and which kinds read t, their theorem ranges and their weights all
-come from `variance`.
+come from `variance`.  Nor does it make a PS decision: gamma reaches the
+PS routes as given, and ps-count's windows come from `prime_windows`.
 
 The flags are generated from the ExperimentConfig fields, whose names are
 also the config file keys: `--x-grid` sets x_grid, and so on, except that
@@ -40,14 +41,13 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .arith import sieve_segment, sieving_primes
+from .arith import sieving_primes
 from .errors import ParameterError, ResourceError
 from .oscillatory import (check_vaaler_size, main_term_integral,
                           prime_exp_sum, saw_psi, vaaler_eval,
                           vaaler_expansion)
-from . import psprimes
-from .psprimes import (ps_array, ps_config, ps_count_main_term,
-                       ps_indicator_at)
+from .psprimes import (prime_windows, ps_array, ps_config,
+                       ps_count_main_term, ps_indicator_at)
 from .variance import (TWISTED_KINDS, WeightKind, build_weight_table,
                        large_sieve_check, theorem_range_warnings,
                        variance_report)
@@ -58,12 +58,6 @@ EXIT_RESOURCE = 3
 EXIT_CROSS_CHECK = 4
 
 LARGE_SIEVE_CAP = 500
-# ps-count sieves and counts [2, X] in blocks of this many n, so its working
-# memory is O(block + sqrt X), whatever X is.  The routes run per window of
-# psprimes._BLOCK n whatever the block, which sets only how often
-# sieve_segment's Python loop over the base primes runs: at X = 1e8 on 2
-# cores, 2^21 took 0.9-1.05 s, 2^18 1.0-1.1 s and 2^16 1.7-1.8 s.
-_PS_COUNT_BLOCK = 1 << 21
 
 
 @dataclasses.dataclass
@@ -316,7 +310,7 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
                 "outside the admissible theorem range; rerun with "
                 "--allow-out-of-range to proceed")
         w = build_weight_table(X, cfg.mu, kind, c=cfg.c, t=t,
-                               gamma=ps_config(cfg.gamma))
+                               gamma=cfg.gamma)
         rep = variance_report(w, Q)
         if not rep.cross_check_ok:
             _log(f"cross-check FAILED at X={X:g}: rel={rep.cross_check_rel:.3e}"
@@ -332,37 +326,27 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
 
 
 def cmd_ps_count(cfg: ExperimentConfig) -> int:
-    gamma = ps_config(cfg.gamma)
-    # the cap is checked here, before any block is counted
-    base = sieving_primes(int(max(cfg.x_grid)))
+    base = sieving_primes(int(max(cfg.x_grid)))  # the cap, before any row
 
     def row(X):
         xi = int(X)
         if xi < 3:
             raise ParameterError(f"ps-count needs X >= 3, got {X}")
-        # Two independent routes over [2, X] (1 is not prime), sieved a
-        # block at a time and counted a window of psprimes._BLOCK n at a
-        # time: the k-generator's members that are prime, and the
-        # floor-difference identity at the primes.
+        # Two independent routes over [2, X] (1 is not prime), by windows: the
+        # k-generator's prime members, the floor-difference identity at primes.
         count = count_ind = 0
-        mask = np.empty(_PS_COUNT_BLOCK, dtype=bool)  # one for all blocks
-        for lo in range(2, xi + 1, _PS_COUNT_BLOCK):
-            hi = min(xi, lo + _PS_COUNT_BLOCK - 1)
-            is_prime = sieve_segment(lo, hi, base, out=mask[:hi - lo + 1])
-            for a in range(lo, hi + 1, psprimes._BLOCK):
-                b = min(hi, a + psprimes._BLOCK - 1)
-                window = is_prime[a - lo:b - lo + 1]
-                members = ps_array(a, b, gamma)
-                count += int(np.count_nonzero(window[members - a]))
-                primes = np.flatnonzero(window) + a
-                count_ind += int(np.count_nonzero(
-                    ps_indicator_at(primes, gamma)))
+        for a, window in prime_windows(xi, base):
+            members = ps_array(a, a + window.size - 1, cfg.gamma)
+            count += int(np.count_nonzero(window[members - a]))
+            primes = np.flatnonzero(window) + a
+            count_ind += int(np.count_nonzero(
+                ps_indicator_at(primes, cfg.gamma)))
         if count != count_ind:
             _log(f"PS count mismatch at X={X:g}: generator {count}, "
                  f"indicator {count_ind}")
-        main = ps_count_main_term(X, gamma)
+        main = ps_count_main_term(X, cfg.gamma)
         lx = math.log(X)
-        err = abs(count - main) * lx * lx / float(X) ** float(gamma)
+        err = abs(count - main) * lx * lx / float(X) ** float(cfg.gamma)
         return {"X": float(X), "gamma": cfg.gamma, "count": count,
                 "main_term": main, "normalized_error": err}, count == count_ind
 

@@ -164,7 +164,8 @@ def vaaler_eval(x, exp: VaalerExpansion):
     """(approximation, majorant) at x; |psi(x) - approx| <= majorant.
 
     Both outputs are real; x may be a scalar or an array.  The phases
-    e(x h) are built for _VAALER_ROWS points at a time, so the working set
+    e(x h), of x h reduced mod 1 exactly (so their rounding does not grow
+    with H), are built for _VAALER_ROWS points at a time, so the working set
     is O(_VAALER_ROWS * H) beside the outputs, whatever len(x) is.  Every
     point's sums are the same floats as from one len(x) x H table: numpy
     evaluates a one-row product as a dot, which rounds differently, so a
@@ -180,7 +181,9 @@ def vaaler_eval(x, exp: VaalerExpansion):
     if len(starts) > 1 and len(arr) - starts[-1] == 1:
         starts.pop()
     for lo, hi in zip(starts, starts[1:] + [len(arr)]):
-        ph = np.exp(2j * np.pi * np.outer(arr[lo:hi], h))
+        xh = np.outer(arr[lo:hi], h)
+        xh -= np.floor(xh)  # exact in float64
+        ph = np.exp(2j * np.pi * xh)
         approx[lo:hi] = 2.0 * (ph @ exp.a).real
         majorant[lo:hi] = exp.b[0] + 2.0 * (ph.real @ exp.b[1:])
     if np.isscalar(x) or np.asarray(x).ndim == 0:

@@ -13,18 +13,18 @@ Two independent routes, each with its own array kernel, are checked one
 against the other by `ps-count`: the generator (`ps_array`, [k^(1/gamma)]
 by `_floor_roots`) and the indicator (`ps_indicator_at`, membership at any
 given n from ceil(n^gamma) by `_ceil_pows`; `ps-count` asks it only at the
-primes, and the PS weights only at the prime powers).  Every route works
-in blocks of _BLOCK entries, so its working memory is O(_BLOCK) plus the
-array it returns.
+primes of each window of `prime_windows`, and the PS weights only at the
+prime powers).  Every route works in blocks of _BLOCK entries, so its
+working memory is O(_BLOCK) plus the array it returns.
 
 Each kernel decides in float64, then re-decides every entry within `_band`
 of an integer (_GUARD_EPSILON, widened by the float64 error bound) with
 `_pow_floor(m, e)`: floor(m^e) and whether m^e is an integer, exactly by an
 integer root for rational gamma = u/v, else by mpmath at _MP_DIGITS digits.
 The generator takes the floor, the indicator floor + (not exact).  No
-floating-point logs decide a boundary.  Every route takes gamma itself, as
-`ps_config` returns it: a Fraction u/v when gamma is rational (the exact
-path), else a float.
+floating-point logs decide a boundary.  Every route takes gamma as given,
+a Fraction or a float, through `ps_config` on entry: a rational gamma (0.5
+or 1/2) takes the exact path as the Fraction u/v, any other stays a float.
 """
 
 from __future__ import annotations
@@ -34,14 +34,19 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import sieve_segment
 from .errors import ParameterError, ResourceError
 
 _F64_EPS = float(np.finfo(np.float64).eps)
 _SNAP_DENOMINATOR = 64
 _SNAP_TOL = 1e-15
-# Both routes walk their input in blocks of this many entries, so their
-# working memory is O(_BLOCK) plus the array they return.
+# The routes walk their input, and `prime_windows` yields [2, X], in blocks
+# of _BLOCK entries; it sieves _PS_COUNT_BLOCK n at a time, so ps-count holds
+# O(block + sqrt X) whatever X is.  The block sets only how often the sieve's
+# Python loop over base primes runs: at X = 1e8 on 2 cores, 2^21 took
+# 0.9-1.05 s, 2^18 1.0-1.1 s and 2^16 1.7-1.8 s.
 _BLOCK = 1 << 16
+_PS_COUNT_BLOCK = 1 << 21
 # Distance to integrality below which a boundary decision escalates, and the
 # mpmath working digits of the escalation for irrational gamma.
 _GUARD_EPSILON = 1e-9
@@ -55,8 +60,8 @@ def ps_config(gamma) -> Fraction | float:
     Floats within 1e-15 of a rational in (0, 1) with denominator <= 64
     snap to it, so the exact path applies to the common grid values (1/2,
     3/4, 43/50, 9/10, 19/20, ...); ones as near 0 or 1 stay floats.  The
-    routes below take this value: a Fraction decides their boundaries
-    exactly, a float by mpmath.
+    routes below put gamma through here on entry: a Fraction decides their
+    boundaries exactly, a float by mpmath.
     """
     exact: Fraction | None = None
     if isinstance(gamma, str):
@@ -172,6 +177,7 @@ def ps_array(lo: int, hi: int, gamma: Fraction | float) -> np.ndarray:
     """
     if lo < 1 or hi < lo:
         raise ParameterError(f"bad PS range [{lo}, {hi}]")
+    gamma = ps_config(gamma)
     g = float(gamma)
     # n >= lo needs k >= lo^gamma; pad both ends to absorb float slop.
     k_lo = max(1, math.floor(float(lo) ** g) - 2)
@@ -199,12 +205,27 @@ def ps_indicator_at(ns, gamma: Fraction | float) -> np.ndarray:
     ns = np.asarray(ns, dtype=np.int64)
     if ns.ndim != 1 or (ns.size and ns.min() < 1):
         raise ParameterError("PS membership needs a 1-d array of n >= 1")
+    gamma = ps_config(gamma)
     out = np.empty(ns.size, dtype=bool)
     for i in range(0, ns.size, _BLOCK):
         chunk = ns[i:i + _BLOCK]
         np.equal(_ceil_pows(chunk + 1, gamma) - _ceil_pows(chunk, gamma), 1,
                  out=out[i:i + chunk.size])
     return out
+
+
+def prime_windows(x: int, base_primes: np.ndarray):
+    """Yield (a, mask), mask[i] == (a + i is prime), for the windows of
+    _BLOCK n that tile [2, x] in order: views, valid until the next step,
+    of one mask sieved _PS_COUNT_BLOCK n at a time from base_primes (at
+    least the primes <= isqrt(x)).  Both sizes are read on the first step."""
+    block, window = _PS_COUNT_BLOCK, _BLOCK
+    mask = np.empty(block, dtype=bool)
+    for lo in range(2, x + 1, block):
+        hi = min(x, lo + block - 1)
+        is_prime = sieve_segment(lo, hi, base_primes, out=mask[:hi - lo + 1])
+        for a in range(lo, hi + 1, window):
+            yield a, is_prime[a - lo:a - lo + window]
 
 
 def ps_count_main_term(X: float, gamma: Fraction | float) -> float:

@@ -309,9 +309,9 @@ def test_ps_count_blocks_do_not_change_counts(tmp_path, monkeypatch):
     assert [r[2] for r in read_csv(whole)[1:]] == ["473", "3080", "19500"]
     lines = whole.read_bytes().splitlines(keepends=True)
     for block, window, n_rows in ((997, psprimes._BLOCK, 3),
-                                  (cli._PS_COUNT_BLOCK, 1000, 3),
+                                  (psprimes._PS_COUNT_BLOCK, 1000, 3),
                                   (997, 7, 2)):
-        monkeypatch.setattr(cli, "_PS_COUNT_BLOCK", block)
+        monkeypatch.setattr(psprimes, "_PS_COUNT_BLOCK", block)
         monkeypatch.setattr(psprimes, "_BLOCK", window)
         assert run_cli(argv + [",".join(grid[:n_rows]),  # routes agree
                                "--out", str(blocked)]) == 0
@@ -441,6 +441,17 @@ def test_vaaler_rows(tmp_path):
         assert float(r[2]) <= 0.5 + 1e-9
 
 
+@pytest.mark.parametrize("h,points", [(10000, 4000), (30000, 10)])
+def test_vaaler_large_h_meets_its_majorant(tmp_path, h, points):
+    # x h is reduced mod 1 before its phase, so at the integers the error
+    # stays exactly 1/2, the majorant there, however large x h grows
+    out = tmp_path / "v.csv"
+    assert run_cli(["vaaler", "--h-list", str(h), "--grid-points",
+                    str(points), "--out", str(out)]) == 0
+    (row,) = read_csv(out)[1:]
+    assert row[1] == "0.5" and row[3] == "0"
+
+
 def test_bad_subcommand_flags(capsys):
     assert run_cli(["variance", "--x-grid", "1"]) == 2        # X < 2
     assert run_cli(["variance", "--x-grid", "100", "--kind", "martian"]) == 2
@@ -554,7 +565,7 @@ PINNED_REPORTS = [
     ("large-sieve --trials 10 --n-max 200 --q-max 64 --seed 3",
      "8426a74f94911730faef633761fe18ec02d265f8884741ff6406aeb98b169ae5"),
     ("vaaler",
-     "2c41b37273550bc8efd983eaf6740f2dff69fa4969df5e7d91f230183009f4f5"),
+     "617e8edb1a05c01d21d69715662df96cab2f508a9412936d8ce72929cc29911f"),
     # Q = 754: up to four cyclic factors, and 2^k with k >= 3
     ("variance --kind classic_exp --x-grid 1e5 --t-rule x_pow:-0.834",
      "5b5be739461d154f8a4d99afe4b1949a1e25e4fed2a174ccd8bef74a0829081b"),
@@ -570,7 +581,7 @@ PINNED_REPORTS = [
     ("large-sieve --trials 10 --n-max 200 --q-max 64 --seed 3 --format json",
      "b0af98981d1e9507306dfc3bc585fbcfcea804f7258139ac33f3c0df463edb88"),
     ("vaaler --h-list 1,5 --grid-points 500 --format json",
-     "773fa4402b4f6e6643059f178a869c49adc17c33de8db4fbc346bd1fec32dd40"),
+     "1d540e8ef9c1de922280171ffe06b9cc0ddb680a6a5379829edd46c0b78b6ef5"),
     ("lemma3 --x-grid 1e5 --t-count 3 --format json",
      "8212fca8ced6e964a3a33b333b39034feb49edc7a528cd025d737b8dc4d59a4b"),
     # the seed-0 classic_grid and ps_exp lines of perfbench/run.py
@@ -584,7 +595,7 @@ PINNED_REPORTS = [
      "7ef5bf3cf86d06b8b057ceed71af1a92df92b7d6303e6eef2d013fe7204f6e5a"),
     # 99999 points: many phase-table row blocks and a short last one
     ("vaaler --grid-points 99999 --h-list 3,77,100",
-     "ae54785fa441896bbfab1455e9a701ea6ab5ed7b8578cbef8446931ebae502ee"),
+     "bcb9a57274b09b4c25d9d71795119316407fae9057d8f1b4d351b925c32cb600"),
 ]
 
 
@@ -644,6 +655,42 @@ def test_cli_names_no_weight_kind_member():
              and (getattr(node.value, "id", None) == "WeightKind"
                   or getattr(node.value, "attr", None) == "WeightKind")]
     assert named == []
+
+
+def test_modules_read_no_private_name_of_another():
+    # Each module owns its underscore names: no bdhvar module reads one of
+    # another's, as an attribute of it (psprimes._BLOCK) or by importing it
+    # (from .psprimes import _BLOCK).
+    src = Path(cli.__file__).resolve().parent
+    stems = {path.stem for path in src.glob("*.py")}
+    reads = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # local names bound to a bdhvar module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0]
+                    == "bdhvar"):
+                package = node.module in (None, "bdhvar")
+                for alias in node.names:
+                    if package and alias.name in stems:
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        reads.append((path.name, alias.name))
+            elif isinstance(node, ast.Import):
+                modules.update(alias.asname for alias in node.names
+                               if alias.asname
+                               and alias.name.startswith("bdhvar."))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")):
+                continue
+            owner = node.value
+            if (getattr(owner, "id", None) in modules
+                    or (getattr(owner, "attr", None) in stems
+                        and getattr(owner.value, "id", None) == "bdhvar")):
+                reads.append((path.name, node.attr))
+    assert reads == []
 
 
 # The targets of perfbench/child.py's PATCHES that no longer resolve; each

@@ -7,8 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from bdhvar import (ParameterError, primes_segment, ps_array, ps_config,
-                    ps_count_main_term, ps_indicator_at, psprimes)
+from bdhvar import (ParameterError, WeightKind, build_weight_table,
+                    primes_segment, ps_array, ps_config, ps_count_main_term,
+                    ps_indicator_at, psprimes)
+from bdhvar.arith import sieving_primes
+from bdhvar.psprimes import prime_windows
 
 
 def ps_indicator(n, cfg):
@@ -153,14 +156,28 @@ def test_gamma_parsing_and_snapping():
 
 
 def test_bare_float_gamma_is_its_ps_config():
-    # an unsnapped float is its own ps_config value: both routes give the
-    # same arrays for either
-    gamma = 0.837
+    # The routes put gamma through ps_config themselves: an unsnapped float
+    # is its own value, and a rational one (0.5, 0.9) takes the exact path
+    # as its Fraction, where an integer power such as 4^0.5 would otherwise
+    # go to mpmath and raise ResourceError, and 1024^0.9 would land just
+    # above 512.  Both routes and the PS weights give the same results for
+    # either form.
     ns = np.arange(1, 3001)
-    assert np.array_equal(ps_array(1, 3000, gamma),
-                          ps_array(1, 3000, ps_config(gamma)))
-    assert np.array_equal(ps_indicator_at(ns, gamma),
-                          ps_indicator_at(ns, ps_config(gamma)))
+    twists = ((WeightKind.PS_PLAIN, {}),
+              (WeightKind.PS_EXP, dict(c=1.5, t=1e-3)))
+    for gamma in (0.837, 0.5, 0.9):
+        assert np.array_equal(ps_array(1, 3000, gamma),
+                              ps_array(1, 3000, ps_config(gamma))), gamma
+        assert np.array_equal(ps_indicator_at(ns, gamma),
+                              ps_indicator_at(ns, ps_config(gamma))), gamma
+        for kind, twist in twists:
+            bare = build_weight_table(5000, 0.5, kind, gamma=gamma, **twist)
+            snapped = build_weight_table(5000, 0.5, kind,
+                                         gamma=ps_config(gamma), **twist)
+            assert np.array_equal(bare.n, snapped.n), (gamma, kind)
+            assert np.array_equal(bare.values, snapped.values), (gamma, kind)
+            assert (bare.mains, bare.scale) == (snapped.mains,
+                                                snapped.scale), (gamma, kind)
 
 
 def test_gamma_validation():
@@ -239,3 +256,21 @@ def test_indicator_at_given_n_matches_range_and_scalar(monkeypatch, gamma, lo,
         assert at.dtype == bool and np.array_equal(at, mask)
         assert np.array_equal(ps_indicator_at(primes, cfg), mask[primes - lo])
         assert ps_indicator_at(shuffled, cfg).tolist() == expect
+
+
+def test_prime_windows_tile_the_range(monkeypatch):
+    # Sieve blocks of 997 n and windows of 7 n: the windows tile [2, X]
+    # once each, in order, and each mask is its window's primality, with
+    # the last window cut at X and window seams at every block seam.
+    monkeypatch.setattr(psprimes, "_PS_COUNT_BLOCK", 997)
+    monkeypatch.setattr(psprimes, "_BLOCK", 7)
+    for X in (3, 996, 998, 5000):
+        nxt = 2
+        for a, mask in prime_windows(X, sieving_primes(X)):
+            assert a == nxt and 1 <= mask.size <= 7 and mask.dtype == bool
+            b = a + mask.size - 1
+            assert (b - 2) // 997 == (a - 2) // 997  # inside one block
+            assert np.array_equal(np.flatnonzero(mask) + a,
+                                  primes_segment(a, b)), (X, a)
+            nxt = b + 1
+        assert nxt == X + 1, X
