@@ -327,11 +327,11 @@ def cmd_variance(cfg: ExperimentConfig) -> int:
 
 def cmd_ps_count(cfg: ExperimentConfig) -> int:
     base = sieving_primes(int(max(cfg.x_grid)))  # the cap, before any row
+    if int(min(cfg.x_grid)) < 3:
+        raise ParameterError(f"ps-count needs X >= 3, got {min(cfg.x_grid)}")
 
     def row(X):
         xi = int(X)
-        if xi < 3:
-            raise ParameterError(f"ps-count needs X >= 3, got {X}")
         # Two independent routes over [2, X] (1 is not prime), by windows: the
         # k-generator's prime members, the floor-difference identity at primes.
         count = count_ind = 0

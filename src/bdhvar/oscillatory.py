@@ -19,15 +19,15 @@ with coefficients b(h) = (2H+2)^(-1) * (1 - |h|/(H+1)).
 The main-term integral of e(t y^c) over (mu*X, X] costs O(1).  With
 u = y^c it is the integral of g(u) e(tu), g(u) = u^(1/c-1)/c, and it splits
 at y*, where 2*pi*|t| y*^c = 64.  Below y* (at most about 10 periods) it is
-15-point Gauss-Legendre on equal-phase panels with at least 12 nodes per
-period.  Above y* it is the endpoint series
+15-point Gauss-Legendre on equal-phase panels, nodes as offsets from the
+start, at least 12 per period.  Above y* it is the endpoint series
 sum_k (-1)^k g^(k)(U) e(tU) / (2*pi*i*t)^(k+1) at each endpoint U (DLMF
 8.11; Olver, Asymptotics and Special Functions, ch. 3): each g^(k) keeps
 one sign and decreases, so the remainder after K terms is at most
 |2*pi*t|^-K |g^(K-1)(U)|, and summing stops below 2^-60 of the endpoint's
 sum.  Against the closed form (1/c) z^(-1/c) Gamma(1/c, z a^c, z b^c),
-z = -2*pi*i*t, the relative error stays below 1e-11, except on a short
-range far out (see `oscillatory_integral`).
+z = -2*pi*i*t, the relative error stays below 1e-11, except when a lies
+far below y* (see `oscillatory_integral`).
 
 `main_term_integral` and `prime_exp_sum` take the twist e(t n^c) on
 (mu X, X] as plain numbers and refuse, with ParameterError, any outside
@@ -73,12 +73,11 @@ _VAALER_ROWS = 256
 
 
 def saw_psi(x):
-    """psi(x) = {x} - 1/2, with psi(integer) = -1/2."""
+    """psi(x) = {x} - 1/2 (-1/2 at integers), an array of x's shape."""
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ParameterError("saw_psi needs finite input")
-    out = (arr - np.floor(arr)) - 0.5
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return np.asarray((arr - np.floor(arr)) - 0.5)  # 0-d for a scalar x
 
 
 def _phase_frac_mp(t: float, n: float, c: float) -> float:
@@ -163,32 +162,31 @@ def check_vaaler_size(points: int, H: int) -> None:
 def vaaler_eval(x, exp: VaalerExpansion):
     """(approximation, majorant) at x; |psi(x) - approx| <= majorant.
 
-    Both outputs are real; x may be a scalar or an array.  The phases
-    e(x h), of x h reduced mod 1 exactly (so their rounding does not grow
-    with H), are built for _VAALER_ROWS points at a time, so the working set
-    is O(_VAALER_ROWS * H) beside the outputs, whatever len(x) is.  Every
-    point's sums are the same floats as from one len(x) x H table: numpy
-    evaluates a one-row product as a dot, which rounds differently, so a
-    last block of one point joins the block before it.  Work over
-    VAALER_MAX_BYTES (see check_vaaler_size) raises ResourceError first.
+    Both outputs are real arrays of x's shape (0-d for a scalar).  The
+    phases e(x h), of x h reduced mod 1 exactly (so their rounding does not
+    grow with H), are built for _VAALER_ROWS points at a time, so the
+    working set is O(_VAALER_ROWS * H) beside the outputs, whatever x.size
+    is.  Every point's sums are the same floats as from one x.size x H
+    table: numpy evaluates a one-row product as a dot, which rounds
+    differently, so a last block of one point joins the block before it.
+    Work over VAALER_MAX_BYTES (see check_vaaler_size) raises ResourceError
+    first.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    check_vaaler_size(len(arr), len(exp.a))
+    shape = np.shape(x)
+    arr = np.asarray(x, dtype=np.float64).ravel()
+    check_vaaler_size(arr.size, len(exp.a))
     h = np.arange(1, len(exp.a) + 1, dtype=np.float64)
-    approx = np.empty(len(arr))
-    majorant = np.empty(len(arr))
-    starts = list(range(0, len(arr), _VAALER_ROWS))
-    if len(starts) > 1 and len(arr) - starts[-1] == 1:
+    approx, majorant = np.empty((2, arr.size))
+    starts = list(range(0, arr.size, _VAALER_ROWS))
+    if len(starts) > 1 and arr.size - starts[-1] == 1:
         starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [len(arr)]):
+    for lo, hi in zip(starts, starts[1:] + [arr.size]):
         xh = np.outer(arr[lo:hi], h)
         xh -= np.floor(xh)  # exact in float64
         ph = np.exp(2j * np.pi * xh)
         approx[lo:hi] = 2.0 * (ph @ exp.a).real
         majorant[lo:hi] = exp.b[0] + 2.0 * (ph.real @ exp.b[1:])
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(approx[0]), float(majorant[0])
-    return approx, majorant
+    return approx.reshape(shape), majorant.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +211,10 @@ def oscillatory_integral(a: float, b: float, t: float, c: float) -> complex:
     Each call costs O(1), whatever the number of periods.  Against the
     closed form (1/c) z^(-1/c) Gamma(1/c, z a^c, z b^c), z = -2*pi*i*t, the
     relative error is below 1e-11 (tests hold it there up to X = 1e8, 2.6e7
-    periods, and at 3.7e9 periods), except on a short range far out: all
-    panels, whose float64 nodes y shift each phase by up to c |t| y^c 2^-53
-    periods.  At t = 1e-3, c = 1.5 that is 4.2e-9 on [1e7, 1e7 + 2] and
-    7.1e-6 on [1e9, 1e9 + 0.2] (`main_term_integral`: mu near 1).  An
-    endpoint phase |t| y^c past the extended-precision budget of
+    periods, at 3.7e9 periods, and on short ranges out to [1e9, 1e9 + 0.2]),
+    except when a lies far below y*: Gauss-Legendre in y then meets the
+    non-analytic y^c near 0, about 3e-6 on [1e-6, 100] at t = 0.5, c = 1.5.
+    An endpoint phase |t| y^c past the extended-precision budget of
     `phase_frac_array` raises ResourceError.
     """
     if not 0 < a <= b:
@@ -270,27 +267,27 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 def _panel_integral(a: float, b: float, t: float, c: float) -> complex:
     """integral of e(t y^c) dy over [a, b], 0 < a < b, t != 0, by panels.
 
-    Equal-phase panels with 15-point Gauss-Legendre; panel sizes keep at
-    least NODES_PER_PERIOD nodes per period of the phase.  Callers pass at
-    most about 10 periods (9 panels), so all panels are evaluated at once;
-    the real and imaginary totals are the correctly rounded sums of the
-    panel values.
+    P >= 8 equal-phase panels of GL_POINTS-point Gauss-Legendre, with at
+    least NODES_PER_PERIOD nodes per period.  Ends and nodes are offsets s
+    from a, s_k = a expm1(log1p(k g / P) / c) with g = (b/a)^c - 1, and a
+    node's phase is frac(t a^c) plus t a^c expm1(c log1p(s / a)), so it is
+    off by about eps times the phase turned over [a, b], wherever [a, b]
+    lies.  Callers pass at most about 10 periods (9 panels), evaluated at
+    once; the totals are the correctly rounded sums of the panel values.
     """
-    n_osc = abs(t) * (b ** c - a ** c)
-    panels = max(8, math.ceil(n_osc * NODES_PER_PERIOD / GL_POINTS))
-    frac = np.arange(panels + 1, dtype=np.float64) / panels
-    if n_osc >= 1.0:  # equal phase spacing once oscillation matters
-        pa, pb = a ** c, b ** c
-        e = (pa + (pb - pa) * frac) ** (1.0 / c)
-    else:
-        e = a + (b - a) * frac
-    e[0], e[-1] = a, b
-    mid = 0.5 * (e[1:] + e[:-1])
-    half = 0.5 * (e[1:] - e[:-1])
+    a = max(a, 1e-100 * b)  # (b/a)^c stays finite; drops under 1e-100 b
+    g = math.expm1(c * math.log1p((b - a) / a))
+    ta = t * a ** c
+    panels = max(8, math.ceil(abs(ta) * g * NODES_PER_PERIOD / GL_POINTS))
+    k = np.arange(panels + 1, dtype=np.float64)
+    s = a * np.expm1(np.log1p(k * g / panels) / c)
+    s[-1] = b - a
+    mid = 0.5 * (s[1:] + s[:-1])
+    half = 0.5 * (s[1:] - s[:-1])
     nodes, weights = _gauss_legendre()
-    ys = mid[:, None] + half[:, None] * nodes[None, :]
-    ph = (t * ys ** c) % 1.0
-    vals = (np.exp(2j * np.pi * ph) @ weights) * half
+    offsets = mid[:, None] + half[:, None] * nodes[None, :]
+    ph = phase_frac_array(t, a, c) + ta * np.expm1(c * np.log1p(offsets / a))
+    vals = (np.exp(2j * np.pi * (ph % 1.0)) @ weights) * half
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 
 

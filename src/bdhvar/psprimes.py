@@ -51,6 +51,8 @@ _PS_COUNT_BLOCK = 1 << 21
 # mpmath working digits of the escalation for irrational gamma.
 _GUARD_EPSILON = 1e-9
 _MP_DIGITS = 50
+# gamma = u/v takes m^u, k^v of int64 m, k exactly: 63 * max(u, v) bits
+_EXACT_MAX_BITS = 1 << 18
 
 
 def ps_config(gamma) -> Fraction | float:
@@ -61,7 +63,8 @@ def ps_config(gamma) -> Fraction | float:
     snap to it, so the exact path applies to the common grid values (1/2,
     3/4, 43/50, 9/10, 19/20, ...); ones as near 0 or 1 stay floats.  The
     routes below put gamma through here on entry: a Fraction decides their
-    boundaries exactly, a float by mpmath.
+    boundaries exactly, a float by mpmath.  A rational u/v whose exact
+    powers could pass _EXACT_MAX_BITS raises ResourceError.
     """
     exact: Fraction | None = None
     if isinstance(gamma, str):
@@ -85,6 +88,10 @@ def ps_config(gamma) -> Fraction | float:
     if not 0.0 < value < 1.0:
         raise ParameterError(
             f"gamma must lie strictly inside (0, 1), got {gamma}")
+    if exact is not None and 63 * max(exact.numerator,
+                                      exact.denominator) > _EXACT_MAX_BITS:
+        raise ResourceError(f"gamma = {exact}: its exact powers could pass "
+                            f"{_EXACT_MAX_BITS} bits")
     return value if exact is None else exact
 
 

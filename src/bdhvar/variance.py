@@ -226,15 +226,9 @@ def theorem_range_warnings(kind: WeightKind, X: float, Q: int, t: float,
 # Accumulation kernels
 # ---------------------------------------------------------------------------
 
-def _terms(n: np.ndarray, w: np.ndarray):
-    """(n, Re w, Im w) for weights w at ascending n, as `_residue_sums`
-    takes them; n is returned as given, not copied."""
-    return n, np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
-
-
-def _residue_sums(support, q: int) -> np.ndarray:
-    """out[r] = sum of w(n) over the support with n == r (mod q)."""
-    n, re, im = support
+def _residue_sums(n: np.ndarray, re, im, q: int) -> np.ndarray:
+    """out[r] = sum of w(n) over n == r (mod q), from re = Re w and
+    im = Im w at ascending n (made contiguous once by `_transformed_sums`)."""
     r = n % q
     out = np.empty(q, dtype=np.complex128)
     out.real = np.bincount(r, weights=re, minlength=q)
@@ -249,10 +243,10 @@ def _sq_abs_sum(z: np.ndarray) -> float:
 def _transformed_sums(n: np.ndarray, w: np.ndarray, moduli):
     """(G, sums, psi) for each q of ascending `moduli`: the group, the
     residue sums of the weights w at ascending n, and their transform."""
-    support = _terms(n, w)
+    re, im = np.ascontiguousarray(w.real), np.ascontiguousarray(w.imag)
     for q in moduli:
         G = character_group(q)
-        sums = _residue_sums(support, q)
+        sums = _residue_sums(n, re, im, q)
         yield G, sums, G.transform(sums)
 
 

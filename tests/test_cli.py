@@ -10,6 +10,7 @@ import inspect
 import json
 import os
 import re
+import resource
 import shlex
 import shutil
 import subprocess
@@ -378,8 +379,36 @@ def test_sieve_cap_exits_3_before_any_row(command, tmp_path, capsys):
     assert "cap" in err and "row 1 of" not in err
 
 
-def test_ps_count_requires_x_at_least_3():
-    assert run_cli(["ps-count", "--x-grid", "2"]) == 2
+def test_ps_count_requires_x_at_least_3(capsys):
+    # the grid is checked before any row: the 1e6 row is not counted first
+    for grid in ("2", "1e6,2"):
+        assert run_cli(["ps-count", "--x-grid", grid]) == 2
+        err = capsys.readouterr().err
+        assert "error: ps-count needs X >= 3, got 2.0" in err
+        assert "row 1 of" not in err
+
+
+def _cap_address_space():
+    # 1 GiB, set in the child only: a route that forms a huge power then
+    # fails at once with MemoryError instead of filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["ps-count", "--x-grid", "100"],
+    ["variance", "--kind", "ps_plain", "--x-grid", "2000",
+     "--allow-out-of-range"]])
+def test_huge_exact_gamma_exits_3_before_any_row(argv):
+    # 0.5000000000001 as the exact u/v: its exact powers m^u, k^v would
+    # run to terabytes, so it is refused, naming gamma, before any row
+    gamma = "5000000000001/10000000000000"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bdhvar.cli", *argv, "--gamma", gamma],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+        preexec_fn=_cap_address_space)
+    assert proc.returncode == 3, proc.stderr
+    assert f"resource error: gamma = {gamma}" in proc.stderr
+    assert "row 1 of" not in proc.stderr and not proc.stdout
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -615,13 +644,32 @@ def _child_env():
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+# sha256 of each demo's stdout (numpy 2.4.6), so an edit that moves any
+# printed digit shows here
+DEMO_DIGESTS = {
+    "01_sieve_and_lambda":
+        "2e68953568853408f38f0a684b6ea5b3db9aa1d1e2cf114ac7d385d87801eb5b",
+    "02_character_tables":
+        "4d70524398c1133903372e5cfdbf666c2185c15902e16ca2aebb7b43f9fefd88",
+    "03_ps_membership":
+        "32d8157b74bb2b11174df1d559726e59559f003d9184d616d15bd56a596cea38",
+    "04_sawtooth_majorant":
+        "6ef3c50f99f76d47a24fe6f75612d01277aa5699945384cf34c59614157770c8",
+    "05_variance_identity":
+        "734f5c4e6eb5b4069c820b6c4263d571ec4b92777f3b45a89d7c2d82b2fe7d56",
+    "06_theorem_scaling":
+        "122ede25daa86e8a78eeb96f26d5014d7fe3cc2acee2fbecd70e86e07bd4010b",
+    "07_large_sieve":
+        "c8951bcb3aa9a83014002242964c5b8d0d93141524c0ce34cd69d195a32d1701",
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, env=_child_env())
-    assert proc.returncode == 0, proc.stderr
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_DIGESTS[demo.stem]
 
 
 def test_public_names_are_used_by_package_or_demos():

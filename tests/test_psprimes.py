@@ -11,6 +11,7 @@ from bdhvar import (ParameterError, WeightKind, build_weight_table,
                     primes_segment, ps_array, ps_config, ps_count_main_term,
                     ps_indicator_at, psprimes)
 from bdhvar.arith import sieving_primes
+from bdhvar.errors import ResourceError
 from bdhvar.psprimes import prime_windows
 
 
@@ -185,6 +186,20 @@ def test_gamma_validation():
                 Fraction(10**400, 3), 10**400, -10**400):
         with pytest.raises(ParameterError):
             ps_config(bad)
+
+
+def test_gamma_exact_powers_capped():
+    # a rational u/v takes the exact path while its powers m^u, k^v of
+    # int64 m, k fit in 63 * max(u, v) <= 2^18 bits; past that it is refused
+    # before any route forms one (m^(10^13) would need terabytes)
+    for given in ("2426/2817", Fraction(4160, 4161)):
+        assert type(ps_config(given)) is Fraction
+    assert type(ps_config(0.5000000000001)) is float
+    for huge in ("5000000000001/10000000000000", Fraction(4161, 4162)):
+        with pytest.raises(ResourceError, match=f"gamma = {huge}"):
+            ps_config(huge)
+    with pytest.raises(ResourceError):
+        ps_indicator_at(np.array([4, 9]), "5000000000001/10000000000000")
 
 
 def test_range_validation():

@@ -146,9 +146,9 @@ def test_class_sums_within_recursive_summation_bound():
     assert np.all(vals != 0)
     rng = np.random.default_rng(2000)
     u = 2.0 ** -53
-    support = variance._terms(n, vals)  # as variance_report takes it
+    re, im = np.ascontiguousarray(vals.real), np.ascontiguousarray(vals.imag)
     for q in [1, 2, 1999, 2000] + rng.integers(3, 2001, size=16).tolist():
-        got = variance._residue_sums(support, q)
+        got = variance._residue_sums(n, re, im, q)  # as variance_report does
         res = n % q
         order = np.argsort(res, kind="stable")
         starts = np.cumsum(np.bincount(res, minlength=q))[:-1]

@@ -50,12 +50,12 @@ def fsum_total(w):
 def residue_sums(vals, n0, q):
     """The class sums mod q of vals[i] = w(n0 + i), by the report's kernel."""
     idx = np.flatnonzero(vals)
-    return variance._residue_sums(variance._terms(n0 + idx, vals[idx]), q)
+    return variance._residue_sums(n0 + idx, vals[idx].real, vals[idx].imag, q)
 
 
 def table_sums(w, q):
     """The class sums mod q of a weight table, as variance_report takes it."""
-    return variance._residue_sums(variance._terms(w.n, w.values), q)
+    return variance._residue_sums(w.n, w.values.real, w.values.imag, q)
 
 
 def check_against_naive(w, Q):
@@ -274,14 +274,14 @@ def test_window_without_prime_powers_reports_main_term_only():
 
 
 def test_residue_index_type_follows_largest_n():
-    one = np.ones(1, dtype=complex)
     for top in (2**31 - 1, 2**31):
         n = np.array([5, top], dtype=np.int64)
-        terms = variance._terms(n, np.ones(2, dtype=complex))
-        assert terms[0][-1] == top
-        assert variance._residue_sums(terms, 7).sum() == pytest.approx(2.0)
-    empty = variance._terms(np.zeros(0, dtype=np.int64), one[:0])
-    assert np.array_equal(variance._residue_sums(empty, 5), np.zeros(5))
+        sums = variance._residue_sums(n, np.ones(2), np.zeros(2), 7)
+        assert sums[top % 7] == 1.0 and sums.sum() == pytest.approx(2.0)
+    empty = np.zeros(0)
+    assert np.array_equal(
+        variance._residue_sums(empty.astype(np.int64), empty, empty, 5),
+        np.zeros(5))
 
 
 def test_weight_build_validation():
@@ -463,6 +463,20 @@ def test_large_sieve_single_coefficient_closed_form():
 def test_large_sieve_minimal_case():
     res = large_sieve_check(0, 1, np.ones(1, dtype=complex))
     assert res.ratio == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("Q", [1, 5])
+def test_large_sieve_at_its_sharp_constant(Q):
+    # the sharp form lhs <= (N - 1 + Q^2) * sum |a_n|^2 (Montgomery-Vaughan,
+    # Selberg): constant coefficients attain it at Q = 1, where lhs is
+    # |sum a_n|^2 = N * sum |a_n|^2, and stay within it at Q = 5 (0.954)
+    N = 500
+    coeffs = np.full(N, 0.5 - 0.25j)
+    res = large_sieve_check(0, Q, coeffs)
+    sharp = res.lhs / ((N - 1 + Q * Q) * math.fsum(np.abs(coeffs) ** 2))
+    if Q == 1:
+        assert sharp == pytest.approx(1.0, abs=1e-12)
+    assert sharp <= 1.0
 
 
 def test_large_sieve_zero_coefficients():
