@@ -1,12 +1,12 @@
 """Oscillatory building blocks: e(t n^c) phases, the sawtooth approximation
 by trigonometric polynomials, and the archimedean main-term integral.
 
-Phase reduction is tiered by the magnitude M = |t| n^c.  Small M is done in
-float64; mid-range M uses 80-bit long doubles; beyond that each phase is
-reduced with mpmath at a precision chosen from M.  Tier cutoffs are derived
-at import time from the machine epsilons together with the worst-case
-conditioning factor of n^c, so the documented 1e-10 absolute error on the
-fractional part holds throughout.
+Phase reduction is tiered by the magnitude M = |t| n^c: float64 for small
+M, 80-bit long doubles for mid-range M, and beyond that one anchor per block
+of n in `decimal`, at a precision chosen from M, the rest of the block as
+float64 offsets.  Tier cutoffs are derived at import time from the machine
+epsilons together with the worst-case conditioning factor of n^c, so the
+documented 1e-10 absolute error on the fractional part holds throughout.
 
 The sawtooth psi(t) = {t} - 1/2 is approximated by the degree-H polynomial
 with coefficients a(h) = -(2*pi*i*h)^(-1) * Jhat(h/(H+1)), where
@@ -32,13 +32,12 @@ far below y* (see `oscillatory_integral`).
 `main_term_integral` and `prime_exp_sum` take the twist e(t n^c) on
 (mu X, X] as plain numbers and refuse, with ParameterError, any outside
 X >= 2, 0 < mu < 1, 1 < c < 3 with c != 2, t finite.
-
-mpmath is imported on first use, by the phase tier that needs it.
 """
 
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -54,7 +53,7 @@ PHASE_ABS_TOL = 1e-10
 _COND = 64.0
 _TIER1_MAX = (0.5 * PHASE_ABS_TOL) / (_COND * float(np.finfo(np.float64).eps))
 _TIER2_MAX = (0.5 * PHASE_ABS_TOL) / (_COND * float(np.finfo(np.longdouble).eps))
-_MPMATH_BUDGET = 1e60
+_PHASE_BUDGET = 1e60
 
 GL_POINTS = 15                 # Gauss-Legendre nodes per panel
 NODES_PER_PERIOD = 12          # spec floor is 8; extra nodes buy margin
@@ -80,23 +79,11 @@ def saw_psi(x):
     return np.asarray((arr - np.floor(arr)) - 0.5)  # 0-d for a scalar x
 
 
-def _phase_frac_mp(t: float, n: float, c: float) -> float:
-    import mpmath  # loaded on demand: most runs never reach this tier
-    mag = abs(t) * float(n) ** c
-    if mag > _MPMATH_BUDGET:
-        raise ResourceError(
-            f"|t|*n^c ~ {mag:.3e} exceeds the extended-precision budget")
-    digits = 30 + int(math.log10(mag + 10.0))
-    with mpmath.workdps(digits):
-        val = mpmath.mpf(t) * mpmath.power(n, c)
-        return float(val - mpmath.floor(val))
-
-
 def phase_frac_array(t: float, ns: np.ndarray, c: float) -> np.ndarray:
     """frac(t * n^c) for each n of ns (an array, or a scalar as a 0-d
     array), with absolute error <= 1e-10 (circularly, mod 1).
 
-    Escalates through long-double and mpmath tiers as |t| n^c grows.
+    Escalates through long-double and anchored-block tiers as |t| n^c grows.
     """
     if not (math.isfinite(t) and math.isfinite(c)):
         raise ParameterError("t and c must be finite")
@@ -113,9 +100,38 @@ def phase_frac_array(t: float, ns: np.ndarray, c: float) -> np.ndarray:
         w *= np.longdouble(t)
         w -= np.floor(w)
         out[mid] = w
-    for i in np.flatnonzero(hi).tolist():
-        out.flat[i] = _phase_frac_mp(t, float(xs.flat[i]), c)
+    # Past the 80-bit tier: one decimal anchor a per block of ascending n,
+    # whose n with |t| (n^c - a^c) <= _TIER1_MAX are float64 offsets from a
+    idx = np.flatnonzero(hi)
+    if idx.size:
+        mag = float(np.abs(out.flat[idx]).max())
+        if mag > _PHASE_BUDGET:
+            raise ResourceError(
+                f"|t|*n^c ~ {mag:.3e} exceeds the extended-precision budget")
+        idx = idx[np.argsort(xs.flat[idx], kind="stable")]
+        srt, i = xs.flat[idx], 0
+        while i < idx.size:
+            a = float(srt[i])
+            ta = t * a ** c
+            end = a * (1 + _TIER1_MAX / abs(ta)) ** (1 / c) if c > 0 else a
+            j = int(np.searchsorted(srt, end, side="right"))  # > i: end >= a
+            ph = _anchor_frac(t, a, c) + _offset_phases(ta, a, srt[i:j] - a, c)
+            out.flat[idx[i:j]] = ph - np.floor(ph)
+            i = j
     return out
+
+
+def _anchor_frac(t: float, a: float, c: float) -> float:
+    """frac(t a^c) in a decimal context of its own, 30 digits past |t| a^c."""
+    digits = 30 + int(math.log10(abs(t) * a ** c + 10.0))
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        val = decimal.Decimal(t) * decimal.Decimal(a) ** decimal.Decimal(c)
+        return float(val - math.floor(val))
+
+
+def _offset_phases(ta: float, a: float, s: np.ndarray, c: float) -> np.ndarray:
+    """t (a + s)^c - t a^c, ta = t a^c, to a few eps of itself."""
+    return ta * np.expm1(c * np.log1p(s / a))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +302,7 @@ def _panel_integral(a: float, b: float, t: float, c: float) -> complex:
     half = 0.5 * (s[1:] - s[:-1])
     nodes, weights = _gauss_legendre()
     offsets = mid[:, None] + half[:, None] * nodes[None, :]
-    ph = phase_frac_array(t, a, c) + ta * np.expm1(c * np.log1p(offsets / a))
+    ph = phase_frac_array(t, a, c) + _offset_phases(ta, a, offsets, c)
     vals = (np.exp(2j * np.pi * (ph % 1.0)) @ weights) * half
     return complex(math.fsum(vals.real), math.fsum(vals.imag))
 

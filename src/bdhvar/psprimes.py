@@ -20,7 +20,7 @@ working memory is O(_BLOCK) plus the array it returns.
 Each kernel decides in float64, then re-decides every entry within `_band`
 of an integer (_GUARD_EPSILON, widened by the float64 error bound) with
 `_pow_floor(m, e)`: floor(m^e) and whether m^e is an integer, exactly by an
-integer root for rational gamma = u/v, else by mpmath at _MP_DIGITS digits.
+integer root for rational gamma = u/v, else in `decimal` at _DIGITS digits.
 The generator takes the floor, the indicator floor + (not exact).  No
 floating-point logs decide a boundary.  Every route takes gamma as given,
 a Fraction or a float, through `ps_config` on entry: a rational gamma (0.5
@@ -29,6 +29,7 @@ or 1/2) takes the exact path as the Fraction u/v, any other stays a float.
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -48,9 +49,9 @@ _SNAP_TOL = 1e-15
 _BLOCK = 1 << 16
 _PS_COUNT_BLOCK = 1 << 21
 # Distance to integrality below which a boundary decision escalates, and the
-# mpmath working digits of the escalation for irrational gamma.
+# decimal working digits of the escalation for irrational gamma.
 _GUARD_EPSILON = 1e-9
-_MP_DIGITS = 50
+_DIGITS = 50
 # gamma = u/v takes m^u, k^v of int64 m, k exactly: 63 * max(u, v) bits
 _EXACT_MAX_BITS = 1 << 18
 
@@ -63,7 +64,7 @@ def ps_config(gamma) -> Fraction | float:
     snap to it, so the exact path applies to the common grid values (1/2,
     3/4, 43/50, 9/10, 19/20, ...); ones as near 0 or 1 stay floats.  The
     routes below put gamma through here on entry: a Fraction decides their
-    boundaries exactly, a float by mpmath.  A rational u/v whose exact
+    boundaries exactly, a float in decimal.  A rational u/v whose exact
     powers could pass _EXACT_MAX_BITS raises ResourceError.
     """
     exact: Fraction | None = None
@@ -98,13 +99,14 @@ def ps_config(gamma) -> Fraction | float:
 def _iroot(m: int, k: int) -> tuple[int, bool]:
     """Floor integer k-th root of m >= 0, plus exactness flag.
 
-    Pure integer Newton iteration; no floating point in the decision.
+    Integer Newton iteration from just above the float root, near it for
+    the roots below 2^63 that the PS routes keep; integers decide.
     """
     if m < 0:
         raise ParameterError("negative radicand")
     if m in (0, 1) or k == 1:
         return m, True
-    x = 1 << -(-m.bit_length() // k)  # >= true root
+    x = int(math.exp(math.log(m) / k) * (1 + 1e-9)) + 1  # > true root
     while True:
         y = ((k - 1) * x + m // x ** (k - 1)) // k
         if y >= x:
@@ -121,21 +123,20 @@ def _pow_floor(m: int, exponent) -> tuple[int, bool]:
     """(floor(m^exponent), whether m^exponent is an integer), for m >= 1.
 
     A Fraction exponent u/v is decided exactly, as the integer v-th root of
-    m^u.  A float exponent is decided by mpmath at _MP_DIGITS digits, which
+    m^u.  A float exponent is decided in decimal at _DIGITS digits, which
     raises ResourceError when it cannot tell the power from an integer.
     """
     if m == 1:
         return 1, True  # 1^e is exactly 1 for every e
     if isinstance(exponent, Fraction):
         return _iroot(m ** exponent.numerator, exponent.denominator)
-    import mpmath  # loaded on demand: most runs never escalate this far
-    with mpmath.workdps(_MP_DIGITS):
-        y = mpmath.power(m, exponent)
-        if abs(y - mpmath.nint(y)) < mpmath.mpf(10) ** (-(_MP_DIGITS - 10)):
+    with decimal.localcontext(decimal.Context(prec=_DIGITS)):
+        y = decimal.Decimal(m) ** decimal.Decimal(exponent)
+        if abs(y - round(y)) < decimal.Decimal(10) ** (10 - _DIGITS):
             raise ResourceError(
                 f"{m}^{exponent} indistinguishable from an integer at "
-                f"{_MP_DIGITS} digits")
-        return int(mpmath.floor(y)), False
+                f"{_DIGITS} digits")
+        return math.floor(y), False
 
 
 def _band(x: np.ndarray, m: np.ndarray, exponent: float) -> np.ndarray:

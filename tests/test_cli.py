@@ -741,6 +741,22 @@ def test_modules_read_no_private_name_of_another():
     assert reads == []
 
 
+def test_modules_import_no_mpmath():
+    # numpy is the one runtime dependency: mpmath serves the tests as their
+    # independent oracle, and no bdhvar module imports it, at any depth
+    src = Path(cli.__file__).resolve().parent
+    imports = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imports.append((path.name, node.module))
+    assert imports
+    assert [(name, module) for name, module in imports
+            if module.split(".")[0] == "mpmath"] == []
+
+
 # The targets of perfbench/child.py's PATCHES that no longer resolve; each
 # of their metrics reads 0 until the benchmark's tracer is retargeted.
 KNOWN_MISSING_TRACE_TARGETS = {
@@ -820,11 +836,22 @@ def test_benchmark_trace_hooks_read_existing_attributes():
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    # mpmath serves only the escalation tiers, and is imported on first use
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, bdhvar.cli; sys.exit('mpmath' in sys.modules)"],
-        capture_output=True, text=True, env=_child_env())
+    # mpmath is the tests' oracle only: the escalations decide in decimal,
+    # a top-tier phase (|t| n^c past the 80-bit tier) and a float gamma's
+    # guard-band entries alike
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import bdhvar.cli
+        from bdhvar import oscillatory, phase_frac_array, ps_array
+        ns = np.arange(10**8 - 1000, 10**8)
+        assert 1e-4 * float(ns[0]) ** 1.5 > oscillatory._TIER2_MAX
+        phase_frac_array(1e-4, ns, 1.5)
+        ps_array(1, 10**4, 0.5000000000001)
+        sys.exit('mpmath' in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
 
 

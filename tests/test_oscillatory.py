@@ -65,7 +65,7 @@ def test_reduced_phase_random_triples_all_tiers():
 
 
 def test_reduced_phase_tier_boundaries():
-    # magnitudes straddling the float64 / long-double / mpmath switchovers
+    # magnitudes straddling the float64 / long-double / anchored switchovers
     cases = [(1e-3, 100, 1.5), (1.0, 10**4, 1.5), (1e3, 10**6, 1.5),
              (1e8, 10**6, 2.5)]
     for t, n, c in cases:
@@ -81,6 +81,39 @@ def test_phase_frac_array_matches_scalar():
         for i, n in enumerate(ns.tolist()):
             one = float(phase_frac_array(t, n, c))
             assert circ_dist(arr[i], one) <= 1e-10
+    # Past the 80-bit tier (|t| n^c from about 1e7 to 1e14 here) sorted n
+    # share anchored blocks, so runs of close n, integer and not, come with
+    # scattered ones and duplicates, unsorted.  Each phase matches the
+    # oracle, and a shuffled copy gives the same bits.
+    runs = [1e9 - np.arange(300.0), 3e8 + 0.37 * np.arange(300),
+            2e7 + np.arange(200.0)]
+    ints = rng.integers(10**6, 10**9, size=200).astype(np.float64)
+    ns = np.concatenate(runs + [rng.uniform(1e6, 1e9, size=200), ints,
+                                ints[:50], runs[0][:20]])
+    rng.shuffle(ns)
+    perm = rng.permutation(ns.size)
+    for t, c in [(1e-3, 1.5), (-2e-4, 1.7), (1e-12, 2.9)]:
+        arr = phase_frac_array(t, ns, c)
+        assert np.mean(abs(t) * ns ** c > oscillatory._TIER2_MAX) > 0.9
+        for got, n in zip(arr.tolist(), ns.tolist()):
+            assert circ_dist(got, mp_frac(t, n, c)) <= 1e-10, (t, n, c)
+        assert np.array_equal(phase_frac_array(t, ns[perm], c), arr[perm])
+
+
+def test_top_tier_takes_one_exact_anchor_per_block(monkeypatch):
+    # 1e6 consecutive n below 1e8 at t = 1e8^-0.55, c = 1.5 all lie past the
+    # 80-bit tier; they take about 170 decimal anchors, not one each
+    t, c = 1e8 ** -0.55, 1.5
+    ns = np.arange(10**8 - 10**6, 10**8)
+    assert t * float(ns[0]) ** c > oscillatory._TIER2_MAX
+    anchors = []
+    exact = oscillatory._anchor_frac
+    monkeypatch.setattr(oscillatory, "_anchor_frac",
+                        lambda *args: anchors.append(args) or exact(*args))
+    got = phase_frac_array(t, ns, c)
+    assert len(anchors) <= 200
+    for i in range(0, ns.size, 4999):
+        assert circ_dist(got[i], mp_frac(t, int(ns[i]), c)) <= 1e-10
 
 
 def test_reduced_phase_validation_and_budget():
@@ -210,7 +243,7 @@ def test_integral_validation():
         oscillatory_integral(-1.0, 5.0, 1.0, 1.5)
     with pytest.raises(ParameterError):
         oscillatory_integral(5.0, 4.0, 1.0, 1.5)
-    with pytest.raises(ResourceError):   # phase |t| b^c past the mpmath budget
+    with pytest.raises(ResourceError):   # phase |t| b^c past the phase budget
         oscillatory_integral(1.0, 1e9, 1e40, 2.5)
 
 

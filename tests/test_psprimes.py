@@ -160,7 +160,7 @@ def test_bare_float_gamma_is_its_ps_config():
     # The routes put gamma through ps_config themselves: an unsnapped float
     # is its own value, and a rational one (0.5, 0.9) takes the exact path
     # as its Fraction, where an integer power such as 4^0.5 would otherwise
-    # go to mpmath and raise ResourceError, and 1024^0.9 would land just
+    # go to decimal and raise ResourceError, and 1024^0.9 would land just
     # above 512.  Both routes and the PS weights give the same results for
     # either form.
     ns = np.arange(1, 3001)
@@ -200,6 +200,20 @@ def test_gamma_exact_powers_capped():
             ps_config(huge)
     with pytest.raises(ResourceError):
         ps_indicator_at(np.array([4, 9]), "5000000000001/10000000000000")
+
+
+def test_exact_root_at_perfect_powers_and_neighbours():
+    # m = r^v - 1, r^v and r^v + 1 put the exact k-th root on both sides of
+    # an integer, with radicands up to 41 * 4097 bits; the floor and the
+    # exactness flag are what plain integer comparisons give
+    for v in (10, 2817, 4097):
+        for r in (3, 10**5 + 3, 2**40 + 15):
+            for m in (r**v - 1, r**v, r**v + 1):
+                floor = r - (m < r**v)
+                assert floor**v <= m < (floor + 1)**v
+                want = (floor, floor**v == m)
+                assert psprimes._iroot(m, v) == want, (r, v, m - r**v)
+                assert psprimes._pow_floor(m, Fraction(1, v)) == want
 
 
 def test_range_validation():

@@ -233,7 +233,7 @@ BUILT_IN = [
     (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, gamma=ps_config("9/10"))),
     (WeightKind.PS_PLAIN, dict(gamma=ps_config("2426/2817"))),
     (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, gamma=ps_config("2426/2817"))),
-    # not snapped to a rational: its guard-band entries would go to mpmath
+    # not snapped to a rational: its guard-band entries would go to decimal
     (WeightKind.PS_PLAIN, dict(gamma=ps_config(0.837))),
     (WeightKind.PS_EXP, dict(c=1.5, t=1e-3, gamma=ps_config(0.837))),
 ]
