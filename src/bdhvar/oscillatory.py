@@ -1,12 +1,12 @@
 """Oscillatory building blocks: e(t n^c) phases, the sawtooth approximation
 by trigonometric polynomials, and the archimedean main-term integral.
 
-Phase reduction is tiered by the magnitude M = |t| n^c: float64 for small
-M, 80-bit long doubles for mid-range M, and beyond that one anchor per block
-of n in `decimal`, at a precision chosen from M, the rest of the block as
-float64 offsets.  Tier cutoffs are derived at import time from the machine
-epsilons together with the worst-case conditioning factor of n^c, so the
-documented 1e-10 absolute error on the fractional part holds throughout.
+Phase reduction has two tiers by the magnitude M = |t| n^c: float64 for
+small M, and beyond that one anchor per block of ascending n in `decimal`,
+at a precision chosen from M, the rest of the block as float64 offsets.
+The cutoff comes from the float64 epsilon and the worst-case conditioning
+of n^c, so the documented 1e-10 absolute error on the fractional part holds
+throughout, by the same algorithm on every platform.
 
 The sawtooth psi(t) = {t} - 1/2 is approximated by the degree-H polynomial
 with coefficients a(h) = -(2*pi*i*h)^(-1) * Jhat(h/(H+1)), where
@@ -52,7 +52,6 @@ PHASE_ABS_TOL = 1e-10
 # Worst-case conditioning of n^c over the supported domain (c < 3, n <= 1e9).
 _COND = 64.0
 _TIER1_MAX = (0.5 * PHASE_ABS_TOL) / (_COND * float(np.finfo(np.float64).eps))
-_TIER2_MAX = (0.5 * PHASE_ABS_TOL) / (_COND * float(np.finfo(np.longdouble).eps))
 _PHASE_BUDGET = 1e60
 
 GL_POINTS = 15                 # Gauss-Legendre nodes per panel
@@ -80,43 +79,40 @@ def saw_psi(x):
 
 
 def phase_frac_array(t: float, ns: np.ndarray, c: float) -> np.ndarray:
-    """frac(t * n^c) for each n of ns (an array, or a scalar as a 0-d
-    array), with absolute error <= 1e-10 (circularly, mod 1).
+    """frac(t * n^c) for each n of ns, a scalar (as a 0-d array) or a 1-d
+    non-decreasing array, with absolute error <= 1e-10 (circularly, mod 1).
 
-    Escalates through long-double and anchored-block tiers as |t| n^c grows.
+    Past the float64 tier the n, ascending as given, fall into anchored blocks.
     """
     if not (math.isfinite(t) and math.isfinite(c)):
         raise ParameterError("t and c must be finite")
     xs = np.asarray(ns).astype(np.float64)
-    if xs.size and not xs.min() > 0:  # a NaN n fails this too
-        raise ParameterError("phase reduction needs n > 0")
+    flat = xs.reshape(-1)
+    if (xs.ndim > 1 or not np.all(flat[1:] >= flat[:-1])  # a NaN n fails
+            or flat.size and not (flat[0] > 0 and flat[-1] < math.inf)):
+        raise ParameterError("phase reduction needs finite n > 0, as a scalar "
+                             "or a 1-d non-decreasing array")
     out = np.asarray(xs ** c)  # in place from here: a 0-d n stays an array
     out *= t  # t n^c, and |t n^c| = |t| n^c exactly
-    lo, hi = np.abs(out) <= _TIER1_MAX, np.abs(out) > _TIER2_MAX
-    np.subtract(out, np.floor(out), out=out, where=lo)
-    mid = ~(lo | hi)
-    if np.any(mid):
-        w = xs[mid].astype(np.longdouble) ** np.longdouble(c)
-        w *= np.longdouble(t)
-        w -= np.floor(w)
-        out[mid] = w
-    # Past the 80-bit tier: one decimal anchor a per block of ascending n,
-    # whose n with |t| (n^c - a^c) <= _TIER1_MAX are float64 offsets from a
+    hi = np.abs(out) > _TIER1_MAX
+    np.subtract(out, np.floor(out), out=out, where=~hi)
+    # Past float64: one decimal anchor a per block of ascending n, whose n
+    # with |t| (n^c - a^c) <= _TIER1_MAX are float64 offsets from a
     idx = np.flatnonzero(hi)
     if idx.size:
-        mag = float(np.abs(out.flat[idx]).max())
+        res = out.reshape(-1)
+        mag = float(np.abs(res[idx]).max())
         if mag > _PHASE_BUDGET:
             raise ResourceError(
                 f"|t|*n^c ~ {mag:.3e} exceeds the extended-precision budget")
-        idx = idx[np.argsort(xs.flat[idx], kind="stable")]
-        srt, i = xs.flat[idx], 0
+        srt, i = flat[idx], 0
         while i < idx.size:
             a = float(srt[i])
             ta = t * a ** c
             end = a * (1 + _TIER1_MAX / abs(ta)) ** (1 / c) if c > 0 else a
             j = int(np.searchsorted(srt, end, side="right"))  # > i: end >= a
             ph = _anchor_frac(t, a, c) + _offset_phases(ta, a, srt[i:j] - a, c)
-            out.flat[idx[i:j]] = ph - np.floor(ph)
+            res[idx[i:j]] = ph - np.floor(ph)
             i = j
     return out
 
@@ -185,11 +181,13 @@ def vaaler_eval(x, exp: VaalerExpansion):
     is.  Every point's sums are the same floats as from one x.size x H
     table: numpy evaluates a one-row product as a dot, which rounds
     differently, so a last block of one point joins the block before it.
-    Work over VAALER_MAX_BYTES (see check_vaaler_size) raises ResourceError
-    first.
+    A non-finite x raises ParameterError, and work over VAALER_MAX_BYTES
+    (see check_vaaler_size) ResourceError, first.
     """
     shape = np.shape(x)
     arr = np.asarray(x, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("vaaler_eval needs finite input")
     check_vaaler_size(arr.size, len(exp.a))
     h = np.arange(1, len(exp.a) + 1, dtype=np.float64)
     approx, majorant = np.empty((2, arr.size))
@@ -210,7 +208,7 @@ def vaaler_eval(x, exp: VaalerExpansion):
 # ---------------------------------------------------------------------------
 
 def oscillatory_integral(a: float, b: float, t: float, c: float) -> complex:
-    """integral of e(t y^c) dy over [a, b], 0 < a <= b.
+    """integral of e(t y^c) dy over [a, b], 0 < a <= b, a, b, t, c finite.
 
     With u = y^c the integrand is g(u) e(t u), g(u) = u^(1/c - 1) / c.  The
     range splits at y*, where 2*pi*|t| y*^c = _SERIES_START:
@@ -233,6 +231,8 @@ def oscillatory_integral(a: float, b: float, t: float, c: float) -> complex:
     An endpoint phase |t| y^c past the extended-precision budget of
     `phase_frac_array` raises ResourceError.
     """
+    if not all(map(math.isfinite, (a, b, t, c))):
+        raise ParameterError(f"need finite a, b, t and c, got {(a, b, t, c)}")
     if not 0 < a <= b:
         raise ParameterError(f"need 0 < a <= b, got [{a}, {b}]")
     if a == b:

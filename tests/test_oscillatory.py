@@ -65,47 +65,57 @@ def test_reduced_phase_random_triples_all_tiers():
 
 
 def test_reduced_phase_tier_boundaries():
-    # magnitudes straddling the float64 / long-double / anchored switchovers
+    # magnitudes on both sides of the float64 / anchored switchover
     cases = [(1e-3, 100, 1.5), (1.0, 10**4, 1.5), (1e3, 10**6, 1.5),
              (1e8, 10**6, 2.5)]
     for t, n, c in cases:
         got = float(phase_frac_array(t, n, c))
         assert circ_dist(got, mp_frac(t, n, c)) <= 1e-10
+    # one ascending array across it: float64 phases, then anchored blocks
+    t, c = 1.0, 1.5
+    edge = oscillatory._TIER1_MAX ** (1 / c)
+    ns = np.concatenate([edge - np.arange(40.0, 0.0, -1.0),
+                         edge + 0.5 * np.arange(40.0), [edge + 1e4]])
+    mags = abs(t) * ns ** c
+    assert mags.min() < oscillatory._TIER1_MAX < mags.max()
+    for got, n in zip(phase_frac_array(t, ns, c).tolist(), ns.tolist()):
+        assert circ_dist(got, mp_frac(t, n, c)) <= 1e-10, n
 
 
 def test_phase_frac_array_matches_scalar():
     rng = np.random.default_rng(5)
-    ns = rng.integers(1, 10**6, size=200)
+    ns = np.sort(rng.integers(1, 10**6, size=200))
     for t, c in [(3e-4, 1.5), (2.0, 1.2), (1e4, 2.5)]:
         arr = phase_frac_array(t, ns, c)
         for i, n in enumerate(ns.tolist()):
             one = float(phase_frac_array(t, n, c))
             assert circ_dist(arr[i], one) <= 1e-10
-    # Past the 80-bit tier (|t| n^c from about 1e7 to 1e14 here) sorted n
-    # share anchored blocks, so runs of close n, integer and not, come with
-    # scattered ones and duplicates, unsorted.  Each phase matches the
-    # oracle, and a shuffled copy gives the same bits.
+    # Past the float64 tier (|t| n^c from about 1e7 to 1e14 here) ascending
+    # n share anchored blocks, so runs of close n, integer and not, come with
+    # scattered ones and duplicates, sorted.  Each phase matches the oracle;
+    # a shuffled copy, or a 2-d array, is refused.
     runs = [1e9 - np.arange(300.0), 3e8 + 0.37 * np.arange(300),
             2e7 + np.arange(200.0)]
     ints = rng.integers(10**6, 10**9, size=200).astype(np.float64)
-    ns = np.concatenate(runs + [rng.uniform(1e6, 1e9, size=200), ints,
-                                ints[:50], runs[0][:20]])
-    rng.shuffle(ns)
+    ns = np.sort(np.concatenate(runs + [rng.uniform(1e6, 1e9, size=200),
+                                        ints, ints[:50], runs[0][:20]]))
     perm = rng.permutation(ns.size)
     for t, c in [(1e-3, 1.5), (-2e-4, 1.7), (1e-12, 2.9)]:
         arr = phase_frac_array(t, ns, c)
-        assert np.mean(abs(t) * ns ** c > oscillatory._TIER2_MAX) > 0.9
+        assert np.mean(abs(t) * ns ** c > oscillatory._TIER1_MAX) > 0.9
         for got, n in zip(arr.tolist(), ns.tolist()):
             assert circ_dist(got, mp_frac(t, n, c)) <= 1e-10, (t, n, c)
-        assert np.array_equal(phase_frac_array(t, ns[perm], c), arr[perm])
+        for bad in (ns[perm], ns[:1000].reshape(20, 50)):
+            with pytest.raises(ParameterError):
+                phase_frac_array(t, bad, c)
 
 
 def test_top_tier_takes_one_exact_anchor_per_block(monkeypatch):
     # 1e6 consecutive n below 1e8 at t = 1e8^-0.55, c = 1.5 all lie past the
-    # 80-bit tier; they take about 170 decimal anchors, not one each
+    # float64 tier; they take about 170 decimal anchors, not one each
     t, c = 1e8 ** -0.55, 1.5
     ns = np.arange(10**8 - 10**6, 10**8)
-    assert t * float(ns[0]) ** c > oscillatory._TIER2_MAX
+    assert t * float(ns[0]) ** c > oscillatory._TIER1_MAX
     anchors = []
     exact = oscillatory._anchor_frac
     monkeypatch.setattr(oscillatory, "_anchor_frac",
@@ -121,10 +131,13 @@ def test_reduced_phase_validation_and_budget():
         phase_frac_array(1.0, 0, 1.5)
     with pytest.raises(ParameterError):
         phase_frac_array(float("inf"), 3, 1.5)
+    for t in (0.0, 1.0):  # no numpy warning, nor a budget error, at n = inf
+        with pytest.raises(ParameterError):
+            phase_frac_array(t, float("inf"), 1.5)
     with pytest.raises(ResourceError):
         phase_frac_array(1e50, 1e6, 2.5)
-    # The array route checks the same things; a NaN t or n would otherwise
-    # match none of its three tiers and leave its output uninitialised.
+    # The array route checks the same things, so no NaN or inf n reaches a
+    # tier.
     ns = np.arange(1, 2000)
     for t, arr, c in ((float("nan"), ns, 1.5), (float("inf"), ns, 1.5),
                       (1.0, ns, float("nan")), (1.0, np.arange(0, 5), 1.5),
@@ -204,6 +217,14 @@ def test_vaaler_degree_validation():
             vaaler_expansion(bad)
 
 
+def test_vaaler_eval_refuses_non_finite_x():
+    # as saw_psi does: no numpy warning at inf, and no silent NaN
+    exp = vaaler_expansion(3)
+    for bad in (np.inf, np.nan, [0.5, np.inf]):
+        with pytest.raises(ParameterError):
+            vaaler_eval(bad, exp)
+
+
 # ---------------------------------------------------------------------------
 # oscillatory integral
 # ---------------------------------------------------------------------------
@@ -245,6 +266,14 @@ def test_integral_validation():
         oscillatory_integral(5.0, 4.0, 1.0, 1.5)
     with pytest.raises(ResourceError):   # phase |t| b^c past the phase budget
         oscillatory_integral(1.0, 1e9, 1e40, 2.5)
+    # a non-finite a, b, t or c is refused on entry: no math.ceil traceback
+    # from a NaN t, and no budget error from an infinite b
+    nan, inf = float("nan"), float("inf")
+    for args in ((1.0, 2.0, nan, 1.5), (1.0, inf, 1e-3, 1.5),
+                 (nan, 2.0, 1e-3, 1.5), (1.0, 2.0, 1e-3, inf),
+                 (1.0, 2.0, -inf, 1.5)):
+        with pytest.raises(ParameterError):
+            oscillatory_integral(*args)
 
 
 def test_params_validation():
